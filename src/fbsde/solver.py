@@ -190,22 +190,49 @@ def _mixed_second_sum(values: np.ndarray, a2: np.ndarray, grid: Grid) -> np.ndar
 def solve_tridiagonal(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Direct solve of one tridiagonal system via the banded LAPACK driver.
+    """Batched Thomas solve of independent tridiagonal systems.
 
-    ``lower[0]`` and ``upper[-1]`` are ignored; ``rhs`` may carry
-    trailing right-hand-side columns of shape (N,) or (N, k).
+    ``lower``, ``diag`` and ``upper`` have shape (..., N), one system per
+    leading index; ``lower[..., 0]`` and ``upper[..., -1]`` are ignored.
+    ``rhs`` has shape (..., N) or (..., N, k) with the same leading
+    shape, and the solution has the shape of ``rhs``.  The loop runs
+    along the line only; each of its steps is vectorized across every
+    system and right-hand-side column.
+
+    There is no pivoting, so every row must be strictly diagonally
+    dominant, ``|diag| > |lower| + |upper|``.  ``step_imex`` guarantees
+    this: interior rows are ``1 + 2 r a_ii`` on the diagonal and
+    ``-r a_ii`` off it with ``a_ii > 0``, and face rows are identity
+    rows, so every pivot is at least 1.  A zero or non-finite pivot
+    raises :class:`LinearSolveError`.  The arithmetic is that of LAPACK's
+    ``gtsv`` when it makes no row interchange, so such systems solve to
+    the same bits.
     """
-    from scipy.linalg import solve_banded
-
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"tridiagonal solve failed: {exc}") from None
+    line = diag.ndim - 1
+    arrays = [lower, diag, upper, rhs]
+    if rhs.ndim > diag.ndim:
+        if rhs.shape[-1] == 1:
+            # one column: a single system's row entries then become numpy
+            # scalars, whose arithmetic costs far less than that of (1,) arrays
+            arrays[3] = rhs[..., 0]
+        else:
+            # the columns of a row share its coefficients
+            arrays[:3] = [a[..., None] for a in arrays[:3]]
+    # one entry per row, each entry spanning every system at once
+    low, piv, up, x = (list(np.moveaxis(a, line, 0)) for a in arrays)
+    n = len(piv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, n):
+            fact = low[i] / piv[i - 1]
+            piv[i] = piv[i] - fact * up[i - 1]
+            x[i] = x[i] - fact * x[i - 1]
+        pivots = np.array(piv)
+        if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+            raise LinearSolveError("tridiagonal solve hit a zero or non-finite pivot")
+        x[-1] = x[-1] / piv[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (x[i] - up[i] * x[i + 1]) / piv[i]
+    return np.moveaxis(np.array(x), 0, line).reshape(rhs.shape)
 
 
 def _face_values(
@@ -229,38 +256,30 @@ def _solve_axis_sweep(
     dt: float,
     bfull: np.ndarray,
 ) -> np.ndarray:
-    """One implicit sweep (I - dt * a_axax d2/dx_ax^2) along a single axis."""
+    """One implicit sweep (I - dt * a_axax d2/dx_ax^2) along a single axis.
+
+    Every grid line along ``axis`` is an independent tridiagonal system
+    whose two face rows are identity rows carrying the values of
+    ``bfull``.  All lines and all m field components go to one batched
+    :func:`solve_tridiagonal` call on the (..., N, m) stack, with the
+    other axes as batch axes.  Returns a new (n_nodes, m) array.
+    """
     shape = grid.shape
     m = work.shape[1]
-    n_ax = shape[axis]
     h = grid.spacings[axis]
     r = dt / (h * h)
 
-    nd = work.reshape(*shape, m)
-    nd = np.moveaxis(nd, axis, -2).reshape(-1, n_ax, m)
-    cf = np.moveaxis(coeff.reshape(shape), axis, -1).reshape(-1, n_ax)
-    bv = np.moveaxis(bfull.reshape(*shape, m), axis, -2).reshape(-1, n_ax, m)
-
-    lower = -r * cf
+    faces = [0, -1]
+    cf = np.moveaxis(coeff.reshape(shape), axis, -1)
+    off = -r * cf  # the operator is symmetric: lower and upper bands agree
     diag = 1.0 + 2.0 * r * cf
-    upper = -r * cf
-    lower[:, 0] = 0.0
-    upper[:, 0] = 0.0
-    diag[:, 0] = 1.0
-    lower[:, -1] = 0.0
-    upper[:, -1] = 0.0
-    diag[:, -1] = 1.0
-    rhs = nd.copy()
-    rhs[:, 0, :] = bv[:, 0, :]
-    rhs[:, -1, :] = bv[:, -1, :]
+    off[..., faces] = 0.0
+    diag[..., faces] = 1.0
+    rhs = np.moveaxis(work.reshape(*shape, m), axis, -2).copy()
+    rhs[..., faces, :] = np.moveaxis(bfull.reshape(*shape, m), axis, -2)[..., faces, :]
 
-    sol = np.empty_like(rhs)
-    for line in range(rhs.shape[0]):
-        sol[line] = solve_tridiagonal(lower[line], diag[line], upper[line], rhs[line])
-    sol = np.moveaxis(
-        sol.reshape(*([s for i, s in enumerate(shape) if i != axis] + [n_ax, m])), -2, axis
-    )
-    return sol.reshape(grid.n_nodes, m)
+    sol = solve_tridiagonal(off, diag, off, rhs)
+    return np.moveaxis(sol, -2, axis).reshape(grid.n_nodes, m)
 
 
 def _build_sparse_matrix(grid: Grid, a2: np.ndarray, dt: float) -> "object":
@@ -330,10 +349,13 @@ def step_imex(
     w = eval_nonlocal(u_now, spec, t)
     a2, a1, a0 = assemble_coefficients(spec, t, nodes, u_now.values, p, w.table)
 
-    diag_coeffs = np.stack([a2[:, i, i] for i in range(ndim)], axis=-1)
-    if np.any(diag_coeffs <= 0.0):
+    if not np.all(np.isfinite(a2)):
         raise DegenerateDiffusionError(
-            "non-positive diffusion pivot; ellipticity fails on the grid"
+            "non-finite diffusion coefficient a2 on the grid; check sigma"
+        )
+    if not np.all(np.diagonal(a2, axis1=1, axis2=2) > 0.0):
+        raise DegenerateDiffusionError(
+            "non-positive diffusion pivot a_ii; ellipticity fails on the grid"
         )
 
     expl = -np.einsum("bi,bmi->bm", a1, p) - a0
@@ -347,15 +369,12 @@ def step_imex(
     if not np.all(np.isfinite(rhs)):
         raise BlowUpError("explicit terms produced non-finite values", level=-1)
 
-    if mode == "tridiag":
-        u_next = _solve_axis_sweep(grid, rhs, 0, a2[:, 0, 0], dt, bfull)
-    elif mode == "adi":
-        work = rhs
+    if mode != "sparse":
+        # tridiag is the 1-D case of the axis loop
+        u_next = rhs
         for ax in range(ndim):
-            work = _solve_axis_sweep(grid, work, ax, a2[:, ax, ax], dt, bfull)
-        work = work.copy()
-        work[mask] = bfull[mask]
-        u_next = work
+            u_next = _solve_axis_sweep(grid, u_next, ax, a2[:, ax, ax], dt, bfull)
+        u_next[mask] = bfull[mask]
     else:
         from scipy.sparse.linalg import gmres
 

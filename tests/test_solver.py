@@ -1,14 +1,24 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fbsde
 from fbsde import (
     BlowUpError,
     DegenerateDiffusionError,
     Grid,
     GridFunction,
     LevyMeasure,
+    LinearSolveError,
     MaxPrincipleConstants,
     ProblemSpec,
     SolutionField,
@@ -19,7 +29,7 @@ from fbsde import (
     spatial_gradient,
     step_imex,
 )
-from fbsde.solver import solve_tridiagonal
+from fbsde.solver import _solve_axis_sweep, solve_tridiagonal
 
 
 def _zeros(m):
@@ -61,6 +71,129 @@ class TestTridiagonal:
         expect = np.linalg.solve(mat, rhs)
         got = solve_tridiagonal(lower, diag, upper, rhs)
         assert np.allclose(got, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_batch_matches_dense_solve(self, k):
+        rng = np.random.default_rng(1)
+        lower, diag, upper, rhs = _dominant_systems(rng, (4, 3), 9, k)
+        got = solve_tridiagonal(lower, diag, upper, rhs)
+        assert got.shape == rhs.shape
+        np.testing.assert_allclose(got, _dense_solve(lower, diag, upper, rhs), rtol=0, atol=1e-12)
+
+    @given(
+        st.integers(min_value=3, max_value=12),
+        st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_property(self, n, batch, k, seed):
+        rng = np.random.default_rng(seed)
+        lower, diag, upper, rhs = _dominant_systems(rng, tuple(batch), n, k)
+        got = solve_tridiagonal(lower, diag, upper, rhs)
+        np.testing.assert_allclose(got, _dense_solve(lower, diag, upper, rhs), rtol=0, atol=1e-12)
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(2)
+        systems = _dominant_systems(rng, (5,), 7, 2)
+        before = [a.copy() for a in systems]
+        solve_tridiagonal(*systems)
+        for a, b in zip(systems, before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("batch, k", [((), None), ((), 1), ((2,), 3)])
+    def test_zero_pivot_raises(self, batch, k):
+        lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(4), batch, 4, k)
+        singular = (-1,) if batch else ()  # with a batch, only the last system
+        for a in (lower, diag, upper):
+            a[singular] = 0.0
+        with pytest.raises(LinearSolveError, match="pivot"):
+            solve_tridiagonal(lower, diag, upper, rhs)
+
+
+def _dominant_systems(rng, batch, n, k):
+    """Random strictly diagonally dominant systems of shape batch + (n,)."""
+    lower = rng.normal(size=batch + (n,))
+    upper = rng.normal(size=batch + (n,))
+    diag = (np.abs(lower) + np.abs(upper) + 0.5 + rng.random(batch + (n,))) * rng.choice(
+        [-1.0, 1.0], size=batch + (n,)
+    )
+    rhs = rng.normal(size=batch + (n,) + (() if k is None else (k,)))
+    return lower, diag, upper, rhs
+
+
+def _dense_solve(lower, diag, upper, rhs):
+    n = diag.shape[-1]
+    mat = np.zeros(diag.shape + (n,))
+    idx = np.arange(n)
+    mat[..., idx, idx] = diag
+    mat[..., idx[1:], idx[:-1]] = lower[..., 1:]
+    mat[..., idx[:-1], idx[1:]] = upper[..., :-1]
+    if rhs.ndim == diag.ndim:
+        return np.linalg.solve(mat, rhs[..., None])[..., 0]
+    return np.linalg.solve(mat, rhs)
+
+
+class TestAxisSweep:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_matches_dense_operator(self, axis):
+        # one sweep solves (I - dt a D2_axis) u = work with identity face rows
+        rng = np.random.default_rng(3 + axis)
+        grid = Grid((0.0, -1.0, 0.5), (1.0, 2.0, 1.5), (5, 6, 7))
+        m, dt = 2, 0.01
+        coeff = 0.2 + rng.random(grid.n_nodes)
+        work = rng.normal(size=(grid.n_nodes, m))
+        bfull = rng.normal(size=(grid.n_nodes, m))
+        got = _solve_axis_sweep(grid, work, axis, coeff, dt, bfull)
+
+        r = dt / grid.spacings[axis] ** 2
+        stride = grid.strides[axis]
+        pos = np.unravel_index(np.arange(grid.n_nodes), grid.shape)[axis]
+        mat = np.eye(grid.n_nodes)
+        rhs = work.copy()
+        for node in range(grid.n_nodes):
+            if pos[node] in (0, grid.shape[axis] - 1):
+                rhs[node] = bfull[node]
+                continue
+            mat[node, node] += 2.0 * r * coeff[node]
+            mat[node, node - stride] = -r * coeff[node]
+            mat[node, node + stride] = -r * coeff[node]
+        np.testing.assert_allclose(got, np.linalg.solve(mat, rhs), rtol=0, atol=1e-12)
+
+
+def test_line_solvers_do_not_import_scipy():
+    # the banded/ADI path is pure numpy; only the sparse mode needs scipy
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from fbsde import (Grid, LevyMeasure, MaxPrincipleConstants, ProblemSpec,
+                           SolverConfig, solve_final_value)
+
+        def spec(n):
+            return ProblemSpec(
+                n=n, m=1, l=1, horizon=0.5,
+                drift=lambda t, x, u, p, w: np.zeros((x.shape[0], n)),
+                generator=lambda t, x, u, p, w: np.zeros((x.shape[0], 1)),
+                diffusion=lambda t, x, u: np.broadcast_to(np.eye(n), (x.shape[0], n, n)).copy(),
+                jump_coeff=lambda t, x, u, y: np.zeros((x.shape[0], n)),
+                terminal=lambda x: np.sin(x).prod(axis=1, keepdims=True),
+                measure=LevyMeasure(marks=[[1.0]], weights=[1.0]),
+            )
+
+        for n, mode in ((2, "adi"), (1, "tridiag")):
+            grid = Grid((0.0,) * n, (3.0,) * n, (9,) * n)
+            config = SolverConfig(grid=grid, n_steps=4, cutoff_width=0.5, linear_solver=mode)
+            solve_final_value(spec(n), config, MaxPrincipleConstants(0, 0, 0))
+        print("scipy" in sys.modules)
+        """
+    )
+    src = str(Path(fbsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False", done.stdout + done.stderr
 
 
 class TestSpatialGradient:
@@ -148,6 +281,18 @@ class TestStepImex:
             assert out.values.min() >= u.values.min() - 1e-12
             assert out.values.max() <= u.values.max() + 1e-12
             u = out
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_diffusion_rejected(self, bad):
+        grid = Grid((0.0,), (1.0,), (11,))
+        # sigma is bad on part of the grid only; NaN slips past a "<= 0" test
+        spec = dataclasses.replace(
+            diffusion_spec(), diffusion=lambda t, x, u: np.where(x[:, :, None] > 0.5, bad, 1.0)
+        )
+        config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.2)
+        u = GridFunction(grid=grid, values=np.ones((11, 1)), t=0.0)
+        with pytest.raises(DegenerateDiffusionError, match="non-finite"):
+            step_imex(u, 0.0, spec, config)
 
     def test_degenerate_diffusion_rejected(self):
         grid = Grid((0.0,), (1.0,), (11,))
