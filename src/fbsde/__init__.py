@@ -49,7 +49,6 @@ from .problem import (
     ProblemSpec,
     check_ellipticity,
     check_growth,
-    total_mass,
 )
 from .solver import (
     Diagnostics,

@@ -426,7 +426,14 @@ def build_problem(
                 f"unknown parameter {key!r} for problem {name!r}; "
                 f"known: {', '.join(sorted(entry.defaults))}"
             )
-        merged[key] = type(entry.defaults[key])(value)
+        kind = type(entry.defaults[key])
+        try:
+            merged[key] = kind(value)
+        except ValueError:
+            raise ValueError(
+                f"parameter {key!r} of problem {name!r} must be {kind.__name__}, "
+                f"got {value!r}"
+            ) from None
     built = entry.builder(**merged)
     if cutoff_width is not None or linear_solver is not None:
         cfg = built.solver_config

@@ -133,18 +133,22 @@ def _apply_config_file(path: str | Path, base: dict) -> dict:
 
 
 def _build(config: RunConfig) -> BuiltProblem:
-    built = build_problem(
-        config.problem,
-        config.params,
-        cutoff_width=config.cutoff_width,
-        linear_solver=config.solver_mode,
-    )
-    cfg = built.solver_config
-    if config.nodes is not None:
-        grid = dataclasses.replace(cfg.grid, shape=(config.nodes,) * cfg.grid.ndim)
-        cfg = replace(cfg, grid=grid)
-    if config.steps is not None:
-        cfg = replace(cfg, n_steps=config.steps)
+    """Catalog entry with the run's overrides; a rejected value is a ConfigError."""
+    try:
+        built = build_problem(
+            config.problem,
+            config.params,
+            cutoff_width=config.cutoff_width,
+            linear_solver=config.solver_mode,
+        )
+        cfg = built.solver_config
+        if config.nodes is not None:
+            grid = dataclasses.replace(cfg.grid, shape=(config.nodes,) * cfg.grid.ndim)
+            cfg = replace(cfg, grid=grid)
+        if config.steps is not None:
+            cfg = replace(cfg, n_steps=config.steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg is not built.solver_config:
         built = replace(built, solver_config=cfg)
     if config.x0 is not None:
@@ -259,7 +263,7 @@ def _report_dict(
             "sup_gradient": [float(v) for v in diag.sup_gradient],
             "initial_data_sup": diag.initial_data_sup,
             "boundary_data_sup": diag.boundary_data_sup,
-            "lambda_rate": diag.lambda_rate,
+            "lambda_rate": max_principle.lambda_rate,
             "coarse_time_grid": diag.coarse_time_grid,
             "constants": dataclasses.asdict(diag.constants),
         }
@@ -454,7 +458,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--steps", type=int)
     common.add_argument("--cutoff-width", type=float, dest="cutoff_width")
     common.add_argument(
-        "--solver", choices=("auto", "tridiag", "adi", "sparse"), dest="solver_mode"
+        "--solver", choices=("auto", "tridiag", "adi"), dest="solver_mode"
     )
     common.add_argument("--out", dest="out_dir", help="output directory")
 

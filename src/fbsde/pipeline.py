@@ -18,7 +18,7 @@ import numpy as np
 
 from .paths import JumpPath
 from .problem import LevyMeasure, ProblemSpec
-from .solver import SolutionField, _axis_slice
+from .solver import SolutionField, second_difference
 
 __all__ = [
     "LinkedProcesses",
@@ -292,40 +292,13 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
     dt_snaps = (comp_vals[1:] - comp_vals[:-1]) / dt_field
 
     hess_snaps = np.zeros((n_levels, grid.n_nodes, ndim, ndim))
-    total = ndim
     for lev in range(n_levels):
         nd = comp_vals[lev].reshape(shape)
         for i in range(ndim):
-            h2 = grid.spacings[i] ** 2
-            dd = np.zeros(shape)
-            dd[_axis_slice(total, i, slice(1, -1))] = (
-                nd[_axis_slice(total, i, slice(2, None))]
-                - 2.0 * nd[_axis_slice(total, i, slice(1, -1))]
-                + nd[_axis_slice(total, i, slice(None, -2))]
-            ) / h2
-            hess_snaps[lev, :, i, i] = dd.ravel()
-        for i in range(ndim):
-            for j in range(i + 1, ndim):
-                hij = 4.0 * grid.spacings[i] * grid.spacings[j]
-                cross = np.zeros(shape)
-                pp = nd[_axis_slice(total, i, slice(2, None))][
-                    _axis_slice(total, j, slice(2, None))
-                ]
-                pm = nd[_axis_slice(total, i, slice(2, None))][
-                    _axis_slice(total, j, slice(None, -2))
-                ]
-                mp = nd[_axis_slice(total, i, slice(None, -2))][
-                    _axis_slice(total, j, slice(2, None))
-                ]
-                mm = nd[_axis_slice(total, i, slice(None, -2))][
-                    _axis_slice(total, j, slice(None, -2))
-                ]
-                inner = _axis_slice(total, i, slice(1, -1))
-                cross[inner][_axis_slice(total, j, slice(1, -1))] = (
-                    pp - pm - mp + mm
-                ) / hij
-                hess_snaps[lev, :, i, j] = cross.ravel()
-                hess_snaps[lev, :, j, i] = cross.ravel()
+            for j in range(i, ndim):
+                d2 = second_difference(nd, grid, i, j).ravel()
+                hess_snaps[lev, :, i, j] = d2
+                hess_snaps[lev, :, j, i] = d2
 
     from .grid import multilinear_interpolate
 

@@ -34,7 +34,6 @@ __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
     "GrowthEnvelopes",
-    "total_mass",
     "check_ellipticity",
     "check_growth",
 ]
@@ -46,8 +45,9 @@ class LevyMeasure:
 
     ``marks`` has shape (K, l) and must not contain the zero vector (the
     measure lives away from the origin); ``weights`` has shape (K,) and
-    is strictly positive.  ``total_mass`` is computed with exact
-    summation so it is invariant under atom permutations.
+    is strictly positive.  ``total_mass`` is nu(Z), the Poisson arrival
+    rate per unit time; it is computed with exact summation so it is
+    invariant under atom permutations.
     """
 
     marks: np.ndarray
@@ -79,11 +79,6 @@ class LevyMeasure:
     @property
     def mark_dim(self) -> int:
         return self.marks.shape[1]
-
-
-def total_mass(measure: LevyMeasure) -> float:
-    """Total mass nu(Z); doubles as the Poisson arrival rate per unit time."""
-    return measure.total_mass
 
 
 @dataclass(frozen=True)

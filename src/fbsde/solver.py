@@ -30,13 +30,14 @@ __all__ = [
     "MaxPrincipleResult",
     "cutoff_values",
     "spatial_gradient",
+    "second_difference",
     "solve_tridiagonal",
     "step_imex",
     "solve_final_value",
     "check_max_principle",
 ]
 
-_SOLVER_MODES = ("auto", "tridiag", "adi", "sparse")
+_SOLVER_MODES = ("auto", "tridiag", "adi")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class SolverConfig:
     grid: Grid
     n_steps: int
     cutoff_width: float = 1.0
-    lin_tol: float = 1e-10
     max_principle_tol: float = 1e-10
     linear_solver: str = "auto"
     dirichlet_data: Optional[Callable] = None
@@ -64,20 +64,19 @@ class SolverConfig:
             raise ValueError("n_steps must be >= 1")
         if self.cutoff_width <= 0.0:
             raise ValueError("cutoff width must be positive")
-        if self.lin_tol <= 0.0 or self.max_principle_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.max_principle_tol <= 0.0:
+            raise ValueError("max_principle_tol must be positive")
         if self.linear_solver not in _SOLVER_MODES:
-            raise ValueError(f"linear_solver must be one of {_SOLVER_MODES}")
+            raise ValueError(
+                f"linear_solver must be one of {_SOLVER_MODES}, got {self.linear_solver!r}"
+            )
+        if self.linear_solver == "tridiag" and self.grid.ndim != 1:
+            raise ValueError("tridiag solver requires a 1-D grid")
         for lo, hi in zip(self.grid.lower, self.grid.upper):
             if not self.cutoff_width < 0.5 * (hi - lo):
-                raise ValueError("cutoff width must be below half the box width")
-
-    def resolved_solver(self, ndim: int) -> str:
-        if self.linear_solver != "auto":
-            if self.linear_solver == "tridiag" and ndim != 1:
-                raise ValueError("tridiag solver requires a 1-D grid")
-            return self.linear_solver
-        return "tridiag" if ndim == 1 else "adi"
+                raise ValueError(
+                    f"cutoff width {self.cutoff_width} must be below half the box width"
+                )
 
 
 @dataclass(frozen=True)
@@ -152,38 +151,47 @@ def spatial_gradient(u: GridFunction) -> np.ndarray:
     return out.reshape(grid.n_nodes, m, grid.ndim)
 
 
+def second_difference(nd: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
+    """Central second difference d2u/dx_i dx_j of node values ``nd``.
+
+    ``nd`` has the grid's shape followed by any component axes.  The
+    three-point stencil (i == j) and the four-point cross stencil
+    (i != j) are exact for quadratics; at nodes on a face of axis i or j,
+    where the stencil does not fit, the result is 0.
+    """
+    total = nd.ndim
+    out = np.zeros(nd.shape)
+    inner = _axis_slice(total, i, slice(1, -1))
+    if i == j:
+        out[inner] = (
+            nd[_axis_slice(total, i, slice(2, None))]
+            - 2.0 * nd[inner]
+            + nd[_axis_slice(total, i, slice(None, -2))]
+        ) / grid.spacings[i] ** 2
+        return out
+    hij = 4.0 * grid.spacings[i] * grid.spacings[j]
+    pp = nd[_axis_slice(total, i, slice(2, None))][_axis_slice(total, j, slice(2, None))]
+    pm = nd[_axis_slice(total, i, slice(2, None))][_axis_slice(total, j, slice(None, -2))]
+    mp = nd[_axis_slice(total, i, slice(None, -2))][_axis_slice(total, j, slice(2, None))]
+    mm = nd[_axis_slice(total, i, slice(None, -2))][_axis_slice(total, j, slice(None, -2))]
+    out[inner][_axis_slice(total, j, slice(1, -1))] = (pp - pm - mp + mm) / hij
+    return out
+
+
 def _mixed_second_sum(values: np.ndarray, a2: np.ndarray, grid: Grid) -> np.ndarray:
     """Sum of cross-derivative terms 2 a_ij d2u/dx_i dx_j over pairs i < j.
 
-    Cross stencils need interior neighbours in both axes; contributions
-    at face-adjacent nodes in either axis are dropped (those rows are
-    overwritten by the boundary condition anyway).
+    Contributions at face nodes in either axis are dropped (those rows
+    are overwritten by the boundary condition anyway).
     """
     shape = grid.shape
     m = values.shape[1]
     nd = values.reshape(*shape, m)
-    total = grid.ndim + 1
     out = np.zeros(shape + (m,))
     for i in range(grid.ndim):
         for j in range(i + 1, grid.ndim):
             coeff = (2.0 * a2[:, i, j]).reshape(shape)
-            hij = 4.0 * grid.spacings[i] * grid.spacings[j]
-            cross = np.zeros(shape + (m,))
-            pp = nd[_axis_slice(total, i, slice(2, None))][
-                _axis_slice(total, j, slice(2, None))
-            ]
-            pm = nd[_axis_slice(total, i, slice(2, None))][
-                _axis_slice(total, j, slice(None, -2))
-            ]
-            mp = nd[_axis_slice(total, i, slice(None, -2))][
-                _axis_slice(total, j, slice(2, None))
-            ]
-            mm = nd[_axis_slice(total, i, slice(None, -2))][
-                _axis_slice(total, j, slice(None, -2))
-            ]
-            inner = _axis_slice(total, i, slice(1, -1))
-            cross[inner][_axis_slice(total, j, slice(1, -1))] = (pp - pm - mp + mm) / hij
-            out += coeff[..., None] * cross
+            out += coeff[..., None] * second_difference(nd, grid, i, j)
     return out.reshape(grid.n_nodes, m)
 
 
@@ -282,68 +290,20 @@ def _solve_axis_sweep(
     return np.moveaxis(sol, -2, axis).reshape(grid.n_nodes, m)
 
 
-def _build_sparse_matrix(grid: Grid, a2: np.ndarray, dt: float) -> "object":
-    """CSR matrix of I - dt * sum_ij a_ij D_ij with identity boundary rows."""
-    from scipy import sparse
-
-    shape = grid.shape
-    ndim = grid.ndim
-    n_nodes = grid.n_nodes
-    strides = grid.strides
-    interior = ~grid.boundary_mask()
-    idx = np.arange(n_nodes)
-
-    rows = [idx]
-    cols = [idx]
-    vals = [np.ones(n_nodes)]
-
-    multi = np.stack(np.unravel_index(idx, shape), axis=-1)
-    for ax in range(ndim):
-        h2 = grid.spacings[ax] ** 2
-        sel = interior & (multi[:, ax] > 0) & (multi[:, ax] < shape[ax] - 1)
-        rows_ax = idx[sel]
-        coef = dt * a2[rows_ax, ax, ax] / h2
-        rows += [rows_ax, rows_ax, rows_ax]
-        cols += [rows_ax, rows_ax - strides[ax], rows_ax + strides[ax]]
-        vals += [2.0 * coef, -coef, -coef]
-    for i in range(ndim):
-        for j in range(i + 1, ndim):
-            hij = 4.0 * grid.spacings[i] * grid.spacings[j]
-            sel = (
-                interior
-                & (multi[:, i] > 0)
-                & (multi[:, i] < shape[i] - 1)
-                & (multi[:, j] > 0)
-                & (multi[:, j] < shape[j] - 1)
-            )
-            rows_ij = idx[sel]
-            coef = dt * 2.0 * a2[rows_ij, i, j] / hij
-            si, sj = strides[i], strides[j]
-            rows += [rows_ij] * 4
-            cols += [rows_ij + si + sj, rows_ij + si - sj, rows_ij - si + sj, rows_ij - si - sj]
-            vals += [-coef, coef, coef, -coef]
-
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes),
-    )
-    return mat.tocsr()
-
-
 def step_imex(
     u_now: GridFunction, t: float, spec: ProblemSpec, config: SolverConfig
 ) -> GridFunction:
     """Advance the reversed equation one time step from Cauchy time ``t``.
 
-    Diffusion (coefficients frozen at ``u_now``) is implicit; transport,
-    reaction and the nonlocal table are explicit.  Face rows carry the
-    configured boundary values.
+    Diffusion (coefficients frozen at ``u_now``) is implicit, one
+    tridiagonal sweep per axis; transport, reaction, the nonlocal table
+    and, on 2-D and 3-D grids, the mixed derivatives are explicit.  Face
+    rows carry the configured boundary values.
     """
     grid = u_now.grid
     ndim = grid.ndim
     dt = spec.horizon / config.n_steps
     nodes = grid_nodes(grid)
-    mode = config.resolved_solver(ndim)
 
     p = spatial_gradient(u_now)
     w = eval_nonlocal(u_now, spec, t)
@@ -359,7 +319,7 @@ def step_imex(
         )
 
     expl = -np.einsum("bi,bmi->bm", a1, p) - a0
-    if ndim > 1 and mode != "sparse":
+    if ndim > 1:
         expl = expl + _mixed_second_sum(u_now.values, a2, grid)
     rhs = u_now.values + dt * expl
 
@@ -369,30 +329,10 @@ def step_imex(
     if not np.all(np.isfinite(rhs)):
         raise BlowUpError("explicit terms produced non-finite values", level=-1)
 
-    if mode != "sparse":
-        # tridiag is the 1-D case of the axis loop
-        u_next = rhs
-        for ax in range(ndim):
-            u_next = _solve_axis_sweep(grid, u_next, ax, a2[:, ax, ax], dt, bfull)
-        u_next[mask] = bfull[mask]
-    else:
-        from scipy.sparse.linalg import gmres
-
-        mat = _build_sparse_matrix(grid, a2, dt)
-        rhs_b = rhs.copy()
-        rhs_b[mask] = bfull[mask]
-        u_next = np.empty_like(rhs_b)
-        for comp in range(u_now.m):
-            sol, info = gmres(
-                mat,
-                rhs_b[:, comp],
-                x0=u_now.values[:, comp],
-                rtol=config.lin_tol,
-                atol=0.0,
-            )
-            if info != 0:
-                raise LinearSolveError(f"gmres failed to converge (info={info})")
-            u_next[:, comp] = sol
+    u_next = rhs
+    for ax in range(ndim):
+        u_next = _solve_axis_sweep(grid, u_next, ax, a2[:, ax, ax], dt, bfull)
+    u_next[mask] = bfull[mask]
 
     if not np.all(np.isfinite(u_next)):
         raise BlowUpError("implicit solve produced non-finite values", level=-1)
@@ -463,16 +403,6 @@ class SolutionField:
             )
         return table
 
-    def time_reversed(self) -> "SolutionField":
-        return SolutionField(
-            grid=self.grid,
-            times=self.times,
-            values=self.values[::-1],
-            gradients=self.gradients[::-1],
-            spec=self.spec,
-            config=self.config,
-        )
-
     def sup_norms(self) -> np.ndarray:
         """Per-level sup over nodes of the euclidean field norm."""
         return np.sqrt(np.sum(self.values**2, axis=-1)).max(axis=1)
@@ -480,17 +410,15 @@ class SolutionField:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Monitors recorded during a solve, indexed like the field snapshots."""
+    """Monitors recorded during a solve, indexed like the field snapshots.
+
+    The sup bound itself is evaluated by :func:`check_max_principle`.
+    """
 
     sup_u: np.ndarray
     sup_gradient: np.ndarray
     initial_data_sup: float
     boundary_data_sup: float
-    lambda_rate: float
-    bound: float
-    observed_sup: float
-    max_principle_ok: bool
-    first_violation_level: Optional[int]
     coarse_time_grid: bool
     constants: MaxPrincipleConstants
 
@@ -511,17 +439,6 @@ def growth_rate(constants: MaxPrincipleConstants, spec: ProblemSpec) -> float:
     return constants.c2 + constants.c3 * l_nonlocal**2 + 1.0
 
 
-def _bound_value(
-    constants: MaxPrincipleConstants,
-    spec: ProblemSpec,
-    initial_sup: float,
-    boundary_sup: float,
-) -> tuple[float, float]:
-    lam = growth_rate(constants, spec)
-    base = max(initial_sup, boundary_sup, math.sqrt(constants.c1))
-    return lam, math.exp(lam * spec.horizon) * base
-
-
 def check_max_principle(
     field: SolutionField,
     diag: Diagnostics,
@@ -538,9 +455,9 @@ def check_max_principle(
         constants = diag.constants
     if tol is None:
         tol = field.config.max_principle_tol
-    lam, bound = _bound_value(
-        constants, field.spec, diag.initial_data_sup, diag.boundary_data_sup
-    )
+    lam = growth_rate(constants, field.spec)
+    base = max(diag.initial_data_sup, diag.boundary_data_sup, math.sqrt(constants.c1))
+    bound = math.exp(lam * field.spec.horizon) * base
     sups = field.sup_norms()
     observed = float(sups.max())
     violating = np.nonzero(sups > bound * (1.0 + tol))[0]
@@ -629,23 +546,12 @@ def solve_final_value(
     )
     sup_u = field_obj.sup_norms()
     sup_grad = np.sqrt(np.sum(gradients**2, axis=(-1, -2))).max(axis=1)
-    initial_sup = float(sup_u[-1])
-
-    lam, bound = _bound_value(constants, spec, initial_sup, boundary_sup)
-    observed = float(sup_u.max())
-    violating = np.nonzero(sup_u > bound * (1.0 + config.max_principle_tol))[0]
-    first = int(violating[0]) if violating.size else None
 
     diag = Diagnostics(
         sup_u=sup_u,
         sup_gradient=sup_grad,
-        initial_data_sup=initial_sup,
+        initial_data_sup=float(sup_u[-1]),
         boundary_data_sup=boundary_sup,
-        lambda_rate=lam,
-        bound=bound,
-        observed_sup=observed,
-        max_principle_ok=first is None,
-        first_violation_level=first,
         coarse_time_grid=bool(coarse),
         constants=constants,
     )

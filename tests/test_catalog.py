@@ -7,6 +7,7 @@ from fbsde import (
     catalog_names,
     check_ellipticity,
     check_growth,
+    check_max_principle,
     solve_final_value,
 )
 
@@ -104,7 +105,7 @@ class TestPureJumpField:
     def test_identity_field_in_inner_region(self):
         built = build_problem("pure-jump", {"nodes": 181, "steps": 200})
         field, diag = solve_final_value(built.spec, built.solver_config, built.constants)
-        assert diag.max_principle_ok
+        assert check_max_principle(field, diag).passed
         pts = field.grid.nodes()
         inner = (pts[:, 0] >= -3.0) & (pts[:, 0] <= 3.0)
         err = max(

@@ -179,6 +179,33 @@ class TestConfigFile:
         assert code == 2
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "flags, file_text, named",
+        [
+            (["--cutoff-width", "5"], None, "cutoff width 5"),
+            (["--param", "nodes=abc"], None, "'nodes'"),
+            ([], "solver.mode = bogus\n", "'bogus'"),
+            ([], "solver.mode = sparse\n", "'sparse'"),
+            (["--solver", "sparse"], None, "'sparse'"),
+        ],
+    )
+    def test_exit_2_names_the_input(self, tmp_path, capsys, flags, file_text, named):
+        argv = ["solve", "--problem", "heat", "--out", str(tmp_path / "out")] + flags
+        if file_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(file_text)
+            argv += ["--config", str(cfg)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad --solver choice itself
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert any(named in line for line in err.splitlines()), err
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_heat_ladder_ratio_near_four(self, tmp_path):
         code = main(

@@ -299,6 +299,39 @@ class TestItoResidual:
         # discretization-sized, not O(1)
         assert np.abs(res).mean() <= 0.05
 
+    def test_field_test_function_hessian_exact_on_quadratic(self):
+        # u = x^T Q x / 2 + b.x on a 3-D grid: every second-difference stencil,
+        # diagonal and cross, is exact, so hess returns Q at interior nodes
+        q = np.array([[2.0, 0.5, -0.3], [0.5, -1.0, 0.7], [-0.3, 0.7, 0.4]])
+        b = np.array([0.2, -0.1, 0.3])
+        spec = ProblemSpec(
+            n=3,
+            m=1,
+            l=1,
+            horizon=1.0,
+            drift=_zeros(3),
+            generator=_zeros(1),
+            diffusion=lambda t, x, u: np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy(),
+            jump_coeff=lambda t, x, u, y: np.zeros((x.shape[0], 3)),
+            terminal=lambda x: np.zeros((x.shape[0], 1)),
+            measure=TINY_MEASURE,
+        )
+        grid = Grid((-1.0, 0.0, 0.5), (1.0, 2.0, 1.5), (5, 6, 7))
+        pts = grid.nodes()
+        quad = 0.5 * np.einsum("bi,ij,bj->b", pts, q, pts) + pts @ b
+        field = SolutionField(
+            grid=grid,
+            times=np.linspace(0.0, 1.0, 3),
+            values=np.broadcast_to(quad[None, :, None], (3, grid.n_nodes, 1)),
+            gradients=np.zeros((3, grid.n_nodes, 1, 3)),
+            spec=spec,
+            config=SolverConfig(grid=grid, n_steps=2, cutoff_width=0.4),
+        )
+        pos = np.stack(np.unravel_index(np.arange(grid.n_nodes), grid.shape), axis=1)
+        interior = np.all((pos > 0) & (pos < np.array(grid.shape) - 1), axis=1)
+        hess = field_test_function(field).hess(0.3, pts[interior])
+        np.testing.assert_allclose(hess, np.broadcast_to(q, hess.shape), rtol=0, atol=1e-9)
+
 
 class TestVectorBackwardComponent:
     def test_two_component_linear_field_telescopes_exactly(self):

@@ -11,7 +11,6 @@ from fbsde import (
     ProblemSpec,
     check_ellipticity,
     check_growth,
-    total_mass,
 )
 
 
@@ -46,16 +45,16 @@ def make_spec(sigma, drift=None, generator=None, jump=None, measure=None, lo=1.0
 
 class TestLevyMeasure:
     def test_single_atom_mass(self):
-        assert total_mass(LevyMeasure(marks=[[1.0]], weights=[2.0])) == 2.0
+        assert LevyMeasure(marks=[[1.0]], weights=[2.0]).total_mass == 2.0
 
     def test_symmetric_atoms(self):
         m = LevyMeasure(marks=[[1.0], [-1.0]], weights=[0.5, 0.5])
-        assert total_mass(m) == 1.0
+        assert m.total_mass == 1.0
 
     def test_uniform_weights_normalize(self):
         k = 7
         m = LevyMeasure(marks=[[float(i + 1)] for i in range(k)], weights=[1.0 / k] * k)
-        assert total_mass(m) == pytest.approx(1.0, abs=1e-15)
+        assert m.total_mass == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -84,12 +83,12 @@ class TestLevyMeasure:
     def test_total_mass_permutation_invariant(self, atoms, rng):
         marks = [[y] for y, _ in atoms]
         weights = [w for _, w in atoms]
-        base = total_mass(LevyMeasure(marks=marks, weights=weights))
+        base = LevyMeasure(marks=marks, weights=weights).total_mass
         order = list(range(len(atoms)))
         rng.shuffle(order)
-        shuffled = total_mass(
-            LevyMeasure(marks=[marks[i] for i in order], weights=[weights[i] for i in order])
-        )
+        shuffled = LevyMeasure(
+            marks=[marks[i] for i in order], weights=[weights[i] for i in order]
+        ).total_mass
         assert shuffled == base  # exact summation makes this bitwise
 
 

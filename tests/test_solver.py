@@ -29,7 +29,7 @@ from fbsde import (
     spatial_gradient,
     step_imex,
 )
-from fbsde.solver import _solve_axis_sweep, solve_tridiagonal
+from fbsde.solver import _mixed_second_sum, _solve_axis_sweep, solve_tridiagonal
 
 
 def _zeros(m):
@@ -162,7 +162,8 @@ class TestAxisSweep:
 
 
 def test_line_solvers_do_not_import_scipy():
-    # the banded/ADI path is pure numpy; only the sparse mode needs scipy
+    # importing the package loads every module, and every mode runs the
+    # numpy axis loop; scipy is only a test dependency
     script = textwrap.dedent(
         """
         import sys
@@ -181,7 +182,7 @@ def test_line_solvers_do_not_import_scipy():
                 measure=LevyMeasure(marks=[[1.0]], weights=[1.0]),
             )
 
-        for n, mode in ((2, "adi"), (1, "tridiag")):
+        for n, mode in ((1, "auto"), (1, "tridiag"), (1, "adi"), (2, "auto"), (2, "adi")):
             grid = Grid((0.0,) * n, (3.0,) * n, (9,) * n)
             config = SolverConfig(grid=grid, n_steps=4, cutoff_width=0.5, linear_solver=mode)
             solve_final_value(spec(n), config, MaxPrincipleConstants(0, 0, 0))
@@ -194,6 +195,44 @@ def test_line_solvers_do_not_import_scipy():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "False", done.stdout + done.stderr
+
+
+class TestSolverConfigModes:
+    def test_tridiag_rejected_on_2d_grid(self):
+        grid = Grid((0.0, 0.0), (3.0, 3.0), (9, 9))
+        with pytest.raises(ValueError, match="1-D"):
+            SolverConfig(grid=grid, n_steps=4, cutoff_width=0.5, linear_solver="tridiag")
+
+    def test_sparse_rejected(self):
+        grid = Grid((0.0,), (3.0,), (9,))
+        with pytest.raises(ValueError, match="'sparse'"):
+            SolverConfig(grid=grid, n_steps=4, cutoff_width=0.5, linear_solver="sparse")
+
+
+class TestMixedSecondSum:
+    # u is a sum of products x_i x_j, so d2u/dx_i dx_j = 1 for each listed pair
+    @pytest.mark.parametrize(
+        "lower, upper, shape, pairs",
+        [
+            ((-1.0, 0.5), (2.0, 1.5), (7, 9), [(0, 1)]),  # u = x y
+            ((-1.0, 0.0, 0.5), (1.0, 2.0, 1.0), (5, 6, 7), [(0, 2), (1, 2)]),  # u = x z + y z
+        ],
+    )
+    def test_exact_on_bilinear_products(self, lower, upper, shape, pairs):
+        grid = Grid(lower, upper, shape)
+        pts = grid.nodes()
+        values = sum(pts[:, i] * pts[:, j] for i, j in pairs)[:, None]
+        a2 = np.random.default_rng(5).normal(size=(grid.n_nodes, grid.ndim, grid.ndim))
+        got = _mixed_second_sum(values, a2, grid)[:, 0]
+
+        pos = np.stack(np.unravel_index(np.arange(grid.n_nodes), grid.shape), axis=1)
+        off_face = (pos > 0) & (pos < np.array(grid.shape) - 1)  # (nodes, ndim)
+        expect = np.zeros(grid.n_nodes)
+        for i, j in pairs:
+            fits = off_face[:, i] & off_face[:, j]
+            expect[fits] += 2.0 * a2[fits, i, j]
+        # exact wherever a pair's stencil fits, 0 from that pair on its faces
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
 
 
 class TestSpatialGradient:
@@ -319,7 +358,7 @@ class TestSolveFinalValue:
             for i, t in enumerate(field.times)
         )
         assert err <= 5e-3
-        assert diag.max_principle_ok
+        assert check_max_principle(field, diag).passed
 
     def test_zero_data_gives_zero_field(self):
         # h = 0, g = 0 with nonzero drift and jumps: zero is exact and preserved
@@ -348,18 +387,6 @@ class TestSolveFinalValue:
         field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0, 0, 0))
         expected = np.cos(grid.nodes()) * cutoff_values(grid, 1.0)[:, None]
         assert np.array_equal(field.values[-1], expected)
-
-    def test_time_reversal_involution(self):
-        spec = diffusion_spec()
-        grid = Grid((0.0,), (math.pi,), (21,))
-        config = SolverConfig(
-            grid=grid, n_steps=6, dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1))
-        )
-        field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0, 0, 0))
-        twice = field.time_reversed().time_reversed()
-        assert np.array_equal(twice.values, field.values)
-        assert np.array_equal(twice.times, field.times)
-        assert np.array_equal(twice.gradients, field.gradients)
 
     def test_blow_up_reports_level(self):
         # explicit positive feedback with a huge rate overflows quickly
@@ -452,7 +479,7 @@ def _spec_2d(horizon=0.5, generator=None, sigma_mat=None, terminal=None):
 
 
 class TestTwoDimensional:
-    @pytest.mark.parametrize("mode", ["adi", "sparse"])
+    @pytest.mark.parametrize("mode", ["adi"])
     def test_2d_heat_oracle(self, mode):
         horizon = 0.5
         spec = _spec_2d(horizon=horizon)
@@ -471,7 +498,7 @@ class TestTwoDimensional:
         )
         assert err <= 5e-3, f"{mode} error {err}"
 
-    @pytest.mark.parametrize("mode", ["adi", "sparse"])
+    @pytest.mark.parametrize("mode", ["adi"])
     def test_2d_mixed_derivative_manufactured(self, mode):
         # sigma with a cross term; forcing makes exp(-t) cos x cos y exact
         horizon = 0.5
@@ -600,4 +627,4 @@ class TestVectorValuedField:
         )
         assert err1 <= 5e-3, err1
         assert err2 <= 1e-2, err2
-        assert diag.max_principle_ok
+        assert check_max_principle(field, diag).passed
