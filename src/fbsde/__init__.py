@@ -21,25 +21,22 @@ from .errors import (
 from .grid import Grid, GridFunction, multilinear_interpolate
 from .operators import NonlocalField, assemble_coefficients, eval_nonlocal, integrate_over_nu
 from .paths import (
-    JumpEvent,
+    Ensemble,
     JumpPath,
     RngStream,
     euler_increment,
     sample_poisson_measure,
     simulate_ensemble,
-    simulate_forward,
 )
 from .pipeline import (
-    LinkedProcesses,
+    Linked,
     ResidualReport,
     TestFunction,
     bsde_residual,
     estimate_class_s_norm,
     field_test_function,
-    ito_residual,
     ito_residuals,
     link_ensemble,
-    link_processes,
 )
 from .problem import (
     AssumptionCheck,

@@ -23,8 +23,8 @@ import numpy as np
 
 from .catalog import BuiltProblem, build_problem
 from .errors import ConfigError, FbsdeError
-from .pipeline import ResidualReport, bsde_residual, link_ensemble
-from .paths import simulate_ensemble
+from .pipeline import Linked, ResidualReport, bsde_residual, link_ensemble
+from .paths import _check_start_point, _time_grid, simulate_ensemble
 from .problem import AssumptionCheck, AssumptionReport, check_ellipticity, check_growth
 from .solver import (
     Diagnostics,
@@ -69,8 +69,8 @@ class RunConfig:
         if "simulate" in self.stages or self.rungs:
             if self.paths < 1:
                 raise ConfigError("paths must be >= 1")
-            if self.dt is not None and self.dt <= 0.0:
-                raise ConfigError("dt must be positive")
+            if self.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.nodes is not None and self.nodes < 3:
             raise ConfigError("nodes must be >= 3")
         if self.steps is not None and self.steps < 1:
@@ -96,17 +96,18 @@ def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
     return out
 
 
+# config-file key -> (RunConfig field, type)
 _FILE_KEYS = {
-    "problem": str,
-    "solver.nodes": int,
-    "solver.steps": int,
-    "solver.cutoff_width": float,
-    "solver.mode": str,
-    "sim.paths": int,
-    "sim.dt": float,
-    "sim.seed": int,
-    "out.dir": str,
-    "sweep.rungs": int,
+    "problem": ("problem", str),
+    "solver.nodes": ("nodes", int),
+    "solver.steps": ("steps", int),
+    "solver.cutoff_width": ("cutoff_width", float),
+    "solver.mode": ("solver_mode", str),
+    "sim.paths": ("paths", int),
+    "sim.dt": ("dt", float),
+    "sim.seed": ("seed", int),
+    "out.dir": ("out_dir", Path),
+    "sweep.rungs": ("rungs", int),
 }
 
 
@@ -118,22 +119,19 @@ def _apply_config_file(path: str | Path, base: dict) -> dict:
             continue
         if key not in _FILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        name, kind = _FILE_KEYS[key]
         try:
-            coerced = _FILE_KEYS[key](value)
+            base[name] = kind(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-        base[key.split(".")[-1] if "." in key else key] = coerced
-        if key == "solver.mode":
-            base["solver_mode"] = coerced
-            base.pop("mode", None)
-        if key == "out.dir":
-            base["out_dir"] = Path(coerced)
-            base.pop("dir", None)
     return base
 
 
 def _build(config: RunConfig) -> BuiltProblem:
-    """Catalog entry with the run's overrides; a rejected value is a ConfigError."""
+    """Catalog entry with the run's overrides; a rejected value is a ConfigError.
+
+    A run that simulates has its start point and path step checked here.
+    """
     try:
         built = build_problem(
             config.problem,
@@ -147,6 +145,10 @@ def _build(config: RunConfig) -> BuiltProblem:
             cfg = replace(cfg, grid=grid)
         if config.steps is not None:
             cfg = replace(cfg, n_steps=config.steps)
+        if "simulate" in config.stages or config.rungs:
+            x0 = built.x0 if config.x0 is None else config.x0
+            _check_start_point(cfg, x0)
+            _time_grid(built.spec.horizon, _path_dt(config, built))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if cfg is not built.solver_config:
@@ -154,6 +156,10 @@ def _build(config: RunConfig) -> BuiltProblem:
     if config.x0 is not None:
         built = replace(built, x0=np.asarray(config.x0, dtype=float))
     return built
+
+
+def _path_dt(config: RunConfig, built: BuiltProblem) -> float:
+    return config.dt if config.dt is not None else built.default_path_dt
 
 
 def _assumption_report(built: BuiltProblem) -> AssumptionReport:
@@ -193,28 +199,27 @@ def _write_field_csv(path: Path, field_obj: SolutionField) -> None:
                 fh.write(",".join(row) + "\n")
 
 
-def _write_paths_csv(path: Path, linked_list) -> None:
-    if not linked_list:
-        raise ValueError("no paths to write")
-    n = linked_list[0].path.states.shape[1]
-    m = linked_list[0].y.shape[1]
+def _write_paths_csv(path: Path, linked: Linked) -> None:
+    ens = linked.ensemble
+    n_paths, n_levels, n = ens.states.shape
+    m = linked.y.shape[2]
     header = (
         ["path", "t"]
         + [f"x_{i}" for i in range(n)]
         + [f"y_{c}" for c in range(m)]
         + ["jumps"]
     )
+    # jumps[p, j]: jumps of path p in the interval ending at times[j]
+    jumps = np.zeros((n_paths, n_levels), dtype=int)
+    np.add.at(jumps, (ens.events.path, ens.events.interval + 1), 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for pid, lp in enumerate(linked_list):
-            jumps_per_interval = np.zeros(lp.path.n_steps, dtype=int)
-            for ev in lp.path.events:
-                jumps_per_interval[ev.interval] += 1
-            for j, t in enumerate(lp.path.times):
+        for pid in range(n_paths):
+            for j, t in enumerate(ens.times):
                 row = [str(pid), _fmt(t)]
-                row += [_fmt(v) for v in lp.path.states[j]]
-                row += [_fmt(v) for v in lp.y[j]]
-                row.append(str(int(jumps_per_interval[j - 1])) if j > 0 else "0")
+                row += [_fmt(v) for v in ens.states[pid, j]]
+                row += [_fmt(v) for v in linked.y[pid, j]]
+                row.append(str(int(jumps[pid, j])))
                 fh.write(",".join(row) + "\n")
 
 
@@ -237,7 +242,7 @@ def _report_dict(
             "cutoff_width": built.solver_config.cutoff_width,
             "linear_solver": built.solver_config.linear_solver,
             "paths": config.paths,
-            "dt": config.dt if config.dt is not None else built.default_path_dt,
+            "dt": _path_dt(config, built),
             "x0": list(np.asarray(built.x0, dtype=float)),
             "out_dir": str(config.out_dir),
         },
@@ -317,9 +322,8 @@ def run(config: RunConfig) -> int:
             _write_field_csv(out_dir / "field.csv", field_obj)
 
     if "simulate" in config.stages or "verify" in config.stages:
-        dt = config.dt if config.dt is not None else built.default_path_dt
         ensemble = simulate_ensemble(
-            field_obj, built.spec, built.x0, dt, config.paths, config.seed
+            field_obj, built.spec, built.x0, _path_dt(config, built), config.paths, config.seed
         )
         linked = link_ensemble(ensemble, field_obj, built.spec)
         _write_paths_csv(out_dir / "paths.csv", linked)
@@ -348,7 +352,7 @@ def sweep(config: RunConfig) -> int:
 
     base_nodes = built0.solver_config.grid.shape[0]
     base_steps = built0.solver_config.n_steps
-    base_dt = config.dt if config.dt is not None else built0.default_path_dt
+    base_dt = _path_dt(config, built0)
 
     rows = []
     prev_err = None
@@ -508,6 +512,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if not problem:
         raise ConfigError("a problem name is required (--problem or config file)")
     out_default = os.environ.get(_ENV_OUT_DIR, "fbsde-out")
+    try:
+        x0 = tuple(float(v) for v in args.x0.split(",")) if getattr(args, "x0", None) else None
+    except ValueError:
+        raise ConfigError(f"--x0 needs comma-separated numbers, got {args.x0!r}") from None
     config = RunConfig(
         problem=problem,
         params=settings["params"],
@@ -519,9 +527,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         paths=int(pick(getattr(args, "paths", None), "paths", 256)),
         dt=pick(getattr(args, "dt", None), "dt", None),
         seed=int(pick(getattr(args, "seed", None), "seed", 0)),
-        x0=tuple(float(v) for v in args.x0.split(","))
-        if getattr(args, "x0", None)
-        else None,
+        x0=x0,
         out_dir=Path(pick(args.out_dir, "out_dir", out_default)),
         rungs=int(pick(getattr(args, "rungs", None), "rungs", 0)),
     )

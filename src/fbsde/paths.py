@@ -9,26 +9,27 @@ drift, so the jump integral is compensated.
 Every path owns an :class:`RngStream` and consumes it in a fixed order
 (jump count, jump times, atom indices, then one standard normal vector
 per substep), which makes any subset of an ensemble bit-reproducible
-regardless of scheduling or chunking.
+regardless of scheduling or chunking.  An ensemble is one
+:class:`Ensemble` of arrays over the path axis with a flat event table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .problem import LevyMeasure, ProblemSpec
-from .solver import SolutionField
+from .solver import SolutionField, SolverConfig
 
 __all__ = [
     "RngStream",
-    "JumpEvent",
+    "Ensemble",
     "JumpPath",
     "sample_poisson_measure",
     "euler_increment",
-    "simulate_forward",
     "simulate_ensemble",
 ]
 
@@ -47,51 +48,109 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class JumpEvent:
-    """One logged jump: exact time, atom, and the states around it."""
-
-    time: float
-    atom: int
-    x_before: np.ndarray  # pre-jump state (n,)
-    x_after: np.ndarray  # post-jump state (n,)
-    interval: int  # uniform time interval containing the jump
-
-
-@dataclass(frozen=True)
 class JumpPath:
-    """One forward trajectory on a uniform time grid.
-
-    ``states[j]`` is the post-jump value at ``times[j]``;
-    ``brownian_increments[j]`` is the total Brownian increment over
-    ``(times[j], times[j+1])``.  The convention at zero is that the
-    pre-jump value equals the initial point.
-    """
+    """Read-only, copy-free view of one path of an :class:`Ensemble`."""
 
     times: np.ndarray  # (N+1,)
     states: np.ndarray  # (N+1, n)
     brownian_increments: np.ndarray  # (N, n)
-    events: tuple[JumpEvent, ...]
+    events: np.recarray  # this path's rows of the event table
     exited: bool
-    stream: RngStream
-
-    def __post_init__(self):
-        jump_times = [e.time for e in self.events]
-        if any(b <= a for a, b in zip(jump_times, jump_times[1:])):
-            raise ValueError("jump times must be strictly increasing")
-        if not np.all(np.isfinite(self.states)):
-            raise ValueError("path states must be finite")
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     @property
     def n_steps(self) -> int:
         return self.times.shape[0] - 1
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Forward paths on one uniform time grid, as arrays over the path axis.
+
+    ``states[p, j]`` is the post-jump value of path p at ``times[j]``;
+    ``brownian_increments[p, j]`` is its total Brownian increment over
+    ``(times[j], times[j+1])``.  The convention at zero is that the
+    pre-jump value equals the initial point.  ``events`` is one record
+    array sorted by (path, time), with the columns ``path``, ``time``
+    (exact jump time), ``atom``, ``interval`` (the uniform interval
+    containing the jump), ``x_before`` and ``x_after`` (the states around
+    it).  All arrays are read-only; ``ens[i]`` is a view of path i.
+    """
+
+    times: np.ndarray  # (L,)
+    states: np.ndarray  # (P, L, n)
+    brownian_increments: np.ndarray  # (P, L-1, n)
+    exited: np.ndarray  # (P,) bool
+    events: np.recarray  # (E,)
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.states)):
+            raise ValueError("path states must be finite")
+        path, time = self.events.path, self.events.time
+        later = (path[1:] > path[:-1]) | ((path[1:] == path[:-1]) & (time[1:] > time[:-1]))
+        if not np.all(later):
+            raise ValueError("jump times must be strictly increasing along each path")
+        for arr in (self.times, self.states, self.brownian_increments, self.exited, self.events):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def __getitem__(self, i: int) -> JumpPath:
+        i = range(len(self))[i]
+        lo, hi = self.event_offsets[i], self.event_offsets[i + 1]
+        return JumpPath(
+            times=self.times,
+            states=self.states[i],
+            brownian_increments=self.brownian_increments[i],
+            events=self.events[lo:hi],
+            exited=bool(self.exited[i]),
+        )
+
+    @cached_property
+    def event_offsets(self) -> np.ndarray:
+        """Path p owns the event rows ``event_offsets[p]:event_offsets[p + 1]``."""
+        return np.searchsorted(self.events.path, np.arange(len(self) + 1))
+
+    def event_rows(self, index: np.ndarray) -> np.ndarray:
+        """Event-table rows of the paths ``index``, path by path."""
+        off = self.event_offsets
+        counts = off[index + 1] - off[index]
+        first = np.cumsum(counts) - counts
+        return np.repeat(off[index] - first, counts) + np.arange(counts.sum())
+
+    def take(self, index) -> Ensemble:
+        """The paths ``index``, in that order, as a new ensemble."""
+        index = np.asarray(index, dtype=np.int64)
+        events = self.events[self.event_rows(index)]
+        events["path"] = np.repeat(
+            np.arange(len(index)), np.diff(self.event_offsets)[index]
+        )
+        return Ensemble(
+            times=self.times,
+            states=self.states[index],
+            brownian_increments=self.brownian_increments[index],
+            exited=self.exited[index],
+            events=events,
+        )
+
+    @staticmethod
+    def concat(parts: Sequence[Ensemble]) -> Ensemble:
+        """The paths of ``parts`` one after another, on their shared time grid."""
+        if len(parts) == 1:
+            return parts[0]
+        times = parts[0].times
+        if not all(np.array_equal(p.times, times) for p in parts):
+            raise ValueError("all ensembles must share one time grid")
+        events = np.concatenate([p.events for p in parts]).view(np.recarray)
+        first_path = np.cumsum([0] + [len(p) for p in parts[:-1]])
+        events["path"] += np.repeat(first_path, [len(p.events) for p in parts])
+        return Ensemble(
+            times=times,
+            states=np.concatenate([p.states for p in parts]),
+            brownian_increments=np.concatenate([p.brownian_increments for p in parts]),
+            exited=np.concatenate([p.exited for p in parts]),
+            events=events,
+        )
 
 
 def _draw_jump_schedule(
@@ -163,23 +222,31 @@ def euler_increment(
 
 
 def _time_grid(horizon: float, dt: float) -> np.ndarray:
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(horizon, 1.0):
-        raise ValueError("dt must divide the horizon")
+        raise ValueError(f"dt {dt} must divide the horizon {horizon}")
     return np.linspace(0.0, horizon, n_steps + 1)
 
 
-def _check_start_point(field: SolutionField, x0: np.ndarray) -> None:
-    grid = field.grid
+def _check_start_point(config: SolverConfig, x0) -> np.ndarray:
+    """``x0`` as an (n,) array; it must lie in the inner region of the grid."""
+    grid = config.grid
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size != grid.ndim:
+        raise ValueError(f"x0 must have {grid.ndim} coordinate(s), got {x0.size}")
+    x0 = x0.reshape(grid.ndim)
     for ax in range(grid.ndim):
         if not grid.lower[ax] <= x0[ax] <= grid.upper[ax]:
             raise ValueError("x0 must lie inside the grid box")
-    if field.config.dirichlet_data is None:
-        width = field.config.cutoff_width
+    if config.dirichlet_data is None:
+        width = config.cutoff_width
         for ax in range(grid.ndim):
             dist = min(x0[ax] - grid.lower[ax], grid.upper[ax] - x0[ax])
             if dist < width:
                 raise ValueError("x0 must lie in the inner (cutoff = 1) region")
+    return x0
 
 
 def _outside_box(grid, x: np.ndarray) -> np.ndarray:
@@ -194,7 +261,7 @@ def _simulate_paths(
     x0: np.ndarray,
     times: np.ndarray,
     streams: Sequence[RngStream],
-) -> list[JumpPath]:
+) -> Ensemble:
     n_paths = len(streams)
     n = spec.n
     n_steps = times.shape[0] - 1
@@ -202,10 +269,8 @@ def _simulate_paths(
     meas = spec.measure
 
     # draw everything up front, one stream per path, fixed order
-    schedules = []
     gens = [s.generator() for s in streams]
-    for gen in gens:
-        schedules.append(_draw_jump_schedule(meas, horizon, gen))
+    schedules = [_draw_jump_schedule(meas, horizon, gen) for gen in gens]
     max_jumps = max((len(s[0]) for s in schedules), default=0)
     normals = np.zeros((n_paths, n_steps + max_jumps, n))
     for p, gen in enumerate(gens):
@@ -226,7 +291,7 @@ def _simulate_paths(
     states = np.empty((n_paths, n_steps + 1, n))
     states[:, 0] = x_cur
     increments = np.zeros((n_paths, n_steps, n))
-    events: list[list[JumpEvent]] = [[] for _ in range(n_paths)]
+    events: list[tuple] = []  # rows of the event table, in simulation order
     exited = np.zeros(n_paths, dtype=bool)
     all_idx = np.arange(n_paths)
 
@@ -266,15 +331,7 @@ def _simulate_paths(
                     spec.jump_coeff(tau, x, y_before, meas.marks[k]), dtype=float
                 ).reshape(n)
                 x_after = x_before + shift
-                events[p].append(
-                    JumpEvent(
-                        time=tau,
-                        atom=k,
-                        x_before=x_before,
-                        x_after=x_after.copy(),
-                        interval=j,
-                    )
-                )
+                events.append((p, tau, k, j, x_before, x_after))
                 x = x_after[None, :].copy()
                 t_a = tau
             sub = t1 - t_a
@@ -289,39 +346,13 @@ def _simulate_paths(
         states[:, j + 1] = x_cur
         exited |= _outside_box(field.grid, x_cur)
 
-    states.flags.writeable = False
-    increments.flags.writeable = False
-    out = []
-    for p in range(n_paths):
-        out.append(
-            JumpPath(
-                times=times,
-                states=states[p],
-                brownian_increments=increments[p],
-                events=tuple(events[p]),
-                exited=bool(exited[p]),
-                stream=streams[p],
-            )
-        )
-    return out
-
-
-def simulate_forward(
-    field: SolutionField,
-    spec: ProblemSpec,
-    x0: np.ndarray,
-    dt: float,
-    rng: RngStream,
-) -> JumpPath:
-    """Simulate one path of the decoupled forward equation.
-
-    ``dt`` must divide the horizon; ``x0`` must lie in the inner region
-    of the grid.  A path leaving the box is flagged, not fatal.
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(spec.n)
-    _check_start_point(field, x0)
-    times = _time_grid(spec.horizon, dt)
-    return _simulate_paths(field, spec, x0, times, [rng])[0]
+    # each path's rows are appended in time order, so a stable sort by path
+    # gives the (path, time) order
+    dtype = [("path", np.int64), ("time", float), ("atom", np.int64), ("interval", np.int64)]
+    dtype += [("x_before", float, (n,)), ("x_after", float, (n,))]
+    table = np.array(events, dtype=dtype).view(np.recarray)
+    table = table[np.argsort(table.path, kind="stable")]
+    return Ensemble(times, states, increments, exited, table)
 
 
 def simulate_ensemble(
@@ -332,17 +363,21 @@ def simulate_ensemble(
     n_paths: int,
     base_seed: int,
     chunk_size: int = 4096,
-) -> list[JumpPath]:
-    """Simulate ``n_paths`` independent paths, stream id = path index."""
+) -> Ensemble:
+    """Simulate ``n_paths`` paths of the decoupled forward equation.
+
+    Path i consumes ``RngStream(base_seed, i)``, so the ensemble does not
+    depend on ``chunk_size``.  ``dt`` must divide the horizon; ``x0`` must
+    lie in the inner region of the grid.  A path leaving the box is
+    flagged, not fatal.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    x0 = np.asarray(x0, dtype=float).reshape(spec.n)
-    _check_start_point(field, x0)
+    x0 = _check_start_point(field.config, x0)
     times = _time_grid(spec.horizon, dt)
-    out: list[JumpPath] = []
+    parts = []
     for start in range(0, n_paths, chunk_size):
-        streams = [
-            RngStream(base_seed, p) for p in range(start, min(start + chunk_size, n_paths))
-        ]
-        out.extend(_simulate_paths(field, spec, x0, times, streams))
-    return out
+        ids = range(start, min(start + chunk_size, n_paths))
+        streams = [RngStream(base_seed, p) for p in ids]
+        parts.append(_simulate_paths(field, spec, x0, times, streams))
+    return Ensemble.concat(parts)

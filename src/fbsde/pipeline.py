@@ -12,22 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import JumpPath
-from .problem import LevyMeasure, ProblemSpec
+from .paths import Ensemble
+from .problem import ProblemSpec
 from .solver import SolutionField, second_difference
 
 __all__ = [
-    "LinkedProcesses",
+    "Linked",
     "ResidualReport",
     "TestFunction",
-    "link_processes",
     "link_ensemble",
     "bsde_residual",
-    "ito_residual",
     "ito_residuals",
     "estimate_class_s_norm",
     "field_test_function",
@@ -35,22 +33,37 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LinkedProcesses:
-    """(Y, Z, Ztilde) sampled along one path.
+class Linked:
+    """(Y, Z, Ztilde) sampled along every path of an ensemble.
 
-    ``y[j]`` is exactly the field interpolated at (t_j, X_j);
-    ``ztilde[j]`` is the per-atom table at the current state (between
+    ``y[p, j]`` is exactly the field interpolated at (t_j, X^p_j);
+    ``ztilde[p, j]`` is the per-atom table at the current state (between
     jumps states and pre-jump states coincide at grid times);
-    ``jump_values[e]`` is the table entry at the logged pre-jump state
-    and atom of event ``e``.
+    ``jump_values[e]`` is the table entry at the pre-jump state and atom
+    of row ``e`` of the ensemble's event table.
     """
 
-    path: JumpPath
+    ensemble: Ensemble
     field: SolutionField
-    y: np.ndarray  # (L, m)
-    z: np.ndarray  # (L, m, n)
-    ztilde: np.ndarray  # (L, K, m)
+    y: np.ndarray  # (P, L, m)
+    z: np.ndarray  # (P, L, m, n)
+    ztilde: np.ndarray  # (P, L, K, m)
     jump_values: np.ndarray  # (E, m)
+
+    def __len__(self) -> int:
+        return len(self.ensemble)
+
+    def take(self, index) -> Linked:
+        """The paths ``index``, in that order, as a new linked ensemble."""
+        index = np.asarray(index, dtype=np.int64)
+        return Linked(
+            ensemble=self.ensemble.take(index),
+            field=self.field,
+            y=self.y[index],
+            z=self.z[index],
+            ztilde=self.ztilde[index],
+            jump_values=self.jump_values[self.ensemble.event_rows(index)],
+        )
 
 
 @dataclass(frozen=True)
@@ -66,30 +79,14 @@ class ResidualReport:
     total_paths: int
 
 
-def _stack_states(linked: Sequence[LinkedProcesses]) -> tuple[np.ndarray, np.ndarray]:
-    times = linked[0].path.times
-    for lp in linked[1:]:
-        if not np.array_equal(lp.path.times, times):
-            raise ValueError("all linked paths must share one time grid")
-    states = np.stack([lp.path.states for lp in linked])
-    return times, states
-
-
 def link_ensemble(
-    paths: Sequence[JumpPath], field: SolutionField, spec: ProblemSpec
-) -> list[LinkedProcesses]:
+    ensemble: Ensemble, field: SolutionField, spec: ProblemSpec
+) -> Linked:
     """Link a whole ensemble, vectorized across paths level by level."""
     if field.spec is not spec:
         raise ValueError("path ensemble and field must share the same ProblemSpec")
-    if not paths:
-        return []
-    times = paths[0].times
-    for p in paths[1:]:
-        if not np.array_equal(p.times, times):
-            raise ValueError("all paths must share one time grid")
-    n_paths = len(paths)
-    n_levels = times.shape[0]
-    states = np.stack([p.states for p in paths])
+    times, states = ensemble.times, ensemble.states
+    n_paths, n_levels = states.shape[:2]
 
     y = np.empty((n_paths, n_levels, spec.m))
     z = np.empty((n_paths, n_levels, spec.m, spec.n))
@@ -106,33 +103,15 @@ def link_ensemble(
         z[:, j] = np.einsum("bmi,bij->bmj", grad, sig)
         ztab[:, j] = field.nonlocal_table(t, xb, u_here=yb)
 
-    out = []
-    for p_idx, p in enumerate(paths):
-        if p.events:
-            jv = np.empty((len(p.events), spec.m))
-            for e_idx, ev in enumerate(p.events):
-                table = field.nonlocal_table(ev.time, ev.x_before[None, :])
-                jv[e_idx] = table[0, ev.atom]
-        else:
-            jv = np.zeros((0, spec.m))
-        out.append(
-            LinkedProcesses(
-                path=p,
-                field=field,
-                y=y[p_idx],
-                z=z[p_idx],
-                ztilde=ztab[p_idx],
-                jump_values=jv,
-            )
-        )
-    return out
-
-
-def link_processes(
-    path: JumpPath, field: SolutionField, spec: ProblemSpec
-) -> LinkedProcesses:
-    """Link one path through the field (see :func:`link_ensemble`)."""
-    return link_ensemble([path], field, spec)[0]
+    events = ensemble.events
+    jump_values = np.empty((len(events), spec.m))
+    for e, (t, k, xb) in enumerate(
+        zip(events.time.tolist(), events.atom.tolist(), events.x_before)
+    ):
+        jump_values[e] = field.nonlocal_table(t, xb[None, :])[0, k]
+    return Linked(
+        ensemble=ensemble, field=field, y=y, z=z, ztilde=ztab, jump_values=jump_values
+    )
 
 
 def _fsum_rows(values: np.ndarray) -> float:
@@ -140,7 +119,7 @@ def _fsum_rows(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
-def estimate_class_s_norm(ensemble: Sequence[LinkedProcesses]) -> float:
+def estimate_class_s_norm(linked: Linked) -> float:
     """Monte Carlo estimate of the solution-class norm.
 
     sup over time of (E|X|^2 + E|Y|^2) plus the dt-weighted sum of
@@ -148,19 +127,16 @@ def estimate_class_s_norm(ensemble: Sequence[LinkedProcesses]) -> float:
     paths use exact summation, so the estimate is invariant under path
     reordering and ensemble splitting.
     """
-    if not ensemble:
+    if not len(linked):
         raise ValueError("ensemble must be non-empty")
-    times, states = _stack_states(ensemble)
-    n_paths = len(ensemble)
-    weights = ensemble[0].field.spec.measure.weights
-    y = np.stack([lp.y for lp in ensemble])
-    z = np.stack([lp.z for lp in ensemble])
-    ztab = np.stack([lp.ztilde for lp in ensemble])
+    times = linked.ensemble.times
+    n_paths = len(linked)
+    weights = linked.field.spec.measure.weights
 
-    x_sq = np.sum(states**2, axis=-1)  # (P, L)
-    y_sq = np.sum(y**2, axis=-1)
-    z_sq = np.sum(z**2, axis=(-1, -2))
-    w_sq = np.einsum("pjkm,k->pj", ztab**2, weights)
+    x_sq = np.sum(linked.ensemble.states**2, axis=-1)  # (P, L)
+    y_sq = np.sum(linked.y**2, axis=-1)
+    z_sq = np.sum(linked.z**2, axis=(-1, -2))
+    w_sq = np.einsum("pjkm,k->pj", linked.ztilde**2, weights)
 
     sup_term = max(
         _fsum_rows(x_sq[:, j]) / n_paths + _fsum_rows(y_sq[:, j]) / n_paths
@@ -175,24 +151,20 @@ def estimate_class_s_norm(ensemble: Sequence[LinkedProcesses]) -> float:
     return sup_term + int_term
 
 
-def bsde_residual(
-    linked: Sequence[LinkedProcesses],
-    spec: ProblemSpec | None = None,
-    measure: LevyMeasure | None = None,
-) -> ResidualReport:
+def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualReport:
     """Terminal telescoping residual of the backward equation per path.
 
     R = Y_0 - [h(X_T) + sum g dt - sum Z dB - (jump sum - compensator)].
     Paths that left the grid are excluded from the statistics and
     counted in ``excluded_paths``.
     """
-    if not linked:
+    if not len(linked):
         raise ValueError("linked ensemble must be non-empty")
-    spec = spec or linked[0].field.spec
-    measure = measure or spec.measure
-    included = [lp for lp in linked if not lp.path.exited]
+    spec = spec or linked.field.spec
+    exited = linked.ensemble.exited
+    included = linked.take(np.flatnonzero(~exited)) if exited.any() else linked
     excluded = len(linked) - len(included)
-    if not included:
+    if not len(included):
         empty = np.zeros((0, spec.m))
         return ResidualReport(
             residuals=empty,
@@ -204,14 +176,12 @@ def bsde_residual(
             total_paths=len(linked),
         )
 
-    times, states = _stack_states(included)
+    times, states = included.ensemble.times, included.ensemble.states
     n_paths = len(included)
     n_steps = times.shape[0] - 1
     dts = np.diff(times)
-    y = np.stack([lp.y for lp in included])
-    z = np.stack([lp.z for lp in included])
-    ztab = np.stack([lp.ztilde for lp in included])
-    db = np.stack([lp.path.brownian_increments for lp in included])
+    y, z, ztab = included.y, included.z, included.ztilde
+    db = included.ensemble.brownian_increments
 
     gen = np.empty((n_paths, n_steps, spec.m))
     for j in range(n_steps):
@@ -225,13 +195,12 @@ def bsde_residual(
     )
     gen_term = np.einsum("pjm,j->pm", gen, dts)
     brown_term = np.einsum("pjmi,pji->pm", z[:, :n_steps], db)
-    comp_term = np.einsum("pjkm,k,j->pm", ztab[:, :n_steps], measure.weights, dts)
-    jump_term = np.stack(
-        [
-            lp.jump_values.sum(axis=0) if lp.jump_values.size else np.zeros(spec.m)
-            for lp in included
-        ]
-    )
+    comp_term = np.einsum("pjkm,k,j->pm", ztab[:, :n_steps], spec.measure.weights, dts)
+    # one block sum per path: np.add.at or np.add.reduceat round differently
+    off = included.ensemble.event_offsets
+    jump_term = np.zeros((n_paths, spec.m))
+    for p in np.flatnonzero(np.diff(off)):
+        jump_term[p] = included.jump_values[off[p] : off[p + 1]].sum(axis=0)
     residuals = y[:, 0] - (
         h_val + gen_term - brown_term - (jump_term - comp_term)
     )
@@ -302,11 +271,6 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
 
     from .grid import multilinear_interpolate
 
-    def _bracket(t: float) -> tuple[int, float]:
-        s = t / dt_field
-        i = int(np.clip(np.floor(s), 0, n_levels - 2))
-        return i, float(np.clip(s - i, 0.0, 1.0))
-
     def value(t, x):
         return field.value(t, x)[:, component]
 
@@ -314,20 +278,18 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
         return field.gradient(t, x)[:, component, :]
 
     def hess(t, x):
-        i, alpha = _bracket(t)
+        i, alpha = field.time_bracket(t)
         blended = (1.0 - alpha) * hess_snaps[i] + alpha * hess_snaps[i + 1]
         return multilinear_interpolate(grid, blended, x)
 
     def time_deriv(t, x):
-        i, _ = _bracket(t)
+        i, _ = field.time_bracket(t)
         return multilinear_interpolate(grid, dt_snaps[i], x)
 
     return TestFunction(value=value, grad=grad, hess=hess, dt=time_deriv)
 
 
-def ito_residuals(
-    linked: Sequence[LinkedProcesses], test_fn: Optional[TestFunction] = None
-) -> np.ndarray:
+def ito_residuals(linked: Linked, test_fn: Optional[TestFunction] = None) -> np.ndarray:
     """Discretized jump Ito identity residual per path.
 
     The increment of the test function along the path is compared with
@@ -335,20 +297,18 @@ def ito_residuals(
     compensated jump sum, and the jump compensator integrand
     (difference minus gradient pairing).  Returns one real per path.
     """
-    if not linked:
+    if not len(linked):
         return np.zeros(0)
-    field = linked[0].field
+    field = linked.field
     spec = field.spec
     meas = spec.measure
     tf = test_fn if test_fn is not None else field_test_function(field)
-    times, states = _stack_states(linked)
+    times, states = linked.ensemble.times, linked.ensemble.states
     n_paths = len(linked)
     n_steps = times.shape[0] - 1
     dts = np.diff(times)
-    y = np.stack([lp.y for lp in linked])
-    z = np.stack([lp.z for lp in linked])
-    ztab = np.stack([lp.ztilde for lp in linked])
-    db = np.stack([lp.path.brownian_increments for lp in linked])
+    y, z, ztab = linked.y, linked.z, linked.ztilde
+    db = linked.ensemble.brownian_increments
 
     time_term = np.zeros(n_paths)
     drift_term = np.zeros(n_paths)
@@ -386,12 +346,14 @@ def ito_residuals(
             comp_jump += meas.weights[k] * dphi * h_step
             integrand_term += meas.weights[k] * (dphi - pairing) * h_step
 
+    events = linked.ensemble.events
     jump_sum = np.zeros(n_paths)
-    for p_idx, lp in enumerate(linked):
-        for ev in lp.path.events:
-            before = float(tf.value(ev.time, ev.x_before[None, :])[0])
-            after = float(tf.value(ev.time, ev.x_after[None, :])[0])
-            jump_sum[p_idx] += after - before
+    for p, t, x_before, x_after in zip(
+        events.path.tolist(), events.time.tolist(), events.x_before, events.x_after
+    ):
+        before = float(tf.value(t, x_before[None, :])[0])
+        after = float(tf.value(t, x_after[None, :])[0])
+        jump_sum[p] += after - before
 
     lhs = np.asarray(
         tf.value(float(times[-1]), states[:, -1]), dtype=float
@@ -406,14 +368,3 @@ def ito_residuals(
         + (jump_sum - comp_jump)
         + integrand_term
     )
-
-
-def ito_residual(
-    path: JumpPath,
-    field: SolutionField,
-    spec: ProblemSpec,
-    test_fn: Optional[TestFunction] = None,
-) -> float:
-    """Jump Ito identity residual for a single path."""
-    linked = link_ensemble([path], field, spec)
-    return float(ito_residuals(linked, test_fn=test_fn)[0])

@@ -104,8 +104,8 @@ class ProblemSpec:
     ellipticity_upper: float = float("inf")
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if min(self.n, self.m, self.l) < 1:
             raise ValueError("dimensions n, m, l must be >= 1")
         if self.measure.mark_dim != self.l:

@@ -370,12 +370,14 @@ class SolutionField:
     def m(self) -> int:
         return self.values.shape[2]
 
+    def time_bracket(self, t: float) -> tuple[int, float]:
+        """Level i and weight alpha: t lies at (1 - alpha) times[i] + alpha times[i + 1]."""
+        s = t / (self.times[1] - self.times[0])
+        i = int(np.clip(np.floor(s), 0, self.times.shape[0] - 2))
+        return i, float(np.clip(s - i, 0.0, 1.0))
+
     def _blend(self, t: float, data: np.ndarray) -> np.ndarray:
-        n_levels = data.shape[0]
-        dt = self.times[1] - self.times[0]
-        s = t / dt
-        i = int(np.clip(np.floor(s), 0, n_levels - 2))
-        alpha = float(np.clip(s - i, 0.0, 1.0))
+        i, alpha = self.time_bracket(t)
         return (1.0 - alpha) * data[i] + alpha * data[i + 1]
 
     def value(self, t: float, points: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from fbsde.cli import main, parse_config_file
+from fbsde.cli import _FILE_KEYS, _config_from_args, _make_parser, main, parse_config_file
 from fbsde.errors import ConfigError
 
 
@@ -180,18 +180,41 @@ class TestConfigFile:
 
 
 class TestConfigErrors:
+    # explicit ids: the first five keep the names that earlier test reports use
     @pytest.mark.parametrize(
-        "flags, file_text, named",
+        "command, flags, file_text, named",
         [
-            (["--cutoff-width", "5"], None, "cutoff width 5"),
-            (["--param", "nodes=abc"], None, "'nodes'"),
-            ([], "solver.mode = bogus\n", "'bogus'"),
-            ([], "solver.mode = sparse\n", "'sparse'"),
-            (["--solver", "sparse"], None, "'sparse'"),
+            pytest.param(
+                "solve", ["--cutoff-width", "5"], None, "cutoff width 5",
+                id="flags0-None-cutoff width 5",
+            ),
+            pytest.param(
+                "solve", ["--param", "nodes=abc"], None, "'nodes'", id="flags1-None-'nodes'"
+            ),
+            pytest.param(
+                "solve", [], "solver.mode = bogus\n", "'bogus'",
+                id="flags2-solver.mode = bogus\n-'bogus'",
+            ),
+            pytest.param(
+                "solve", [], "solver.mode = sparse\n", "'sparse'",
+                id="flags3-solver.mode = sparse\n-'sparse'",
+            ),
+            pytest.param(
+                "solve", ["--solver", "sparse"], None, "'sparse'", id="flags4-None-'sparse'"
+            ),
+            pytest.param("verify", ["--x0", "a"], None, "--x0", id="x0-not-a-number"),
+            pytest.param("verify", ["--x0", "9"], None, "x0 must lie", id="x0-outside-box"),
+            pytest.param("simulate", ["--x0", "1,2"], None, "x0 must have 1", id="x0-too-long"),
+            pytest.param("verify", ["--dt", "0.3"], None, "dt 0.3", id="dt-not-dividing"),
+            pytest.param("verify", ["--dt", "nan"], None, "dt must be", id="dt-nan"),
+            pytest.param("simulate", ["--seed", "-1"], None, "seed", id="seed-negative"),
+            pytest.param(
+                "verify", ["--param", "horizon=nan"], None, "horizon", id="horizon-nan"
+            ),
         ],
     )
-    def test_exit_2_names_the_input(self, tmp_path, capsys, flags, file_text, named):
-        argv = ["solve", "--problem", "heat", "--out", str(tmp_path / "out")] + flags
+    def test_exit_2_names_the_input(self, tmp_path, capsys, command, flags, file_text, named):
+        argv = [command, "--problem", "heat", "--out", str(tmp_path / "out")] + flags
         if file_text is not None:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(file_text)
@@ -204,6 +227,39 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert any(named in line for line in err.splitlines()), err
         assert "Traceback" not in err
+
+
+# one config-file line and the flag that means the same, per file key
+FILE_KEY_FLAGS = {
+    "problem": ("pure-jump", ["--problem", "pure-jump"]),
+    "solver.nodes": ("41", ["--nodes", "41"]),
+    "solver.steps": ("20", ["--steps", "20"]),
+    "solver.cutoff_width": ("0.5", ["--cutoff-width", "0.5"]),
+    "solver.mode": ("tridiag", ["--solver", "tridiag"]),
+    "sim.paths": ("6", ["--paths", "6"]),
+    "sim.dt": ("0.05", ["--dt", "0.05"]),
+    "sim.seed": ("9", ["--seed", "9"]),
+    "out.dir": ("runs/a", ["--out", "runs/a"]),
+    "sweep.rungs": ("3", ["--rungs", "3"]),
+}
+
+
+class TestConfigFileKeys:
+    def test_every_file_key_resolves_like_its_flag(self, tmp_path):
+        assert set(FILE_KEY_FLAGS) == set(_FILE_KEYS)
+        parser = _make_parser()
+
+        def resolve(argv):
+            return _config_from_args(parser.parse_args(["sweep", *argv]))
+
+        default = resolve(["--problem", "heat"])
+        cfg = tmp_path / "run.cfg"
+        for key, (value, flags) in FILE_KEY_FLAGS.items():
+            base = [] if key == "problem" else ["--problem", "heat"]
+            cfg.write_text(f"{key} = {value}\n")
+            from_file = resolve(base + ["--config", str(cfg)])
+            assert from_file == resolve(base + flags), key
+            assert from_file != default, key
 
 
 class TestSweepCommand:

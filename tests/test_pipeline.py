@@ -3,24 +3,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsde import (
+    Ensemble,
     Grid,
     LevyMeasure,
     ProblemSpec,
-    RngStream,
     SolutionField,
     SolverConfig,
     TestFunction,
     bsde_residual,
     estimate_class_s_norm,
     field_test_function,
-    ito_residual,
     ito_residuals,
     link_ensemble,
-    link_processes,
     simulate_ensemble,
-    simulate_forward,
 )
 
 
@@ -83,6 +82,12 @@ def linear_field(spec, **kw):
     )
 
 
+def stream_path(field, spec, x0, dt, seed, stream_id):
+    """Ensemble of the one path driven by ``RngStream(seed, stream_id)``."""
+    ens = simulate_ensemble(field, spec, x0, dt, stream_id + 1, base_seed=seed)
+    return ens.take([stream_id])
+
+
 class TestLinkProcesses:
     def test_zero_field_links_to_zero(self):
         measure = LevyMeasure(marks=[[1.0]], weights=[1.0])
@@ -90,8 +95,9 @@ class TestLinkProcesses:
             jump=lambda t, x, u, y: np.full((x.shape[0], 1), y[0]), measure=measure
         )
         field = zero_field(spec)
-        path = simulate_forward(field, spec, np.array([0.0]), 0.05, RngStream(3, 1))
-        linked = link_processes(path, field, spec)
+        ens = stream_path(field, spec, np.array([0.0]), 0.05, 3, 1)
+        linked = link_ensemble(ens, field, spec)
+        assert np.all(linked.jump_values == 0.0)
         assert np.all(linked.y == 0.0)
         assert np.all(linked.z == 0.0)
         assert np.all(linked.ztilde == 0.0)
@@ -99,10 +105,10 @@ class TestLinkProcesses:
     def test_identity_field_unit_diffusion(self):
         spec = make_spec(sigma_val=1.0)
         field = linear_field(spec)
-        path = simulate_forward(field, spec, np.array([0.0]), 0.05, RngStream(4, 2))
-        linked = link_processes(path, field, spec)
-        assert np.allclose(linked.y[:, 0], path.states[:, 0], atol=1e-13)
-        assert np.allclose(linked.z[:, 0, 0], 1.0, atol=1e-13)
+        ens = stream_path(field, spec, np.array([0.0]), 0.05, 4, 2)
+        linked = link_ensemble(ens, field, spec)
+        assert np.allclose(linked.y[0, :, 0], ens.states[0, :, 0], atol=1e-13)
+        assert np.allclose(linked.z[0, :, 0, 0], 1.0, atol=1e-13)
 
     def test_identity_field_jump_table_is_the_mark(self):
         measure = LevyMeasure(marks=[[1.0], [-0.5]], weights=[1.0, 0.5])
@@ -110,36 +116,40 @@ class TestLinkProcesses:
             jump=lambda t, x, u, y: np.full((x.shape[0], 1), y[0]), measure=measure
         )
         field = linear_field(spec)
-        path = simulate_forward(field, spec, np.array([0.0]), 0.05, RngStream(5, 0))
-        linked = link_processes(path, field, spec)
+        ens = stream_path(field, spec, np.array([0.0]), 0.05, 5, 0)
+        linked = link_ensemble(ens, field, spec)
         for k, mark in enumerate(measure.marks[:, 0]):
-            assert np.allclose(linked.ztilde[:, k, 0], mark, atol=1e-12)
+            assert np.allclose(linked.ztilde[0, :, k, 0], mark, atol=1e-12)
+        # each logged jump links to its own atom's mark
+        assert len(ens.events) > 0
+        marks = measure.marks[ens.events.atom, 0]
+        assert np.allclose(linked.jump_values[:, 0], marks, atol=1e-12)
 
     def test_link_values_bit_reproducible(self):
         spec = make_spec(sigma_val=0.7)
         field = linear_field(spec)
-        path = simulate_forward(field, spec, np.array([0.2]), 0.1, RngStream(6, 6))
-        linked = link_processes(path, field, spec)
-        for j, t in enumerate(path.times):
-            expect = field.value(float(t), path.states[j][None, :])[0]
-            assert np.array_equal(linked.y[j], expect)
+        ens = stream_path(field, spec, np.array([0.2]), 0.1, 6, 6)
+        linked = link_ensemble(ens, field, spec)
+        for j, t in enumerate(ens.times):
+            expect = field.value(float(t), ens.states[0, j][None, :])[0]
+            assert np.array_equal(linked.y[0, j], expect)
 
     def test_ensemble_matches_single(self):
         spec = make_spec(sigma_val=0.5)
         field = linear_field(spec)
         ens = simulate_ensemble(field, spec, np.array([0.0]), 0.1, 4, base_seed=10)
         both = link_ensemble(ens, field, spec)
-        single = link_processes(ens[2], field, spec)
-        assert np.array_equal(both[2].y, single.y)
-        assert np.array_equal(both[2].z, single.z)
+        single = link_ensemble(ens.take([2]), field, spec)
+        assert np.array_equal(both.y[2], single.y[0])
+        assert np.array_equal(both.z[2], single.z[0])
 
     def test_spec_mismatch_rejected(self):
         spec = make_spec()
         other = make_spec()
         field = linear_field(spec)
-        path = simulate_forward(field, spec, np.array([0.0]), 0.25, RngStream(0, 0))
+        ens = simulate_ensemble(field, spec, np.array([0.0]), 0.25, 1, base_seed=0)
         with pytest.raises(ValueError, match="same ProblemSpec"):
-            link_processes(path, field, other)
+            link_ensemble(ens, field, other)
 
 
 class TestBsdeResidual:
@@ -211,7 +221,7 @@ class TestClassSNorm:
         field = zero_field(spec)
         ens = simulate_ensemble(field, spec, np.array([0.0]), 1.0 / 64.0, 4000, base_seed=8)
         norm = estimate_class_s_norm(link_ensemble(ens, field, spec))
-        x_T = np.array([p.states[-1, 0] for p in ens])
+        x_T = ens.states[:, -1, 0]
         stderr = np.std(x_T**2, ddof=1) / math.sqrt(len(x_T))
         assert abs(norm - 1.0) <= 3.0 * stderr
 
@@ -226,13 +236,62 @@ class TestClassSNorm:
         ens = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 30, base_seed=12)
         linked = link_ensemble(ens, field, spec)
         base = estimate_class_s_norm(linked)
-        shuffled = linked[:]
-        random.Random(4).shuffle(shuffled)
-        assert estimate_class_s_norm(shuffled) == base
+        order = list(range(30))
+        random.Random(4).shuffle(order)
+        assert estimate_class_s_norm(linked.take(order)) == base
         # splitting across two separately simulated ensembles changes nothing
         front = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 15, base_seed=12)
-        linked_front = link_ensemble(front, field, spec)
-        assert estimate_class_s_norm(linked_front + linked[15:]) == base
+        joined = Ensemble.concat([front, ens.take(range(15, 30))])
+        assert estimate_class_s_norm(link_ensemble(joined, field, spec)) == base
+
+
+def order_setup():
+    """A jumpy sine-field ensemble on a box tight enough that some paths exit."""
+    measure = LevyMeasure(marks=[[1.0], [-0.5]], weights=[1.0, 0.5])
+    spec = make_spec(
+        sigma_val=0.5,
+        jump=lambda t, x, u, y: np.full((x.shape[0], 1), y[0]),
+        measure=measure,
+        terminal=lambda x: np.sin(x),
+    )
+    field = make_field(
+        spec,
+        lambda t, x: np.sin(x) * math.exp(-t),
+        lambda t, x: (np.cos(x) * math.exp(-t))[:, :, None],
+        lo=-1.5,
+        hi=1.5,
+        nodes=49,
+    )
+    ens = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 12, base_seed=21)
+    return link_ensemble(ens, field, spec)
+
+
+ORDER_LINKED = order_setup()
+
+
+class TestPathOrder:
+    def test_setup_has_jumps_and_exits(self):
+        exited = ORDER_LINKED.ensemble.exited
+        assert 0 < exited.sum() < len(exited)
+        assert len(ORDER_LINKED.ensemble.events) > len(exited)
+
+    @given(st.permutations(range(12)))
+    @settings(max_examples=25, deadline=None)
+    def test_reductions_do_not_depend_on_path_order(self, order):
+        shuffled = ORDER_LINKED.take(order)
+        base = bsde_residual(ORDER_LINKED)
+        rep = bsde_residual(shuffled)
+        assert rep.rms == base.rms
+        assert rep.class_s_norm == base.class_s_norm
+        assert np.array_equal(rep.mean, base.mean)
+        assert np.array_equal(rep.stderr, base.stderr)
+        assert rep.excluded_paths == base.excluded_paths
+        # the included paths' residuals are the same rows, permuted
+        kept = np.flatnonzero(~ORDER_LINKED.ensemble.exited)
+        rows = {p: r for p, r in zip(kept.tolist(), base.residuals.tolist())}
+        expect = [rows[p] for p in order if p in rows]
+        assert rep.residuals.tolist() == expect
+        assert estimate_class_s_norm(shuffled) == estimate_class_s_norm(ORDER_LINKED)
 
 
 LINEAR_FN = TestFunction(
@@ -247,9 +306,10 @@ class TestItoResidual:
     def test_linear_no_jumps_brownian(self):
         spec = make_spec(sigma_val=1.0)
         field = linear_field(spec)
-        path = simulate_forward(field, spec, np.array([0.0]), 1e-2, RngStream(13, 0))
-        res = ito_residual(path, field, spec, test_fn=LINEAR_FN)
-        assert abs(res) <= 1e-12
+        ens = stream_path(field, spec, np.array([0.0]), 1e-2, 13, 0)
+        res = ito_residuals(link_ensemble(ens, field, spec), test_fn=LINEAR_FN)
+        assert res.shape == (1,)
+        assert abs(res[0]) <= 1e-12
 
     def test_linear_with_jumps_pure_jump(self):
         measure = LevyMeasure(marks=[[1.0]], weights=[2.0])
@@ -369,7 +429,7 @@ class TestVectorBackwardComponent:
         )
         ens = simulate_ensemble(field, spec, np.array([0.0]), 1e-3, 100, base_seed=33)
         linked = link_ensemble(ens, field, spec)
-        assert linked[0].z.shape == (1001, 2, 1)
+        assert linked.z.shape == (100, 1001, 2, 1)
         rep = bsde_residual(linked, spec)
         assert rep.residuals.shape[1] == 2
         assert float(np.abs(rep.residuals).max()) <= 1e-12

@@ -230,3 +230,21 @@ class TestAssumptionCheck:
     def test_consistent_flag_accepted(self):
         entry = AssumptionCheck(name="B1", samples=3, worst_margin=-0.5, passed=True)
         assert entry.passed
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            ProblemSpec(
+                n=1,
+                m=1,
+                l=1,
+                horizon=horizon,
+                drift=_zeros(1),
+                generator=_zeros(1),
+                diffusion=lambda t, x, u: np.ones((x.shape[0], 1, 1)),
+                jump_coeff=lambda t, x, u, y: np.zeros((x.shape[0], 1)),
+                terminal=lambda x: np.asarray(x, dtype=float).copy(),
+                measure=LevyMeasure(marks=[[1.0]], weights=[1.0]),
+            )
