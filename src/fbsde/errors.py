@@ -28,5 +28,8 @@ class BlowUpError(FbsdeError):
         self.level = level
 
 
-class ConfigError(FbsdeError):
-    """Invalid run configuration or config-file syntax."""
+class ConfigError(FbsdeError, ValueError):
+    """Invalid run configuration or config-file syntax.
+
+    Also a ``ValueError``, so callers that catch bad values catch it too.
+    """

@@ -175,8 +175,8 @@ def sample_poisson_measure(
     sorted, and atoms are drawn with probabilities proportional to the
     weights.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     taus, atoms = _draw_jump_schedule(measure, horizon, rng.generator())
     return [(float(t), int(k)) for t, k in zip(taus, atoms)]
 
@@ -371,6 +371,8 @@ def simulate_ensemble(
     lie in the inner region of the grid.  A path leaving the box is
     flagged, not fatal.
     """
+    if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
+        raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x0 = _check_start_point(field.config, x0)

@@ -365,6 +365,15 @@ class SolutionField:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # time_bracket assumes uniform levels from 0
+        t = self.times
+        if t.ndim != 1 or t.shape[0] < 2:
+            raise ValueError(f"times must be 1-D with at least 2 levels, got shape {t.shape}")
+        if t[0] != 0.0:
+            raise ValueError(f"times must start at 0, got {t[0]}")
+        step = t[-1] / (t.shape[0] - 1)
+        if not (step > 0.0 and np.all(np.abs(np.diff(t) - step) <= 1e-9 * step)):
+            raise ValueError("times must be uniform and increasing")
 
     @property
     def m(self) -> int:

@@ -1,10 +1,38 @@
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fbsde.cli import _FILE_KEYS, _config_from_args, _make_parser, main, parse_config_file
-from fbsde.errors import ConfigError
+from fbsde import (
+    Grid,
+    LevyMeasure,
+    ProblemSpec,
+    SolutionField,
+    SolverConfig,
+    build_problem,
+    link_ensemble,
+    simulate_ensemble,
+)
+from fbsde import cli
+from fbsde.cli import (
+    _FILE_KEYS,
+    _FLOAT,
+    _INT,
+    RunConfig,
+    _build,
+    _config_from_args,
+    _make_parser,
+    _write_csv,
+    _write_field_csv,
+    _write_paths_csv,
+    main,
+    parse_config_file,
+)
+from fbsde.errors import ConfigError, FbsdeError
 
 
 def read_csv_rows(path: Path):
@@ -244,6 +272,34 @@ FILE_KEY_FLAGS = {
 }
 
 
+class TestConfigErrorIsValueError:
+    def test_library_callers_catching_value_error_keep_working(self):
+        assert issubclass(ConfigError, FbsdeError) and issubclass(ConfigError, ValueError)
+        with pytest.raises(ValueError, match="unknown parameter"):
+            build_problem("heat", {"nosuch": "1"})
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"nosuch": "1"}, {"horizon": "abc"}],
+        ids=["config-error", "value-error"],
+    )
+    def test_build_re_raises_with_the_same_message(self, params):
+        with pytest.raises(ValueError) as direct:
+            build_problem("heat", params)
+        with pytest.raises(ConfigError) as via_build:
+            _build(RunConfig(problem="heat", params=params))
+        assert str(via_build.value) == str(direct.value)
+
+    @pytest.mark.parametrize("command, target", [("verify", "run"), ("sweep", "sweep")])
+    def test_main_maps_every_config_error_to_exit_2(self, monkeypatch, capsys, command, target):
+        def fail(config):
+            raise ConfigError("bad setting")
+
+        monkeypatch.setattr(cli, target, fail)
+        assert main([command, "--problem", "heat"]) == 2
+        assert capsys.readouterr().err == "error: bad setting\n"
+
+
 class TestConfigFileKeys:
     def test_every_file_key_resolves_like_its_flag(self, tmp_path):
         assert set(FILE_KEY_FLAGS) == set(_FILE_KEYS)
@@ -332,3 +388,118 @@ class TestEnvironment:
         code = main(["solve", "--problem", "heat", "--nodes", "41", "--steps", "10"])
         assert code == 0
         assert (target / "report.json").exists()
+
+
+def reference_field_csv(path, field_obj):
+    """The per-value writer: one ``format(v, ".17g")`` call per cell."""
+    nodes = field_obj.grid.nodes()
+    n, m = field_obj.grid.ndim, field_obj.m
+    header = (
+        ["level", "t"]
+        + [f"x_{i}" for i in range(n)]
+        + [f"field_{c}" for c in range(m)]
+        + [f"grad_{c}_{i}" for c in range(m) for i in range(n)]
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for lev, t in enumerate(field_obj.times):
+            vals = field_obj.values[lev]
+            grads = field_obj.gradients[lev]
+            for node in range(field_obj.grid.n_nodes):
+                row = [str(lev), format(float(t), ".17g")]
+                row += [format(float(v), ".17g") for v in nodes[node]]
+                row += [format(float(v), ".17g") for v in vals[node]]
+                row += [
+                    format(float(grads[node, c, i]), ".17g")
+                    for c in range(m)
+                    for i in range(n)
+                ]
+                fh.write(",".join(row) + "\n")
+
+
+def reference_paths_csv(path, linked):
+    """The per-value writer: one ``format(v, ".17g")`` call per cell."""
+    ens = linked.ensemble
+    n_paths, n_levels, n = ens.states.shape
+    m = linked.y.shape[2]
+    header = ["path", "t"] + [f"x_{i}" for i in range(n)] + [f"y_{c}" for c in range(m)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header + ["jumps"]) + "\n")
+        for pid in range(n_paths):
+            events = ens[pid].events
+            for j, t in enumerate(ens.times):
+                row = [str(pid), format(float(t), ".17g")]
+                row += [format(float(v), ".17g") for v in ens.states[pid, j]]
+                row += [format(float(v), ".17g") for v in linked.y[pid, j]]
+                row.append(str(int(np.sum(events.interval + 1 == j))))
+                fh.write(",".join(row) + "\n")
+
+
+def jumpy_2d_setup():
+    """A 2-D, 2-component random field and a jumpy ensemble linked through it."""
+    measure = LevyMeasure(marks=[[0.5], [-0.25]], weights=[2.0, 1.0])
+    spec = ProblemSpec(
+        n=2,
+        m=2,
+        l=1,
+        horizon=1.0,
+        drift=lambda t, x, u, p, w: np.zeros((x.shape[0], 2)),
+        generator=lambda t, x, u, p, w: np.zeros((x.shape[0], 2)),
+        diffusion=lambda t, x, u: np.broadcast_to(0.3 * np.eye(2), (x.shape[0], 2, 2)).copy(),
+        jump_coeff=lambda t, x, u, y: np.full((x.shape[0], 2), y[0]),
+        terminal=lambda x: np.zeros((x.shape[0], 2)),
+        measure=measure,
+    )
+    grid = Grid((-20.0, -10.0), (20.0, 10.0), (5, 4))
+    config = SolverConfig(
+        grid=grid, n_steps=4, dirichlet_data=lambda t, x: np.zeros((x.shape[0], 2))
+    )
+    gen = np.random.default_rng(3)
+    field_obj = SolutionField(
+        grid=grid,
+        times=np.linspace(0.0, 1.0, 5),
+        values=gen.standard_normal((5, grid.n_nodes, 2)),
+        gradients=gen.standard_normal((5, grid.n_nodes, 2, 2)) * 1e-3,
+        spec=spec,
+        config=config,
+    )
+    ens = simulate_ensemble(field_obj, spec, np.zeros(2), 0.125, 6, base_seed=5)
+    return field_obj, link_ensemble(ens, field_obj, spec)
+
+
+class TestBlockWriters:
+    # 7 rows per block splits every time level of the field and every path
+    @pytest.mark.parametrize("block_rows", [None, 7], ids=["default-blocks", "split-blocks"])
+    def test_byte_identical_to_the_per_value_writer(self, tmp_path, monkeypatch, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        field_obj, linked = jumpy_2d_setup()
+        _write_field_csv(tmp_path / "field.csv", field_obj)
+        _write_paths_csv(tmp_path / "paths.csv", linked)
+        reference_field_csv(tmp_path / "field_ref.csv", field_obj)
+        reference_paths_csv(tmp_path / "paths_ref.csv", linked)
+        field_text = (tmp_path / "field.csv").read_bytes()
+        assert field_text == (tmp_path / "field_ref.csv").read_bytes()
+        assert field_text.startswith(
+            b"level,t,x_0,x_1,field_0,field_1,grad_0_0,grad_0_1,grad_1_0,grad_1_1\n"
+        )
+        paths_text = (tmp_path / "paths.csv").read_bytes()
+        assert paths_text == (tmp_path / "paths_ref.csv").read_bytes()
+        jumps = [int(row[-1]) for row in read_csv_rows(tmp_path / "paths.csv")[1:]]
+        # every event is counted once, and some interval holds several
+        assert sum(jumps) == len(linked.ensemble.events) and max(jumps) >= 2
+
+    @given(st.lists(st.floats(), min_size=1, max_size=6))
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 0.0])
+    @example([5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308])
+    @example([0.1, 1.0 / 3.0, 1e16, 123456789012345678.0, 1e-5])
+    @settings(max_examples=200, deadline=None)
+    def test_row_template_formats_floats_like_format(self, values):
+        columns = [("k", _INT)] + [(f"v{j}", _FLOAT) for j in range(len(values))]
+        block = (np.arange(2),) + tuple(np.full(2, v) for v in values)
+        cells = ",".join(format(v, ".17g") for v in values)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "v.csv"
+            _write_csv(out, columns, [block])
+            lines = out.read_text().splitlines()
+        assert lines[1:] == [f"0,{cells}", f"1,{cells}"]

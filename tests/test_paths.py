@@ -89,6 +89,12 @@ class TestPoissonSampling:
         assert times == sorted(times)
         assert all(0.0 <= t <= 3.0 for t in times)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        measure = LevyMeasure(marks=[[1.0]], weights=[1.0])
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            sample_poisson_measure(measure, horizon, RngStream(0, 0))
+
     def test_atom_frequencies_follow_weights(self):
         measure = LevyMeasure(marks=[[1.0], [2.0]], weights=[0.5, 1.5])
         marks = []
@@ -211,6 +217,13 @@ class TestSimulateForward:
         field = zero_field(spec)
         with pytest.raises(ValueError, match="dt must be positive"):
             simulate_ensemble(field, spec, np.array([0.0]), dt, 1, base_seed=0)
+
+    @pytest.mark.parametrize("base_seed", [-1, 1.5, "7"])
+    def test_base_seed_must_be_a_non_negative_integer(self, base_seed):
+        spec = make_spec()
+        field = zero_field(spec)
+        with pytest.raises(ValueError, match="base_seed"):
+            simulate_ensemble(field, spec, np.array([0.0]), 0.25, 1, base_seed=base_seed)
 
     def test_x0_outside_box_rejected(self):
         spec = make_spec()

@@ -409,6 +409,51 @@ class TestSolveFinalValue:
         assert np.array_equal(diag.sup_u, recomputed)
 
 
+class TestSolutionFieldTimes:
+    @staticmethod
+    def _field(times):
+        times = np.asarray(times, dtype=float)
+        grid = Grid((0.0,), (4.0,), (5,))
+        config = SolverConfig(
+            grid=grid,
+            n_steps=max(times.shape[0] - 1, 1),
+            dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1)),
+        )
+        return SolutionField(
+            grid=grid,
+            times=times,
+            values=np.zeros((times.shape[0], grid.n_nodes, 1)),
+            gradients=np.zeros((times.shape[0], grid.n_nodes, 1, 1)),
+            spec=diffusion_spec(),
+            config=config,
+        )
+
+    @pytest.mark.parametrize("levels, horizon", [(2, 1.0), (1001, 0.3), (4097, 7.1)])
+    def test_linspace_accepted(self, levels, horizon):
+        field = self._field(np.linspace(0.0, horizon, levels))
+        assert field.time_bracket(horizon) == (levels - 2, 1.0)
+
+    @pytest.mark.parametrize(
+        "times", [[0.1, 0.6, 1.1], [1e-12, 0.5, 1.0]], ids=["shifted", "nearly-zero"]
+    )
+    def test_must_start_at_zero(self, times):
+        with pytest.raises(ValueError, match="times must start at 0"):
+            self._field(times)
+
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, 0.4, 1.0], [0.0, 0.5, 1.0 + 1e-6], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]],
+        ids=["uneven", "last-step-long", "not-increasing", "constant"],
+    )
+    def test_must_be_uniform(self, times):
+        with pytest.raises(ValueError, match="times must be uniform"):
+            self._field(times)
+
+    def test_must_have_two_levels(self):
+        with pytest.raises(ValueError, match="at least 2 levels"):
+            self._field([0.0])
+
+
 class TestMaxPrinciple:
     def _heat_run(self):
         spec = diffusion_spec()
