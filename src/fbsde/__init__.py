@@ -1,7 +1,7 @@
 """Coupled forward-backward SDEs with jumps via a decoupling-field PIDE solver.
 
 The package splits into: problem data and sampled assumption checks
-(:mod:`fbsde.problem`), the nonlocal shift operator and coefficient
+(:mod:`fbsde.problem`), the nonlocal shifted difference and coefficient
 assembly (:mod:`fbsde.operators`), the IMEX field solver
 (:mod:`fbsde.solver`), forward jump-diffusion simulation
 (:mod:`fbsde.paths`), reconstruction of the backward processes with
@@ -18,8 +18,8 @@ from .errors import (
     LinearSolveError,
     NonFiniteShiftError,
 )
-from .grid import Grid, GridFunction, multilinear_interpolate
-from .operators import NonlocalField, assemble_coefficients, eval_nonlocal, integrate_over_nu
+from .grid import Grid, multilinear_interpolate
+from .operators import assemble_coefficients, eval_nonlocal, integrate_over_nu
 from .paths import (
     Ensemble,
     JumpPath,

@@ -1,4 +1,4 @@
-"""Rectilinear grids, grid functions and multilinear interpolation."""
+"""Rectilinear grids and multilinear interpolation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Grid", "GridFunction", "grid_axes", "grid_nodes", "multilinear_interpolate"]
+__all__ = ["Grid", "grid_axes", "grid_nodes", "multilinear_interpolate"]
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,10 @@ class Grid:
         object.__setattr__(self, "shape", tuple(int(v) for v in self.shape))
         if not (len(self.lower) == len(self.upper) == len(self.shape)):
             raise ValueError("lower, upper and shape must have the same length")
+        if not np.all(np.isfinite(self.lower + self.upper)):
+            raise ValueError(
+                f"grid bounds must be finite, got lower={self.lower}, upper={self.upper}"
+            )
         for lo, hi, n in zip(self.lower, self.upper, self.shape):
             if n < 3:
                 raise ValueError("need at least 3 nodes per axis")
@@ -93,29 +97,6 @@ def grid_nodes(grid: Grid) -> np.ndarray:
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
     nodes.flags.writeable = False
     return nodes
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Node values of an R^m-valued field at one time level."""
-
-    grid: Grid
-    values: np.ndarray  # (n_nodes, m)
-    t: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != self.grid.n_nodes:
-            raise ValueError("values must have shape (n_nodes, m)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid function values must be finite")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
 
 
 def multilinear_interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:

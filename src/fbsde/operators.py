@@ -1,79 +1,79 @@
-"""Nonlocal shift operator and PDE coefficient assembly.
+"""The nonlocal shifted difference and PDE coefficient assembly.
+
+:func:`shifted_differences` is the one place that forms the table
+u(x + phi(t, x, u, y_k)) - u(x) over the jump atoms y_k, at any base
+points and in original time.  The march uses it at the grid nodes
+(:func:`eval_nonlocal`), the solved field at off-grid points
+(``SolutionField.nonlocal_table``).
 
 The backward-in-time decoupling field is computed by marching its
 time reversal u(t, x) = field(T - t, x) forward from t = 0.
-All coefficient maps here are stated for the reversed (Cauchy) time t,
-which means every underlying problem coefficient is evaluated at
-T - t.  The reflection lives in this module only: callers pass Cauchy
-time and never reflect themselves.
+:func:`eval_nonlocal` and :func:`assemble_coefficients` are stated for
+the reversed (Cauchy) time t, which means every underlying problem
+coefficient is evaluated at T - t.  The reflection lives in those two
+functions only: the solver passes Cauchy time and never reflects
+itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteShiftError
-from .grid import Grid, GridFunction, grid_nodes, multilinear_interpolate
+from .grid import Grid, grid_nodes, multilinear_interpolate
 from .problem import LevyMeasure, ProblemSpec
 
 __all__ = [
-    "NonlocalField",
+    "shifted_differences",
     "eval_nonlocal",
     "integrate_over_nu",
     "assemble_coefficients",
 ]
 
 
-@dataclass(frozen=True)
-class NonlocalField:
-    """Per-node, per-atom table of shifted differences of a grid function."""
+def shifted_differences(
+    grid: Grid,
+    values: np.ndarray,
+    spec: ProblemSpec,
+    s: float,
+    points: np.ndarray,
+    u_here: np.ndarray,
+) -> np.ndarray:
+    """Table u(x + phi(s, x, u(x), y_k)) - u(x), shape (B, K, m).
 
-    grid: Grid
-    table: np.ndarray  # (n_nodes, K, m)
-    t: float
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 3 or table.shape[0] != self.grid.n_nodes:
-            raise ValueError("table must have shape (n_nodes, K, m)")
-        if not np.all(np.isfinite(table)):
-            raise ValueError("nonlocal table must be finite")
-        table = table.copy()
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
-
-
-def eval_nonlocal(u: GridFunction, spec: ProblemSpec, t: float) -> NonlocalField:
-    """Shifted-difference table u(x + shift_k) - u(x) for every node and atom.
-
-    ``t`` is Cauchy time; the jump coefficient supplying the shift is
-    evaluated at horizon - t.  Shifted points outside the box are
-    clamped to the nearest face, so each entry is bounded by twice the
-    sup norm of ``u``.
+    ``values`` are the (n_nodes, m) node values of u, ``points`` the
+    (B, ndim) base points x, ``u_here`` the (B, m) values u(x) and ``s``
+    original time.  Shifted points outside the box are clamped to the
+    nearest face, so each entry is bounded by twice the sup norm of u.
+    A vanishing shift gives an exact zero row.  A non-finite shift
+    raises :class:`NonFiniteShiftError` naming the atom.
     """
-    s = spec.horizon - t
-    nodes = grid_nodes(u.grid)
-    vals = u.values
     meas = spec.measure
-    n_nodes = u.grid.n_nodes
-    table = np.empty((n_nodes, len(meas), vals.shape[1]))
+    n_pts = points.shape[0]
+    table = np.empty((n_pts, len(meas), values.shape[1]))
     for k in range(len(meas)):
-        shift = np.asarray(spec.jump_coeff(s, nodes, vals, meas.marks[k]), dtype=float)
+        shift = np.asarray(spec.jump_coeff(s, points, u_here, meas.marks[k]), dtype=float)
         if not np.all(np.isfinite(shift)):
             raise NonFiniteShiftError(
-                f"jump coefficient returned non-finite shift for atom {k} at t={t}"
+                f"jump coefficient returned non-finite shift for atom {k} at t={s}"
             )
-        shift = shift.reshape(n_nodes, u.grid.ndim)
+        shift = shift.reshape(n_pts, grid.ndim)
         zero_rows = ~np.any(shift != 0.0, axis=1)
         if np.all(zero_rows):
             table[:, k, :] = 0.0
             continue
-        table[:, k, :] = multilinear_interpolate(u.grid, vals, nodes + shift) - vals
+        table[:, k, :] = multilinear_interpolate(grid, values, points + shift) - u_here
         # a vanishing shift means u(x + 0) - u(x) = 0 identically
         table[zero_rows, k, :] = 0.0
-    return NonlocalField(grid=u.grid, table=table, t=t)
+    return table
+
+
+def eval_nonlocal(grid: Grid, values: np.ndarray, spec: ProblemSpec, t: float) -> np.ndarray:
+    """Shifted-difference table of node values at every node, (n_nodes, K, m).
+
+    ``t`` is Cauchy time; the shifts are taken at original time horizon - t.
+    """
+    return shifted_differences(grid, values, spec, spec.horizon - t, grid_nodes(grid), values)
 
 
 def integrate_over_nu(w: np.ndarray, measure: LevyMeasure) -> np.ndarray:
@@ -121,16 +121,9 @@ def assemble_coefficients(
     a2 = 0.5 * np.einsum("bik,bjk->bij", sig, sig)
     p_sigma = np.einsum("bmi,bij->bmj", p, sig)
 
-    phi_int = np.zeros((x.shape[0], spec.n))
-    meas = spec.measure
-    for k in range(len(meas)):
-        phi_k = np.asarray(spec.jump_coeff(s, x, u, meas.marks[k]), dtype=float)
-        phi_int += meas.weights[k] * phi_k.reshape(x.shape[0], spec.n)
-
-    a1 = phi_int - np.asarray(spec.drift(s, x, u, p_sigma, w), dtype=float).reshape(
-        x.shape[0], spec.n
-    )
+    f_val = np.asarray(spec.drift(s, x, u, p_sigma, w), dtype=float)
+    a1 = spec.phi_integral(s, x, u) - f_val.reshape(x.shape[0], spec.n)
     a0 = -np.asarray(spec.generator(s, x, u, p_sigma, w), dtype=float).reshape(
         x.shape[0], spec.m
-    ) - integrate_over_nu(w, meas)
+    ) - integrate_over_nu(w, spec.measure)
     return a2, a1, a0

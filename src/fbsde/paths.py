@@ -181,17 +181,6 @@ def sample_poisson_measure(
     return [(float(t), int(k)) for t, k in zip(taus, atoms)]
 
 
-def _compensator_drift(
-    spec: ProblemSpec, t: float, x: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    meas = spec.measure
-    out = np.zeros((x.shape[0], spec.n))
-    for k in range(len(meas)):
-        phi_k = np.asarray(spec.jump_coeff(t, x, u, meas.marks[k]), dtype=float)
-        out += meas.weights[k] * phi_k.reshape(x.shape[0], spec.n)
-    return out
-
-
 def euler_increment(
     field: SolutionField,
     spec: ProblemSpec,
@@ -217,7 +206,7 @@ def euler_increment(
     fval = np.asarray(spec.drift(t, x, y, zarg, wtab), dtype=float).reshape(
         x.shape[0], spec.n
     )
-    drift = fval - _compensator_drift(spec, t, x, y)
+    drift = fval - spec.phi_integral(t, x, y)
     return x + drift * delta + np.einsum("bij,bj->bi", sig, db)
 
 

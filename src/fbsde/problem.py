@@ -111,6 +111,19 @@ class ProblemSpec:
         if self.measure.mark_dim != self.l:
             raise ValueError("measure mark dimension must equal l")
 
+    def phi_integral(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The nu-integral of phi: sum_k weight_k phi(t, x, u, y_k), shape (B, n).
+
+        ``t`` is original time.  The atoms are added one at a time in
+        their stored order, so every caller gets the same bits.
+        """
+        meas = self.measure
+        out = np.zeros((x.shape[0], self.n))
+        for k in range(len(meas)):
+            phi_k = np.asarray(self.jump_coeff(t, x, u, meas.marks[k]), dtype=float)
+            out += meas.weights[k] * phi_k.reshape(x.shape[0], self.n)
+        return out
+
 
 @dataclass(frozen=True)
 class AssumptionCheck:
@@ -222,12 +235,7 @@ def check_growth(
 
         f_val = np.asarray(spec.drift(t, xb, ub, pb, wb), dtype=float).ravel()
         g_val = np.asarray(spec.generator(t, xb, ub, pb, wb), dtype=float).ravel()
-        phi_int = np.zeros(spec.n)
-        for k in range(len(meas)):
-            phi_k = np.asarray(
-                spec.jump_coeff(t, xb, ub, meas.marks[k]), dtype=float
-            ).ravel()
-            phi_int += meas.weights[k] * phi_k
+        phi_int = spec.phi_integral(t, xb, ub)
 
         m_f = np.linalg.norm(f_val) - envelopes.drift_env(s, r) * (1.0 + q)
         m_g = np.linalg.norm(g_val) - (

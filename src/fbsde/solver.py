@@ -5,7 +5,9 @@ problem into a forward march: u(t, x) = field(T - t, x) starts from the
 (cutoff-multiplied) terminal data and advances with an IMEX step.  The
 second-order term, with coefficients frozen at the previous level, is
 treated implicitly; transport, reaction and the nonlocal contributions
-are explicit.  Snapshots are re-indexed back to original time before
+are explicit.  Each level is a plain (n_nodes, m) array of node values
+in the flat C order of the grid; the march assembles the coefficients
+once per level.  Snapshots are re-indexed back to original time before
 they are returned.
 """
 
@@ -18,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, DegenerateDiffusionError, LinearSolveError
-from .grid import Grid, GridFunction, grid_nodes, multilinear_interpolate
-from .operators import assemble_coefficients, eval_nonlocal
+from .grid import Grid, grid_nodes, multilinear_interpolate
+from .operators import assemble_coefficients, eval_nonlocal, shifted_differences
 from .problem import ProblemSpec
 
 __all__ = [
@@ -38,6 +40,11 @@ __all__ = [
 ]
 
 _SOLVER_MODES = ("auto", "tridiag", "adi")
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,7 @@ class SolverConfig:
             raise ValueError("n_steps must be >= 1")
         if self.cutoff_width <= 0.0:
             raise ValueError("cutoff width must be positive")
-        if self.max_principle_tol <= 0.0:
-            raise ValueError("max_principle_tol must be positive")
+        _check_tolerance("max_principle_tol", self.max_principle_tol)
         if self.linear_solver not in _SOLVER_MODES:
             raise ValueError(
                 f"linear_solver must be one of {_SOLVER_MODES}, got {self.linear_solver!r}"
@@ -92,8 +98,10 @@ class MaxPrincipleConstants:
     c3: float
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c3) < 0.0:
-            raise ValueError("constants must be nonnegative")
+        for name in ("c1", "c2", "c3"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def cutoff_values(grid: Grid, width: float) -> np.ndarray:
@@ -118,16 +126,15 @@ def _axis_slice(total_ndim: int, axis: int, sl: slice | int) -> tuple:
     return tuple(idx)
 
 
-def spatial_gradient(u: GridFunction) -> np.ndarray:
-    """Per-node gradient, shape (n_nodes, m, n).
+def spatial_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Per-node gradient of (n_nodes, m) node values, shape (n_nodes, m, n).
 
     Central differences at interior nodes, one-sided second-order
     stencils on the faces; exact for node values of affine functions.
     """
-    grid = u.grid
     shape = grid.shape
-    m = u.m
-    nd = u.values.reshape(*shape, m)
+    m = values.shape[1]
+    nd = values.reshape(*shape, m)
     total = grid.ndim + 1
     out = np.empty(shape + (m, grid.ndim))
     for ax in range(grid.ndim):
@@ -291,23 +298,25 @@ def _solve_axis_sweep(
 
 
 def step_imex(
-    u_now: GridFunction, t: float, spec: ProblemSpec, config: SolverConfig
-) -> GridFunction:
+    u_now: np.ndarray, t: float, spec: ProblemSpec, config: SolverConfig
+) -> tuple[np.ndarray, float]:
     """Advance the reversed equation one time step from Cauchy time ``t``.
 
+    ``u_now`` holds the (n_nodes, m) node values on ``config.grid``.
     Diffusion (coefficients frozen at ``u_now``) is implicit, one
     tridiagonal sweep per axis; transport, reaction, the nonlocal table
     and, on 2-D and 3-D grids, the mixed derivatives are explicit.  Face
-    rows carry the configured boundary values.
+    rows carry the configured boundary values.  Returns the next level
+    and max |a1|, the largest transport speed of this step.
     """
-    grid = u_now.grid
+    grid = config.grid
     ndim = grid.ndim
     dt = spec.horizon / config.n_steps
     nodes = grid_nodes(grid)
 
-    p = spatial_gradient(u_now)
-    w = eval_nonlocal(u_now, spec, t)
-    a2, a1, a0 = assemble_coefficients(spec, t, nodes, u_now.values, p, w.table)
+    p = spatial_gradient(grid, u_now)
+    w = eval_nonlocal(grid, u_now, spec, t)
+    a2, a1, a0 = assemble_coefficients(spec, t, nodes, u_now, p, w)
 
     if not np.all(np.isfinite(a2)):
         raise DegenerateDiffusionError(
@@ -320,10 +329,10 @@ def step_imex(
 
     expl = -np.einsum("bi,bmi->bm", a1, p) - a0
     if ndim > 1:
-        expl = expl + _mixed_second_sum(u_now.values, a2, grid)
-    rhs = u_now.values + dt * expl
+        expl = expl + _mixed_second_sum(u_now, a2, grid)
+    rhs = u_now + dt * expl
 
-    bfull = _face_values(config, grid, t + dt, spec.horizon, u_now.m)
+    bfull = _face_values(config, grid, t + dt, spec.horizon, u_now.shape[1])
     mask = grid.boundary_mask()
 
     if not np.all(np.isfinite(rhs)):
@@ -336,7 +345,7 @@ def step_imex(
 
     if not np.all(np.isfinite(u_next)):
         raise BlowUpError("implicit solve produced non-finite values", level=-1)
-    return GridFunction(grid=grid, values=u_next, t=t + dt)
+    return u_next, float(np.abs(a1).max())
 
 
 @dataclass(frozen=True)
@@ -398,21 +407,15 @@ class SolutionField:
     def nonlocal_table(
         self, t: float, points: np.ndarray, u_here: np.ndarray | None = None
     ) -> np.ndarray:
-        """Shifted-difference table at off-grid base points, original time."""
+        """Shifted-difference table at off-grid base points, original time.
+
+        ``u_here`` defaults to the field's value at ``points``.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if u_here is None:
             u_here = self.value(t, pts)
-        meas = self.spec.measure
         blended = self._blend(t, self.values)
-        table = np.empty((pts.shape[0], len(meas), self.m))
-        for k in range(len(meas)):
-            shift = np.asarray(
-                self.spec.jump_coeff(t, pts, u_here, meas.marks[k]), dtype=float
-            ).reshape(pts.shape[0], self.grid.ndim)
-            table[:, k, :] = (
-                multilinear_interpolate(self.grid, blended, pts + shift) - u_here
-            )
-        return table
+        return shifted_differences(self.grid, blended, self.spec, t, pts, u_here)
 
     def sup_norms(self) -> np.ndarray:
         """Per-level sup over nodes of the euclidean field norm."""
@@ -466,6 +469,7 @@ def check_max_principle(
         constants = diag.constants
     if tol is None:
         tol = field.config.max_principle_tol
+    _check_tolerance("tol", tol)
     lam = growth_rate(constants, field.spec)
     base = max(diag.initial_data_sup, diag.boundary_data_sup, math.sqrt(constants.c1))
     bound = math.exp(lam * field.spec.horizon) * base
@@ -501,6 +505,8 @@ def solve_final_value(
     mask = grid.boundary_mask()
 
     h_vals = np.asarray(spec.terminal(nodes), dtype=float).reshape(grid.n_nodes, spec.m)
+    if not np.all(np.isfinite(h_vals)):
+        raise ValueError("terminal data h must be finite at every grid node")
     if config.dirichlet_data is None:
         xi = cutoff_values(grid, config.cutoff_width)
         u0 = h_vals * xi[:, None]
@@ -508,27 +514,24 @@ def solve_final_value(
     else:
         u0 = h_vals.copy()
         psi0 = np.asarray(config.dirichlet_data(T, nodes[mask]), dtype=float)
+        if not np.all(np.isfinite(psi0)):
+            raise ValueError("Dirichlet data must be finite at every face node")
         u0[mask] = psi0.reshape(-1, spec.m)
         boundary_sup = float(np.sqrt(np.sum(u0[mask] ** 2, axis=-1)).max())
 
     levels = [u0]
-    u = GridFunction(grid=grid, values=u0, t=0.0)
+    u = u0
     coarse = False
     for j in range(n_steps):
-        t = j * dt
-        if j == 0:
-            # transport-resolution heuristic: coarse N_t is allowed, only flagged
-            p0 = spatial_gradient(u)
-            w0 = eval_nonlocal(u, spec, t)
-            _, a1_0, _ = assemble_coefficients(spec, t, nodes, u.values, p0, w0.table)
-            max_transport = float(np.abs(a1_0).max())
-            coarse = dt * max_transport > min(grid.spacings)
         try:
-            u = step_imex(u, t, spec, config)
+            u, max_transport = step_imex(u, j * dt, spec, config)
         except BlowUpError as exc:
             raise BlowUpError(
                 f"solution blew up at time level {j + 1}: {exc}", level=j + 1
             ) from None
+        if j == 0:
+            # transport-resolution heuristic: coarse N_t is allowed, only flagged
+            coarse = dt * max_transport > min(grid.spacings)
         if config.dirichlet_data is not None:
             face_now = np.asarray(
                 config.dirichlet_data(T - (j + 1) * dt, nodes[mask]), dtype=float
@@ -536,16 +539,11 @@ def solve_final_value(
             boundary_sup = max(
                 boundary_sup, float(np.sqrt(np.sum(face_now**2, axis=-1)).max())
             )
-        levels.append(u.values)
+        levels.append(u)
 
     values = np.stack(levels[::-1])
     times = np.linspace(0.0, T, n_steps + 1)
-    gradients = np.stack(
-        [
-            spatial_gradient(GridFunction(grid=grid, values=v, t=float(ti)))
-            for v, ti in zip(values, times)
-        ]
-    )
+    gradients = np.stack([spatial_gradient(grid, v) for v in values])
 
     field_obj = SolutionField(
         grid=grid,

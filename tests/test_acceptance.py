@@ -14,7 +14,6 @@ from scipy import stats
 
 from fbsde import (
     Grid,
-    GridFunction,
     LevyMeasure,
     ProblemSpec,
     SolutionField,
@@ -178,8 +177,7 @@ def test_criterion_4_nonlocal_operator_exactness_and_sup_bound():
     worst_affine = 0.0
     for _ in range(50):
         a, b = rng.uniform(-2, 2), rng.uniform(-1, 1)
-        u = GridFunction(grid=grid, values=a + b * xs, t=0.0)
-        table = eval_nonlocal(u, spec, 0.0).table
+        table = eval_nonlocal(grid, a + b * xs, spec, 0.0)
         for k, mark in enumerate(measure.marks[:, 0]):
             inside = (xs[:, 0] + mark <= 5.0) & (xs[:, 0] + mark >= -5.0)
             err = np.abs(table[inside, k, 0] - b * mark).max()
@@ -204,10 +202,10 @@ def test_criterion_4_nonlocal_operator_exactness_and_sup_bound():
     )
     bound_ok = True
     for _ in range(1000):
-        u = GridFunction(grid=grid, values=rng.normal(size=(grid.n_nodes, 1)), t=0.0)
-        table = eval_nonlocal(u, spec_wild, rng.uniform(0.0, 1.0)).table
+        u = rng.normal(size=(grid.n_nodes, 1))
+        table = eval_nonlocal(grid, u, spec_wild, rng.uniform(0.0, 1.0))
         integral = integrate_over_nu(table, measure)
-        bound = 2.0 * measure.total_mass * np.abs(u.values).max()
+        bound = 2.0 * measure.total_mass * np.abs(u).max()
         if not np.all(np.abs(integral) <= bound * (1.0 + 1e-12)):
             bound_ok = False
             break

@@ -8,6 +8,7 @@ from fbsde import (
     check_ellipticity,
     check_growth,
     check_max_principle,
+    eval_nonlocal,
     solve_final_value,
 )
 
@@ -113,3 +114,34 @@ class TestPureJumpField:
             for i in range(field.times.shape[0])
         )
         assert err <= 0.1
+
+
+class TestOneShiftRoutine:
+    """The field's off-grid table and the march's node table are one routine."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_nonlocal_table_at_level_times_equals_eval_nonlocal(self, name):
+        # 32 steps on horizon 1: every level time is exact in binary, so a
+        # query at times[i] takes level i alone, without blending
+        built = build_problem(name, {"nodes": 41, "steps": 32, "horizon": 1.0})
+        field, _ = solve_final_value(built.spec, built.solver_config, built.constants)
+        spec, grid = built.spec, field.grid
+        nodes = grid.nodes()
+        for i in (0, 7, 16, 31, 32):
+            t_i = float(field.times[i])
+            got = field.nonlocal_table(t_i, nodes, u_here=field.values[i])
+            want = eval_nonlocal(grid, field.values[i], spec, spec.horizon - t_i)
+            assert np.array_equal(got, want), f"{name}: level {i}"
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_phi_integral_is_the_per_atom_sum(self, name):
+        built = build_problem(name, {"nodes": 41})
+        spec = built.spec
+        x = built.solver_config.grid.nodes()
+        u = np.asarray(spec.terminal(x), dtype=float).reshape(x.shape[0], spec.m)
+        for t in (0.0, 0.3, spec.horizon):
+            want = np.zeros((x.shape[0], spec.n))
+            for mark, weight in zip(spec.measure.marks, spec.measure.weights):
+                phi = np.asarray(spec.jump_coeff(t, x, u, mark), dtype=float)
+                want = want + weight * phi.reshape(x.shape[0], spec.n)
+            assert np.array_equal(spec.phi_integral(t, x, u), want), f"{name}: t={t}"

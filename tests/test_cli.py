@@ -239,6 +239,14 @@ class TestConfigErrors:
             pytest.param(
                 "verify", ["--param", "horizon=nan"], None, "horizon", id="horizon-nan"
             ),
+            pytest.param(
+                "solve",
+                ["--problem", "coupled-linear", "--param", "half_width=inf"]
+                + ["--nodes", "21", "--steps", "10"],
+                None,
+                "grid bounds must be finite",
+                id="half-width-inf",
+            ),
         ],
     )
     def test_exit_2_names_the_input(self, tmp_path, capsys, command, flags, file_text, named):

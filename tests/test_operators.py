@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fbsde import (
     Grid,
-    GridFunction,
     LevyMeasure,
     NonFiniteShiftError,
     ProblemSpec,
@@ -41,10 +40,6 @@ def spec_1d(jump, measure, drift=None, generator=None, sigma_val=1.0, horizon=1.
 GRID = Grid((-5.0,), (5.0,), (101,))
 
 
-def grid_fn(values):
-    return GridFunction(grid=GRID, values=np.asarray(values, dtype=float), t=0.0)
-
-
 class TestInterpolation:
     def test_reproduces_node_values(self):
         vals = np.sin(GRID.nodes())
@@ -70,15 +65,15 @@ class TestEvalNonlocal:
     def test_zero_shift_gives_zero_field(self):
         measure = LevyMeasure(marks=[[1.0], [2.0]], weights=[1.0, 0.5])
         spec = spec_1d(lambda t, x, u, y: np.zeros((x.shape[0], 1)), measure)
-        u = grid_fn(np.sin(GRID.nodes()))
-        table = eval_nonlocal(u, spec, 0.3).table
+        u = np.sin(GRID.nodes())
+        table = eval_nonlocal(GRID, u, spec, 0.3)
         assert np.all(table == 0.0)
 
     def test_linear_function_unit_shift(self):
         measure = LevyMeasure(marks=[[1.0]], weights=[1.0])
         spec = spec_1d(lambda t, x, u, y: np.full((x.shape[0], 1), y[0]), measure)
-        u = grid_fn(GRID.nodes().copy())
-        table = eval_nonlocal(u, spec, 0.0).table
+        u = GRID.nodes().copy()
+        table = eval_nonlocal(GRID, u, spec, 0.0)
         nodes = GRID.nodes()[:, 0]
         inside = nodes + 1.0 <= 5.0
         assert np.allclose(table[inside, 0, 0], 1.0, atol=1e-13)
@@ -92,8 +87,7 @@ class TestEvalNonlocal:
         for nodes in (51, 101, 201):
             grid = Grid((-5.0,), (5.0,), (nodes,))
             xs = grid.nodes()
-            u = GridFunction(grid=grid, values=xs**2, t=0.0)
-            table = eval_nonlocal(u, spec, 0.0).table
+            table = eval_nonlocal(grid, xs**2, spec, 0.0)
             h = grid.spacings[0]
             center = np.argmin(np.abs(xs[:, 0]))
             exact = (xs[center, 0] + mark) ** 2 - xs[center, 0] ** 2
@@ -105,9 +99,9 @@ class TestEvalNonlocal:
     def test_non_finite_shift_raises(self):
         measure = LevyMeasure(marks=[[1.0]], weights=[1.0])
         spec = spec_1d(lambda t, x, u, y: np.full((x.shape[0], 1), np.nan), measure)
-        u = grid_fn(GRID.nodes().copy())
+        u = GRID.nodes().copy()
         with pytest.raises(NonFiniteShiftError):
-            eval_nonlocal(u, spec, 0.0)
+            eval_nonlocal(GRID, u, spec, 0.0)
 
     @given(
         st.floats(min_value=-2.0, max_value=2.0),
@@ -122,8 +116,8 @@ class TestEvalNonlocal:
         measure = LevyMeasure(marks=[[mark]], weights=[1.0])
         spec = spec_1d(lambda t, x, u, y: np.full((x.shape[0], 1), y[0]), measure)
         xs = GRID.nodes()
-        u = grid_fn(intercept + slope * xs)
-        table = eval_nonlocal(u, spec, 0.0).table
+        u = intercept + slope * xs
+        table = eval_nonlocal(GRID, u, spec, 0.0)
         inside = (xs[:, 0] + mark <= 5.0) & (xs[:, 0] + mark >= -5.0)
         scale = max(1.0, abs(intercept) + 5 * abs(slope))
         assert np.all(
@@ -137,10 +131,10 @@ class TestEvalNonlocal:
             lambda t, x, u, y: y[0] * (1.0 + np.sin(3.0 * x)), measure
         )  # shifts leave the box on purpose
         for _ in range(50):
-            u = grid_fn(rng.normal(size=(GRID.n_nodes, 1)))
-            table = eval_nonlocal(u, spec, 0.5).table
+            u = rng.normal(size=(GRID.n_nodes, 1))
+            table = eval_nonlocal(GRID, u, spec, 0.5)
             integral = integrate_over_nu(table, measure)
-            bound = 2.0 * measure.total_mass * np.abs(u.values).max()
+            bound = 2.0 * measure.total_mass * np.abs(u).max()
             assert np.all(np.abs(integral) <= bound * (1.0 + 1e-12))
 
 
@@ -293,6 +287,15 @@ class TestGrid:
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError, match="exceed"):
             Grid((1.0,), (1.0,), (5,))
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [((-np.inf,), (1.0,)), ((0.0,), (np.inf,)), ((0.0, np.nan), (1.0, 1.0))],
+        ids=["lower-inf", "upper-inf", "lower-nan"],
+    )
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            Grid(lower, upper, (5,) * len(lower))
 
     def test_boundary_mask_2d(self):
         grid = Grid((0.0, 0.0), (1.0, 1.0), (4, 5))

@@ -16,10 +16,10 @@ from fbsde import (
     BlowUpError,
     DegenerateDiffusionError,
     Grid,
-    GridFunction,
     LevyMeasure,
     LinearSolveError,
     MaxPrincipleConstants,
+    NonFiniteShiftError,
     ProblemSpec,
     SolutionField,
     SolverConfig,
@@ -238,23 +238,20 @@ class TestMixedSecondSum:
 class TestSpatialGradient:
     def test_affine_exact(self):
         grid = Grid((-2.0,), (3.0,), (11,))
-        u = GridFunction(grid=grid, values=1.0 + 2.5 * grid.nodes(), t=0.0)
-        g = spatial_gradient(u)
+        g = spatial_gradient(grid, 1.0 + 2.5 * grid.nodes())
         assert np.allclose(g[:, 0, 0], 2.5, atol=1e-13)
 
     def test_quadratic_central_exact_interior(self):
         grid = Grid((0.0,), (1.0,), (11,))
         xs = grid.nodes()
-        u = GridFunction(grid=grid, values=xs**2, t=0.0)
-        g = spatial_gradient(u)
+        g = spatial_gradient(grid, xs**2)
         assert np.allclose(g[1:-1, 0, 0], 2.0 * xs[1:-1, 0], atol=1e-13)
 
     def test_sine_error_bound(self):
         # oracle cos(x); central error <= h^2/6 * max|u'''|
         grid = Grid((0.0,), (2.0,), (201,))
         xs = grid.nodes()
-        u = GridFunction(grid=grid, values=np.sin(xs), t=0.0)
-        g = spatial_gradient(u)
+        g = spatial_gradient(grid, np.sin(xs))
         err = np.abs(g[1:-1, 0, 0] - np.cos(xs[1:-1, 0])).max()
         h = grid.spacings[0]
         assert err <= h * h / 6.0 * 1.0 + 1e-12
@@ -263,8 +260,7 @@ class TestSpatialGradient:
         grid = Grid((0.0, 0.0), (1.0, 2.0), (5, 9))
         pts = grid.nodes()
         vals = (0.3 + 1.5 * pts[:, 0] - 0.25 * pts[:, 1])[:, None]
-        u = GridFunction(grid=grid, values=vals, t=0.0)
-        g = spatial_gradient(u)
+        g = spatial_gradient(grid, vals)
         assert np.allclose(g[:, 0, 0], 1.5, atol=1e-12)
         assert np.allclose(g[:, 0, 1], -0.25, atol=1e-12)
 
@@ -292,18 +288,17 @@ class TestStepImex:
         grid = Grid((0.0,), (2.0,), (3,))
         spec = diffusion_spec(sigma_val=1.0, horizon=1.0)
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.4)
-        u = GridFunction(grid=grid, values=np.array([[0.0], [1.0], [0.0]]), t=0.0)
-        out = step_imex(u, 0.0, spec, config)
-        assert out.values[1, 0] == pytest.approx(1.0 / 1.1, abs=1e-14)
-        assert out.values[0, 0] == 0.0 and out.values[2, 0] == 0.0
+        u = np.array([[0.0], [1.0], [0.0]])
+        out, _ = step_imex(u, 0.0, spec, config)
+        assert out[1, 0] == pytest.approx(1.0 / 1.1, abs=1e-14)
+        assert out[0, 0] == 0.0 and out[2, 0] == 0.0
 
     def test_zero_fixed_point(self):
         grid = Grid((0.0,), (2.0,), (21,))
         spec = diffusion_spec()
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.4)
-        u = GridFunction(grid=grid, values=np.zeros((21, 1)), t=0.0)
-        out = step_imex(u, 0.0, spec, config)
-        assert np.all(out.values == 0.0)
+        out, _ = step_imex(np.zeros((21, 1)), 0.0, spec, config)
+        assert np.all(out == 0.0)
 
     def test_monotone_range_containment(self):
         # scalar heat case: the implicit step is an M-matrix solve, so the
@@ -314,11 +309,11 @@ class TestStepImex:
         config = SolverConfig(grid=grid, n_steps=20, cutoff_width=0.2)
         vals = rng.uniform(-1.0, 2.0, size=(31, 1))
         vals[0] = vals[-1] = 0.0
-        u = GridFunction(grid=grid, values=vals, t=0.0)
+        u = vals
         for step in range(5):
-            out = step_imex(u, step * 0.05, spec, config)
-            assert out.values.min() >= u.values.min() - 1e-12
-            assert out.values.max() <= u.values.max() + 1e-12
+            out, _ = step_imex(u, step * 0.05, spec, config)
+            assert out.min() >= u.min() - 1e-12
+            assert out.max() <= u.max() + 1e-12
             u = out
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -329,17 +324,23 @@ class TestStepImex:
             diffusion_spec(), diffusion=lambda t, x, u: np.where(x[:, :, None] > 0.5, bad, 1.0)
         )
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.2)
-        u = GridFunction(grid=grid, values=np.ones((11, 1)), t=0.0)
         with pytest.raises(DegenerateDiffusionError, match="non-finite"):
-            step_imex(u, 0.0, spec, config)
+            step_imex(np.ones((11, 1)), 0.0, spec, config)
+
+    def test_returns_largest_transport_speed(self):
+        # a zero shift leaves a1 = -f, so max |a1| is the drift's size
+        grid = Grid((0.0,), (2.0,), (21,))
+        spec = diffusion_spec(drift=lambda t, x, u, p, w: np.full((x.shape[0], 1), -1.75))
+        config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.4)
+        _, speed = step_imex(np.zeros((21, 1)), 0.0, spec, config)
+        assert speed == 1.75
 
     def test_degenerate_diffusion_rejected(self):
         grid = Grid((0.0,), (1.0,), (11,))
         spec = diffusion_spec(sigma_val=0.0)
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.2)
-        u = GridFunction(grid=grid, values=np.ones((11, 1)), t=0.0)
         with pytest.raises(DegenerateDiffusionError):
-            step_imex(u, 0.0, spec, config)
+            step_imex(np.ones((11, 1)), 0.0, spec, config)
 
 
 class TestSolveFinalValue:
@@ -398,6 +399,29 @@ class TestSolveFinalValue:
                 solve_final_value(spec, config, MaxPrincipleConstants(0, 1, 0))
         assert err.value.level >= 1
 
+    @pytest.mark.parametrize("speed, coarse", [(1.0, False), (3.0, True)])
+    def test_coarse_time_grid_flag(self, speed, coarse):
+        # h = 0.2 and dt = 0.1: flagged iff dt * max |a1| at the first level exceeds h
+        spec = diffusion_spec(drift=lambda t, x, u, p, w: np.full((x.shape[0], 1), speed))
+        config = SolverConfig(grid=Grid((-4.0,), (4.0,), (41,)), n_steps=10)
+        _, diag = solve_final_value(spec, config, MaxPrincipleConstants(0, 0, 0))
+        assert diag.coarse_time_grid is coarse
+
+    def test_non_finite_terminal_data_named(self):
+        spec = diffusion_spec(terminal=lambda x: np.where(x > 1.0, np.nan, 0.0))
+        config = SolverConfig(grid=Grid((0.0,), (math.pi,), (21,)), n_steps=4)
+        with pytest.raises(ValueError, match="terminal data"):
+            solve_final_value(spec, config, MaxPrincipleConstants(0, 0, 0))
+
+    def test_non_finite_dirichlet_data_named(self):
+        config = SolverConfig(
+            grid=Grid((0.0,), (math.pi,), (21,)),
+            n_steps=4,
+            dirichlet_data=lambda t, x: np.full((x.shape[0], 1), np.inf),
+        )
+        with pytest.raises(ValueError, match="Dirichlet data"):
+            solve_final_value(diffusion_spec(), config, MaxPrincipleConstants(0, 0, 0))
+
     def test_diagnostics_sups_match_snapshots(self):
         spec = diffusion_spec()
         grid = Grid((0.0,), (math.pi,), (41,))
@@ -454,6 +478,24 @@ class TestSolutionFieldTimes:
             self._field([0.0])
 
 
+class TestNonlocalTable:
+    def test_non_finite_shift_names_the_atom(self):
+        grid = Grid((0.0,), (4.0,), (5,))
+        spec = dataclasses.replace(
+            diffusion_spec(), jump_coeff=lambda t, x, u, y: np.full((x.shape[0], 1), np.nan)
+        )
+        field = SolutionField(
+            grid=grid,
+            times=np.linspace(0.0, 1.0, 3),
+            values=np.ones((3, grid.n_nodes, 1)),
+            gradients=np.zeros((3, grid.n_nodes, 1, 1)),
+            spec=spec,
+            config=SolverConfig(grid=grid, n_steps=2),
+        )
+        with pytest.raises(NonFiniteShiftError, match="atom 0"):
+            field.nonlocal_table(0.5, np.array([[1.3]]))
+
+
 class TestMaxPrinciple:
     def _heat_run(self):
         spec = diffusion_spec()
@@ -497,6 +539,46 @@ class TestMaxPrinciple:
         result = check_max_principle(scaled, diag)
         assert not result.passed
         assert result.first_violation_level is not None
+
+
+    @pytest.mark.parametrize(
+        "constants, named",
+        [
+            ((math.nan, 0.0, 0.0), "c1"),
+            ((0.0, math.nan, 0.0), "c2"),
+            ((0.0, 0.0, math.nan), "c3"),
+            ((math.inf, 0.0, 0.0), "c1"),
+            ((0.0, -1.0, 0.0), "c2"),
+        ],
+    )
+    def test_constants_must_be_finite_and_nonnegative(self, constants, named):
+        with pytest.raises(ValueError, match=f"{named} must be finite and nonnegative"):
+            MaxPrincipleConstants(*constants)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        field, diag = self._heat_run()
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            check_max_principle(field, diag, tol=tol)
+        with pytest.raises(ValueError, match="max_principle_tol must be finite and positive"):
+            SolverConfig(grid=field.grid, n_steps=10, max_principle_tol=tol)
+
+    def test_rescaled_field_cannot_pass_through_nan(self):
+        field, diag = self._heat_run()
+        scaled = SolutionField(
+            grid=field.grid,
+            times=field.times,
+            values=1e6 * field.values,
+            gradients=1e6 * field.gradients,
+            spec=field.spec,
+            config=field.config,
+        )
+        assert not check_max_principle(scaled, diag).passed
+        for constants in [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)]:
+            with pytest.raises(ValueError):
+                check_max_principle(scaled, diag, MaxPrincipleConstants(*constants))
+        with pytest.raises(ValueError):
+            check_max_principle(scaled, diag, tol=math.nan)
 
 
 def _oracle_2d(t, pts, horizon):
