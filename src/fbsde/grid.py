@@ -61,9 +61,6 @@ class Grid:
             out[ax] = out[ax + 1] * self.shape[ax + 1]
         return tuple(out)
 
-    def axes(self) -> tuple[np.ndarray, ...]:
-        return grid_axes(self)
-
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, ndim), flat C order."""
         return grid_nodes(self)
@@ -99,6 +96,29 @@ def grid_nodes(grid: Grid) -> np.ndarray:
     return nodes
 
 
+def cell_corners(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat node indices and weights, each (2^d, B), of the cell corners of ``points``.
+
+    ``points`` has shape (B, ndim); points outside the box are clamped to
+    the nearest face.  The weights of a point are nonnegative and sum to one.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != grid.ndim:
+        raise ValueError("points must have shape (B, ndim)")
+    corner = np.arange(1 << grid.ndim)[:, None]
+    flats = np.zeros((corner.shape[0], pts.shape[0]), dtype=np.int64)
+    weights = np.ones(flats.shape)
+    for ax in range(grid.ndim):
+        lo, hi, h = grid.lower[ax], grid.upper[ax], grid.spacings[ax]
+        s = (np.clip(pts[:, ax], lo, hi) - lo) / h
+        cell = np.minimum(np.floor(s).astype(np.int64), grid.shape[ax] - 2)
+        frac = s - cell
+        bit = (corner >> ax) & 1
+        weights = weights * np.where(bit, frac, 1.0 - frac)
+        flats = flats + (cell + bit) * grid.strides[ax]
+    return flats, weights
+
+
 def multilinear_interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear (order-1) interpolation with clamping to the box.
 
@@ -106,34 +126,10 @@ def multilinear_interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) 
     shape (B, ndim).  Query points outside the box are clamped to the
     nearest face, so the output never leaves the range of the data.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.shape[1] != grid.ndim:
-        raise ValueError("points must have shape (B, ndim)")
-    nbatch = pts.shape[0]
-
-    cells = []
-    fracs = []
-    for ax in range(grid.ndim):
-        lo = grid.lower[ax]
-        hi = grid.upper[ax]
-        h = grid.spacings[ax]
-        q = np.clip(pts[:, ax], lo, hi)
-        cell = np.minimum(np.floor((q - lo) / h).astype(np.int64), grid.shape[ax] - 2)
-        cells.append(cell)
-        fracs.append((q - lo) / h - cell)
-
-    strides = grid.strides
-    trail = values.shape[1:]
-    out = np.zeros((nbatch,) + trail)
-    expand = (slice(None),) + (None,) * len(trail)
-    for corner in range(1 << grid.ndim):
-        weight = np.ones(nbatch)
-        flat = np.zeros(nbatch, dtype=np.int64)
-        for ax in range(grid.ndim):
-            bit = (corner >> ax) & 1
-            weight = weight * (fracs[ax] if bit else 1.0 - fracs[ax])
-            flat = flat + (cells[ax] + bit) * strides[ax]
-        out += weight[expand] * values[flat]
+    flats, weights = cell_corners(grid, points)
+    corner_values = values[flats]  # (2^d, B, ...)
+    expand = (slice(None),) + (None,) * (values.ndim - 1)
+    out = np.zeros(corner_values.shape[1:])
+    for weight, corner in zip(weights, corner_values):
+        out += weight[expand] * corner
     return out

@@ -2,9 +2,9 @@
 
 :func:`shifted_differences` is the one place that forms the table
 u(x + phi(t, x, u, y_k)) - u(x) over the jump atoms y_k, at any base
-points and in original time.  The march uses it at the grid nodes
-(:func:`eval_nonlocal`), the solved field at off-grid points
-(``SolutionField.nonlocal_table``).
+points, in original time and for any point evaluation of u: the march
+interpolates one level at the grid nodes (:func:`eval_nonlocal`), the
+solved field uses its own point query (``SolutionField.nonlocal_table``).
 
 The backward-in-time decoupling field is computed by marching its
 time reversal u(t, x) = field(T - t, x) forward from t = 0.
@@ -16,6 +16,9 @@ itself.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -32,8 +35,7 @@ __all__ = [
 
 
 def shifted_differences(
-    grid: Grid,
-    values: np.ndarray,
+    evaluate: Callable[[np.ndarray], np.ndarray],
     spec: ProblemSpec,
     s: float,
     points: np.ndarray,
@@ -41,28 +43,28 @@ def shifted_differences(
 ) -> np.ndarray:
     """Table u(x + phi(s, x, u(x), y_k)) - u(x), shape (B, K, m).
 
-    ``values`` are the (n_nodes, m) node values of u, ``points`` the
-    (B, ndim) base points x, ``u_here`` the (B, m) values u(x) and ``s``
-    original time.  Shifted points outside the box are clamped to the
-    nearest face, so each entry is bounded by twice the sup norm of u.
-    A vanishing shift gives an exact zero row.  A non-finite shift
+    ``evaluate`` maps (B, ndim) points to the (B, m) values of u,
+    ``points`` are the base points x, ``u_here`` the (B, m) values u(x)
+    and ``s`` original time.  Shifted points outside the box are clamped
+    to the nearest face, so each entry is bounded by twice the sup norm
+    of u.  A vanishing shift gives an exact zero row.  A non-finite shift
     raises :class:`NonFiniteShiftError` naming the atom.
     """
     meas = spec.measure
-    n_pts = points.shape[0]
-    table = np.empty((n_pts, len(meas), values.shape[1]))
+    n_pts, ndim = points.shape
+    table = np.empty((n_pts, len(meas), u_here.shape[1]))
     for k in range(len(meas)):
         shift = np.asarray(spec.jump_coeff(s, points, u_here, meas.marks[k]), dtype=float)
         if not np.all(np.isfinite(shift)):
             raise NonFiniteShiftError(
                 f"jump coefficient returned non-finite shift for atom {k} at t={s}"
             )
-        shift = shift.reshape(n_pts, grid.ndim)
+        shift = shift.reshape(n_pts, ndim)
         zero_rows = ~np.any(shift != 0.0, axis=1)
         if np.all(zero_rows):
             table[:, k, :] = 0.0
             continue
-        table[:, k, :] = multilinear_interpolate(grid, values, points + shift) - u_here
+        table[:, k, :] = evaluate(points + shift) - u_here
         # a vanishing shift means u(x + 0) - u(x) = 0 identically
         table[zero_rows, k, :] = 0.0
     return table
@@ -73,7 +75,8 @@ def eval_nonlocal(grid: Grid, values: np.ndarray, spec: ProblemSpec, t: float) -
 
     ``t`` is Cauchy time; the shifts are taken at original time horizon - t.
     """
-    return shifted_differences(grid, values, spec, spec.horizon - t, grid_nodes(grid), values)
+    at_nodes = partial(multilinear_interpolate, grid, values)
+    return shifted_differences(at_nodes, spec, spec.horizon - t, grid_nodes(grid), values)
 
 
 def integrate_over_nu(w: np.ndarray, measure: LevyMeasure) -> np.ndarray:

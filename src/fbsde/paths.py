@@ -344,6 +344,9 @@ def _simulate_paths(
     return Ensemble(times, states, increments, exited, table)
 
 
+_CHUNK_PATHS = 4096  # paths stepped together: bounds one chunk's normals and events
+
+
 def simulate_ensemble(
     field: SolutionField,
     spec: ProblemSpec,
@@ -351,12 +354,12 @@ def simulate_ensemble(
     dt: float,
     n_paths: int,
     base_seed: int,
-    chunk_size: int = 4096,
 ) -> Ensemble:
     """Simulate ``n_paths`` paths of the decoupled forward equation.
 
-    Path i consumes ``RngStream(base_seed, i)``, so the ensemble does not
-    depend on ``chunk_size``.  ``dt`` must divide the horizon; ``x0`` must
+    Paths are stepped in chunks of at most ``_CHUNK_PATHS``; path i
+    consumes ``RngStream(base_seed, i)``, so the ensemble does not depend
+    on the chunking.  ``dt`` must divide the horizon; ``x0`` must
     lie in the inner region of the grid.  A path leaving the box is
     flagged, not fatal.
     """
@@ -367,8 +370,8 @@ def simulate_ensemble(
     x0 = _check_start_point(field.config, x0)
     times = _time_grid(spec.horizon, dt)
     parts = []
-    for start in range(0, n_paths, chunk_size):
-        ids = range(start, min(start + chunk_size, n_paths))
+    for start in range(0, n_paths, _CHUNK_PATHS):
+        ids = range(start, min(start + _CHUNK_PATHS, n_paths))
         streams = [RngStream(base_seed, p) for p in ids]
         parts.append(_simulate_paths(field, spec, x0, times, streams))
     return Ensemble.concat(parts)

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grid import multilinear_interpolate
 from .paths import Ensemble
 from .problem import ProblemSpec
 from .solver import SolutionField, second_difference
@@ -39,8 +40,9 @@ class Linked:
     ``y[p, j]`` is exactly the field interpolated at (t_j, X^p_j);
     ``ztilde[p, j]`` is the per-atom table at the current state (between
     jumps states and pre-jump states coincide at grid times);
-    ``jump_values[e]`` is the table entry at the pre-jump state and atom
-    of row ``e`` of the ensemble's event table.
+    ``jump_values[e]`` is the jump u(t, x_after) - u(t, x_before) of Y at event
+    row ``e``: exactly the table entry at the pre-jump state and atom when the
+    ensemble was simulated with this field, which set x_after = x_before + phi.
     """
 
     ensemble: Ensemble
@@ -103,12 +105,8 @@ def link_ensemble(
         z[:, j] = np.einsum("bmi,bij->bmj", grad, sig)
         ztab[:, j] = field.nonlocal_table(t, xb, u_here=yb)
 
-    events = ensemble.events
-    jump_values = np.empty((len(events), spec.m))
-    for e, (t, k, xb) in enumerate(
-        zip(events.time.tolist(), events.atom.tolist(), events.x_before)
-    ):
-        jump_values[e] = field.nonlocal_table(t, xb[None, :])[0, k]
+    ev = ensemble.events
+    jump_values = field.value(ev.time, ev.x_after) - field.value(ev.time, ev.x_before)
     return Linked(
         ensemble=ensemble, field=field, y=y, z=z, ztilde=ztab, jump_values=jump_values
     )
@@ -238,10 +236,10 @@ class TestFunction:
 
     __test__ = False  # not a pytest collection target
 
-    value: Callable  # (t, x (B, n)) -> (B,)
-    grad: Callable  # -> (B, n)
-    hess: Callable  # -> (B, n, n)
-    dt: Callable  # -> (B,)
+    value: Callable  # (t scalar or (B,), x (B, n)) -> (B,)
+    grad: Callable  # (t scalar, x) -> (B, n)
+    hess: Callable  # (t scalar, x) -> (B, n, n)
+    dt: Callable  # (t scalar, x) -> (B,)
 
 
 def field_test_function(field: SolutionField, component: int = 0) -> TestFunction:
@@ -269,8 +267,6 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
                 hess_snaps[lev, :, i, j] = d2
                 hess_snaps[lev, :, j, i] = d2
 
-    from .grid import multilinear_interpolate
-
     def value(t, x):
         return field.value(t, x)[:, component]
 
@@ -278,9 +274,7 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
         return field.gradient(t, x)[:, component, :]
 
     def hess(t, x):
-        i, alpha = field.time_bracket(t)
-        blended = (1.0 - alpha) * hess_snaps[i] + alpha * hess_snaps[i + 1]
-        return multilinear_interpolate(grid, blended, x)
+        return field.interpolate(t, x, hess_snaps)
 
     def time_deriv(t, x):
         i, _ = field.time_bracket(t)
@@ -347,13 +341,11 @@ def ito_residuals(linked: Linked, test_fn: Optional[TestFunction] = None) -> np.
             integrand_term += meas.weights[k] * (dphi - pairing) * h_step
 
     events = linked.ensemble.events
+    after = np.asarray(tf.value(events.time, events.x_after), dtype=float)
+    before = np.asarray(tf.value(events.time, events.x_before), dtype=float)
     jump_sum = np.zeros(n_paths)
-    for p, t, x_before, x_after in zip(
-        events.path.tolist(), events.time.tolist(), events.x_before, events.x_after
-    ):
-        before = float(tf.value(t, x_before[None, :])[0])
-        after = float(tf.value(t, x_after[None, :])[0])
-        jump_sum[p] += after - before
+    # unbuffered, in event order: the rounding of a per-event running sum
+    np.add.at(jump_sum, events.path, (after - before).reshape(len(events)))
 
     lhs = np.asarray(
         tf.value(float(times[-1]), states[:, -1]), dtype=float

@@ -7,8 +7,8 @@ second-order term, with coefficients frozen at the previous level, is
 treated implicitly; transport, reaction and the nonlocal contributions
 are explicit.  Each level is a plain (n_nodes, m) array of node values
 in the flat C order of the grid; the march assembles the coefficients
-once per level.  Snapshots are re-indexed back to original time before
-they are returned.
+once per level.  Snapshots are re-indexed back to original time, and a
+point query blends only the cell corners of its bracketing levels.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, DegenerateDiffusionError, LinearSolveError
-from .grid import Grid, grid_nodes, multilinear_interpolate
+from .grid import Grid, cell_corners, grid_nodes
 from .operators import assemble_coefficients, eval_nonlocal, shifted_differences
 from .problem import ProblemSpec
 
@@ -356,7 +356,9 @@ class SolutionField:
     its spatial gradient; the snapshot at the final time reproduces the
     boundary-prepared terminal data exactly.  Evaluation between
     snapshots is linear in time and multilinear in space, with queries
-    clamped to the box.
+    clamped to the box.  :meth:`value` and :meth:`gradient` take ``t`` as
+    a scalar or one time per point.  A fresh array given to the field is
+    taken over and made read-only; views and read-only arrays are copied.
     """
 
     grid: Grid
@@ -369,9 +371,11 @@ class SolutionField:
     def __post_init__(self):
         for name in ("times", "values", "gradients"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
+            # min and max propagate NaN without a temporary of the array's size
+            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name} must be finite")
-            arr = arr.copy()
+            if arr.base is not None or not arr.flags.writeable:
+                arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # time_bracket assumes uniform levels from 0
@@ -388,21 +392,36 @@ class SolutionField:
     def m(self) -> int:
         return self.values.shape[2]
 
-    def time_bracket(self, t: float) -> tuple[int, float]:
-        """Level i and weight alpha: t lies at (1 - alpha) times[i] + alpha times[i + 1]."""
-        s = t / (self.times[1] - self.times[0])
-        i = int(np.clip(np.floor(s), 0, self.times.shape[0] - 2))
-        return i, float(np.clip(s - i, 0.0, 1.0))
+    def time_bracket(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Level i and weight alpha, in the shape of ``t``, with t at
+        (1 - alpha) times[i] + alpha times[i + 1], clamped to [0, T]."""
+        s = np.asarray(t, dtype=float) / (self.times[1] - self.times[0])
+        i = np.clip(np.floor(s), 0, self.times.shape[0] - 2).astype(np.int64)
+        return i, np.clip(s - i, 0.0, 1.0)
 
-    def _blend(self, t: float, data: np.ndarray) -> np.ndarray:
+    def interpolate(self, t, points: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """Per-level node data (L, n_nodes, ...) at time ``t`` (scalar or (B,)).
+
+        Only the 2^d cell corners of each point are blended in time, which
+        is elementwise the arithmetic of blending whole levels first.
+        """
+        flats, weights = cell_corners(self.grid, points)
         i, alpha = self.time_bracket(t)
-        return (1.0 - alpha) * data[i] + alpha * data[i + 1]
+        alpha = np.reshape(alpha, alpha.shape + (1,) * (data.ndim - 2))
+        expand = (slice(None),) + (None,) * (data.ndim - 2)
+        rows = data.reshape((-1,) + data.shape[2:])  # level i, node k: row i * n_nodes + k
+        at = i * data.shape[1] + flats
+        corner_values = (1.0 - alpha) * rows[at] + alpha * rows[at + data.shape[1]]
+        out = np.zeros(corner_values.shape[1:])
+        for weight, corner in zip(weights, corner_values):
+            out += weight[expand] * corner
+        return out
 
-    def value(self, t: float, points: np.ndarray) -> np.ndarray:
-        return multilinear_interpolate(self.grid, self._blend(t, self.values), points)
+    def value(self, t, points: np.ndarray) -> np.ndarray:
+        return self.interpolate(t, points, self.values)
 
-    def gradient(self, t: float, points: np.ndarray) -> np.ndarray:
-        return multilinear_interpolate(self.grid, self._blend(t, self.gradients), points)
+    def gradient(self, t, points: np.ndarray) -> np.ndarray:
+        return self.interpolate(t, points, self.gradients)
 
     def nonlocal_table(
         self, t: float, points: np.ndarray, u_here: np.ndarray | None = None
@@ -414,8 +433,7 @@ class SolutionField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if u_here is None:
             u_here = self.value(t, pts)
-        blended = self._blend(t, self.values)
-        return shifted_differences(self.grid, blended, self.spec, t, pts, u_here)
+        return shifted_differences(lambda q: self.value(t, q), self.spec, t, pts, u_here)
 
     def sup_norms(self) -> np.ndarray:
         """Per-level sup over nodes of the euclidean field norm."""
@@ -542,8 +560,11 @@ def solve_final_value(
         levels.append(u)
 
     values = np.stack(levels[::-1])
+    del levels
     times = np.linspace(0.0, T, n_steps + 1)
-    gradients = np.stack([spatial_gradient(grid, v) for v in values])
+    gradients = np.empty(values.shape + (grid.ndim,))
+    for i, v in enumerate(values):
+        gradients[i] = spatial_gradient(grid, v)
 
     field_obj = SolutionField(
         grid=grid,

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fbsde import (
     sample_poisson_measure,
     simulate_ensemble,
 )
+from fbsde import paths
 
 
 def _zeros(m):
@@ -196,7 +198,8 @@ class TestSimulateForward:
         assert np.array_equal(a.brownian_increments, b.brownian_increments)
         assert [(e.time, e.atom) for e in a.events] == [(e.time, e.atom) for e in b.events]
 
-        ens = simulate_ensemble(field, spec, np.array([0.0]), 0.02, 8, base_seed=77, chunk_size=3)
+        with mock.patch.object(paths, "_CHUNK_PATHS", 3):
+            ens = simulate_ensemble(field, spec, np.array([0.0]), 0.02, 8, base_seed=77)
         assert np.array_equal(ens[5].states, a.states)
 
     def test_exit_flagging(self):
@@ -426,7 +429,7 @@ class TestEnsembleArrays:
     @settings(max_examples=20, deadline=None)
     def test_ensemble_does_not_depend_on_chunk_size(self, n_paths, chunk_size, seed):
         args = (JUMPY_FIELD, JUMPY_SPEC, np.array([0.0]), 0.25, n_paths, seed)
-        assert_same_ensemble(
-            simulate_ensemble(*args, chunk_size=chunk_size), simulate_ensemble(*args)
-        )
+        with mock.patch.object(paths, "_CHUNK_PATHS", chunk_size):
+            chunked = simulate_ensemble(*args)
+        assert_same_ensemble(chunked, simulate_ensemble(*args))
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -15,11 +16,14 @@ from fbsde import (
     SolverConfig,
     TestFunction,
     bsde_residual,
+    build_problem,
+    catalog_names,
     estimate_class_s_norm,
     field_test_function,
     ito_residuals,
     link_ensemble,
     simulate_ensemble,
+    solve_final_value,
 )
 
 
@@ -433,3 +437,132 @@ class TestVectorBackwardComponent:
         rep = bsde_residual(linked, spec)
         assert rep.residuals.shape[1] == 2
         assert float(np.abs(rep.residuals).max()) <= 1e-12
+
+
+def per_event_jump_values(linked):
+    """Reference: the old per-event loop, one nonlocal table per event."""
+    events = linked.ensemble.events
+    out = np.empty((len(events), linked.field.m))
+    for e, (t, k, xb) in enumerate(
+        zip(events.time.tolist(), events.atom.tolist(), events.x_before)
+    ):
+        out[e] = linked.field.nonlocal_table(t, xb[None, :])[0, k]
+    return out
+
+
+def per_event_ito_residuals(linked, tf):
+    """Reference: ``ito_residuals`` with its old loop of two scalar-time
+    test-function calls per event."""
+    field = linked.field
+    spec = field.spec
+    meas = spec.measure
+    times, states = linked.ensemble.times, linked.ensemble.states
+    n_paths = len(linked)
+    dts = np.diff(times)
+    y, z, ztab = linked.y, linked.z, linked.ztilde
+    db = linked.ensemble.brownian_increments
+    terms = np.zeros((6, n_paths))  # time, drift, brownian, hessian, comp, integrand
+    for j in range(times.shape[0] - 1):
+        t, h_step, xb = float(times[j]), float(dts[j]), states[:, j]
+        gx = np.asarray(tf.grad(t, xb), dtype=float).reshape(n_paths, spec.n)
+        terms[0] += np.asarray(tf.dt(t, xb), dtype=float).reshape(n_paths) * h_step
+        f_raw = np.asarray(
+            spec.drift(t, xb, y[:, j], z[:, j], ztab[:, j]), dtype=float
+        ).reshape(n_paths, spec.n)
+        terms[1] += np.einsum("bi,bi->b", gx, f_raw) * h_step
+        sig = np.asarray(spec.diffusion(t, xb, y[:, j]), dtype=float).reshape(
+            n_paths, spec.n, spec.n
+        )
+        terms[2] += np.einsum("bi,bij,bj->b", gx, sig, db[:, j])
+        hx = np.asarray(tf.hess(t, xb), dtype=float).reshape(n_paths, spec.n, spec.n)
+        gram = np.einsum("bik,bjk->bij", sig, sig)
+        terms[3] += 0.5 * np.einsum("bij,bij->b", hx, gram) * h_step
+        base = np.asarray(tf.value(t, xb), dtype=float).reshape(n_paths)
+        for k in range(len(meas)):
+            shift = np.asarray(
+                spec.jump_coeff(t, xb, y[:, j], meas.marks[k]), dtype=float
+            ).reshape(n_paths, spec.n)
+            dphi = np.asarray(tf.value(t, xb + shift), dtype=float).reshape(n_paths) - base
+            pairing = np.einsum("bi,bi->b", gx, shift)
+            terms[4] += meas.weights[k] * dphi * h_step
+            terms[5] += meas.weights[k] * (dphi - pairing) * h_step
+    events = linked.ensemble.events
+    jump_sum = np.zeros(n_paths)
+    for p, t, x_before, x_after in zip(
+        events.path.tolist(), events.time.tolist(), events.x_before, events.x_after
+    ):
+        before = float(tf.value(t, x_before[None, :])[0])
+        after = float(tf.value(t, x_after[None, :])[0])
+        jump_sum[p] += after - before
+    lhs = np.asarray(tf.value(float(times[-1]), states[:, -1]), dtype=float).reshape(
+        n_paths
+    ) - np.asarray(tf.value(float(times[0]), states[:, 0]), dtype=float).reshape(n_paths)
+    return lhs - (
+        terms[0] + terms[1] + terms[2] + terms[3] + (jump_sum - terms[4]) + terms[5]
+    )
+
+
+def catalog_linked(name):
+    built = build_problem(name, {"nodes": 41, "steps": 40})
+    field, _ = solve_final_value(built.spec, built.solver_config, built.constants)
+    ens = simulate_ensemble(field, built.spec, built.x0, built.spec.horizon / 50, 30, 3)
+    return link_ensemble(ens, field, built.spec)
+
+
+def u_dependent_shift_linked():
+    # phi grows with u, so a jump's size depends on the field at the pre-jump state
+    measure = LevyMeasure(marks=[[0.4], [-0.7]], weights=[1.5, 1.0])
+    spec = make_spec(
+        sigma_val=0.5,
+        jump=lambda t, x, u, y: y[0] * (1.0 + 0.8 * u),
+        measure=measure,
+        terminal=lambda x: np.sin(x),
+    )
+    field = make_field(
+        spec,
+        lambda t, x: np.sin(x) * math.exp(-t),
+        lambda t, x: (np.cos(x) * math.exp(-t))[:, :, None],
+        lo=-4.0,
+        hi=4.0,
+        nodes=81,
+    )
+    ens = simulate_ensemble(field, spec, np.array([0.3]), 0.05, 20, base_seed=8)
+    return link_ensemble(ens, field, spec)
+
+
+def no_event_linked():
+    spec = make_spec(terminal=lambda x: np.sin(x))
+    field = make_field(
+        spec,
+        lambda t, x: np.sin(x) * math.exp(-t),
+        lambda t, x: (np.cos(x) * math.exp(-t))[:, :, None],
+    )
+    ens = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 6, base_seed=2)
+    return link_ensemble(ens, field, spec)
+
+
+class TestEventRows:
+    """The batched event rows equal the per-event loops they replace, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_linked",
+        [functools.partial(catalog_linked, name) for name in catalog_names()]
+        + [u_dependent_shift_linked, no_event_linked, lambda: ORDER_LINKED],
+        ids=catalog_names() + ["u-dependent-shift", "no-events", "exiting-paths"],
+    )
+    def test_jump_values_and_ito_residuals_equal_per_event_loops(self, make_linked):
+        linked = make_linked()
+        events = linked.ensemble.events
+        assert linked.jump_values.shape == (len(events), linked.field.m)
+        assert np.array_equal(linked.jump_values, per_event_jump_values(linked))
+        for tf in (field_test_function(linked.field), LINEAR_FN):
+            assert np.array_equal(ito_residuals(linked, tf), per_event_ito_residuals(linked, tf))
+
+    def test_setups_cover_jumps_no_jumps_and_exits(self):
+        shifted = u_dependent_shift_linked()
+        assert len(shifted.ensemble.events) > len(shifted)
+        assert np.any(shifted.jump_values != 0.0)
+        assert len(no_event_linked().ensemble.events) == 0
+        assert ORDER_LINKED.ensemble.exited.any() and len(ORDER_LINKED.ensemble.events)
+        for name in catalog_names():
+            assert len(catalog_linked(name).ensemble.events) > 0, name

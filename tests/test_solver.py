@@ -29,6 +29,7 @@ from fbsde import (
     spatial_gradient,
     step_imex,
 )
+from fbsde.grid import multilinear_interpolate
 from fbsde.solver import _mixed_second_sum, _solve_axis_sweep, solve_tridiagonal
 
 
@@ -603,6 +604,107 @@ def _spec_2d(horizon=0.5, generator=None, sigma_mat=None, terminal=None):
         terminal=terminal or (lambda x: (np.sin(x[:, 0]) * np.sin(x[:, 1]))[:, None]),
         measure=DUMMY_MEASURE,
     )
+
+
+def _random_field_2d(levels=7, horizon=0.75, seed=11):
+    """2-D, two-component field with random node data and gradients."""
+    grid = Grid((-1.0, 0.5), (2.0, 2.5), (7, 5))
+    rng = np.random.default_rng(seed)
+    spec = dataclasses.replace(_spec_2d(horizon=horizon), m=2, generator=_zeros(2))
+    return SolutionField(
+        grid=grid,
+        times=np.linspace(0.0, horizon, levels),
+        values=rng.standard_normal((levels, grid.n_nodes, 2)),
+        gradients=rng.standard_normal((levels, grid.n_nodes, 2, 2)),
+        spec=spec,
+        config=SolverConfig(grid=grid, n_steps=levels - 1, cutoff_width=0.5),
+    )
+
+
+def _blend_then_interpolate(field, data, t, x):
+    """Reference query: blend the whole level pair in time, then interpolate."""
+    s = t / (field.times[1] - field.times[0])
+    i = int(np.clip(np.floor(s), 0, field.times.shape[0] - 2))
+    alpha = float(np.clip(s - i, 0.0, 1.0))
+    blended = (1.0 - alpha) * data[i] + alpha * data[i + 1]
+    return multilinear_interpolate(field.grid, blended, x)
+
+
+FIELD_2D = _random_field_2d()
+# level times, times off every level, and times before 0 and after T
+QUERY_TIME = st.one_of(
+    st.sampled_from(FIELD_2D.times.tolist()),
+    st.floats(min_value=-0.5, max_value=1.25, allow_nan=False),
+)
+# points inside the box and beyond each face
+QUERY_POINT = st.tuples(
+    st.floats(min_value=-3.0, max_value=4.0, allow_nan=False),
+    st.floats(min_value=-1.0, max_value=4.0, allow_nan=False),
+)
+
+
+class TestPerRowTimes:
+    @given(st.lists(st.tuples(QUERY_TIME, QUERY_POINT), min_size=0, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_row_times_equal_scalar_queries_and_blended_levels(self, rows):
+        field = FIELD_2D
+        times = np.array([t for t, _ in rows], dtype=float)
+        x = np.array([p for _, p in rows], dtype=float).reshape(len(rows), 2)
+        for query, data in ((field.value, field.values), (field.gradient, field.gradients)):
+            got = query(times, x)
+            assert got.shape == (len(rows),) + data.shape[2:]
+            for b, t in enumerate(times.tolist()):
+                row = x[b : b + 1]
+                assert np.array_equal(got[b : b + 1], query(t, row))
+                assert np.array_equal(got[b : b + 1], _blend_then_interpolate(field, data, t, row))
+
+    def test_time_bracket_keeps_the_shape_of_t(self):
+        i, alpha = FIELD_2D.time_bracket(np.array([[-1.0, 0.3], [0.75, 9.0]]))
+        assert i.tolist() == [[0, 2], [5, 5]]
+        assert alpha.tolist() == [[0.0, 0.3 / 0.125 - 2], [1.0, 1.0]]
+        assert FIELD_2D.time_bracket(0.25) == (2, 0.0)
+
+
+class TestFieldOwnership:
+    def test_fresh_arrays_are_taken_over_without_a_copy(self):
+        import tracemalloc
+
+        levels, grid = 21, Grid((0.0, 0.0), (1.0, 1.0), (41, 41))
+        values = np.ones((levels, grid.n_nodes, 2))
+        gradients = np.ones((levels, grid.n_nodes, 2, 2))
+        times = np.linspace(0.0, 1.0, levels)
+        spec = dataclasses.replace(_spec_2d(horizon=1.0), m=2, generator=_zeros(2))
+        config = SolverConfig(grid=grid, n_steps=levels - 1, cutoff_width=0.25)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            field = SolutionField(
+                grid=grid, times=times, values=values, gradients=gradients, spec=spec, config=config
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.01 * (values.nbytes + gradients.nbytes)
+        assert field.values is values and field.gradients is gradients
+        assert not values.flags.writeable and not gradients.flags.writeable
+
+    def test_a_view_of_a_writeable_base_is_copied(self):
+        field = _random_field_2d()
+        base = np.array(field.values)
+        view = base[:, :, :]
+        owned = dataclasses.replace(field, values=view)
+        assert view.flags.writeable
+        base[...] = 0.0
+        assert np.array_equal(owned.values, field.values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_named(self, bad):
+        field = _random_field_2d()
+        gradients = np.array(field.gradients)
+        gradients[3, 4, 1, 0] = bad
+        with pytest.raises(ValueError, match="gradients must be finite"):
+            dataclasses.replace(field, gradients=gradients)
 
 
 class TestTwoDimensional:
