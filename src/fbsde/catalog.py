@@ -178,7 +178,7 @@ def _build_manufactured(
         acc = 1.5 * np.cos(x) - m1 * s * np.sin(x)
         for w_k, y_k in zip(weights, marks):
             acc = acc - w_k * (np.cos(x + y_k[0] * s) - np.cos(x))
-        return np.exp(-t) * acc
+        return np.exp(-np.reshape(t, (-1, 1))) * acc
 
     def h(x):
         # terminal data is the target field at the final time

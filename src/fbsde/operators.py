@@ -37,7 +37,7 @@ __all__ = [
 def shifted_differences(
     evaluate: Callable[[np.ndarray], np.ndarray],
     spec: ProblemSpec,
-    s: float,
+    s,
     points: np.ndarray,
     u_here: np.ndarray,
 ) -> np.ndarray:
@@ -45,21 +45,24 @@ def shifted_differences(
 
     ``evaluate`` maps (B, ndim) points to the (B, m) values of u,
     ``points`` are the base points x, ``u_here`` the (B, m) values u(x)
-    and ``s`` original time.  Shifted points outside the box are clamped
-    to the nearest face, so each entry is bounded by twice the sup norm
-    of u.  A vanishing shift gives an exact zero row.  A non-finite shift
-    raises :class:`NonFiniteShiftError` naming the atom.
+    and ``s`` original time, scalar or per point.  Shifted points outside
+    the box are clamped to the nearest face, so each entry is bounded by
+    twice the sup norm of u.  A vanishing shift gives an exact zero row.  A
+    non-finite shift raises :class:`NonFiniteShiftError` naming the atom
+    and the time of the first point with one.
     """
     meas = spec.measure
     n_pts, ndim = points.shape
     table = np.empty((n_pts, len(meas), u_here.shape[1]))
     for k in range(len(meas)):
         shift = np.asarray(spec.jump_coeff(s, points, u_here, meas.marks[k]), dtype=float)
-        if not np.all(np.isfinite(shift)):
-            raise NonFiniteShiftError(
-                f"jump coefficient returned non-finite shift for atom {k} at t={s}"
-            )
         shift = shift.reshape(n_pts, ndim)
+        finite = np.all(np.isfinite(shift), axis=1)
+        if not np.all(finite):
+            first = np.broadcast_to(s, (n_pts,))[np.argmin(finite)]
+            raise NonFiniteShiftError(
+                f"jump coefficient returned non-finite shift for atom {k} at t={first}"
+            )
         zero_rows = ~np.any(shift != 0.0, axis=1)
         if np.all(zero_rows):
             table[:, k, :] = 0.0

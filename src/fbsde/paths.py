@@ -6,6 +6,11 @@ Euler substep containing a jump is split there, the jump displacement is
 applied to the pre-jump state, and the compensator is folded into the
 drift, so the jump integral is compensated.
 
+The paths of a chunk advance in event-synchronous rounds: in each grid
+interval, round r moves every path short of the interval's end to its
+next stop (its next jump, or that end) in one batched Euler update, then
+applies the round's jumps, so each path gets its own arithmetic.
+
 Every path owns an :class:`RngStream` and consumes it in a fixed order
 (jump count, jump times, atom indices, then one standard normal vector
 per substep), which makes any subset of an ensemble bit-reproducible
@@ -184,16 +189,17 @@ def sample_poisson_measure(
 def euler_increment(
     field: SolutionField,
     spec: ProblemSpec,
-    t: float,
+    t,
     x: np.ndarray,
     db: np.ndarray,
-    delta: float,
+    delta,
 ) -> np.ndarray:
     """One drift+diffusion Euler update over a jump-free substep.
 
     The drift is the coefficient of the decoupled equation: the problem
     drift evaluated through the field (value, gradient composed with the
-    diffusion, nonlocal table) minus the jump compensator.
+    diffusion, nonlocal table) minus the jump compensator.  ``t`` and
+    ``delta`` are scalars or one start time and one substep per row.
     """
     x = np.atleast_2d(x)
     y = field.value(t, x)
@@ -207,7 +213,7 @@ def euler_increment(
         x.shape[0], spec.n
     )
     drift = fval - spec.phi_integral(t, x, y)
-    return x + drift * delta + np.einsum("bij,bj->bi", sig, db)
+    return x + drift * np.reshape(delta, (-1, 1)) + np.einsum("bij,bj->bi", sig, db)
 
 
 def _time_grid(horizon: float, dt: float) -> np.ndarray:
@@ -238,10 +244,21 @@ def _check_start_point(config: SolverConfig, x0) -> np.ndarray:
     return x0
 
 
-def _outside_box(grid, x: np.ndarray) -> np.ndarray:
-    lower = np.array(grid.lower)
-    upper = np.array(grid.upper)
-    return np.any((x < lower) | (x > upper), axis=-1)
+def _draw_streams(
+    streams: Sequence[RngStream], measure: LevyMeasure, horizon: float, n_steps: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each stream's jump schedule, then one normal vector per substep.
+
+    Jump times and atoms come in (path, time) order; normals are zero-padded.
+    """
+    gens = [s.generator() for s in streams]
+    schedules = [_draw_jump_schedule(measure, horizon, gen) for gen in gens]
+    counts = np.array([len(taus) for taus, _ in schedules], dtype=np.int64)
+    normals = np.zeros((len(streams), n_steps + counts.max(), n))
+    for p, gen in enumerate(gens):
+        normals[p, : n_steps + counts[p]] = gen.standard_normal((n_steps + counts[p], n))
+    taus, atoms = (np.concatenate(column) for column in zip(*schedules))
+    return counts, taus, atoms, normals
 
 
 def _simulate_paths(
@@ -254,93 +271,64 @@ def _simulate_paths(
     n_paths = len(streams)
     n = spec.n
     n_steps = times.shape[0] - 1
-    horizon = spec.horizon
     meas = spec.measure
+    counts, taus, atoms, normals = _draw_streams(streams, meas, spec.horizon, n_steps, n)
 
-    # draw everything up front, one stream per path, fixed order
-    gens = [s.generator() for s in streams]
-    schedules = [_draw_jump_schedule(meas, horizon, gen) for gen in gens]
-    max_jumps = max((len(s[0]) for s in schedules), default=0)
-    normals = np.zeros((n_paths, n_steps + max_jumps, n))
-    for p, gen in enumerate(gens):
-        total = n_steps + len(schedules[p][0])
-        normals[p, :total] = gen.standard_normal((total, n))
-
-    jumps_by_interval: dict[int, list[tuple[int, float, int]]] = {}
-    for p, (taus, atoms) in enumerate(schedules):
-        if len(taus) == 0:
-            continue
-        idx = np.searchsorted(times, taus, side="left") - 1
-        idx = np.clip(idx, 0, n_steps - 1)
-        for tau, k, j in zip(taus, atoms, idx):
-            jumps_by_interval.setdefault(int(j), []).append((p, float(tau), int(k)))
+    # the event table is complete but for the states around each jump,
+    # which are written when the jump happens
+    dtype = [("path", np.int64), ("time", float), ("atom", np.int64), ("interval", np.int64)]
+    dtype += [("x_before", float, (n,)), ("x_after", float, (n,))]
+    table = np.zeros(len(taus), dtype=dtype).view(np.recarray)
+    table.path = np.repeat(np.arange(n_paths), counts)
+    table.time, table.atom = taus, atoms
+    table.interval = np.clip(np.searchsorted(times, taus, side="left") - 1, 0, n_steps - 1)
+    # path p's next event row; its rows end at last_event[p]; row -1 is "none left"
+    last_event = np.cumsum(counts)
+    next_event = last_event - counts
+    event_time = np.append(taus, np.inf)
 
     x_cur = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (n_paths, 1))
     cursor = np.zeros(n_paths, dtype=np.int64)
     states = np.empty((n_paths, n_steps + 1, n))
     states[:, 0] = x_cur
     increments = np.zeros((n_paths, n_steps, n))
-    events: list[tuple] = []  # rows of the event table, in simulation order
     exited = np.zeros(n_paths, dtype=bool)
-    all_idx = np.arange(n_paths)
 
     for j in range(n_steps):
-        t0 = float(times[j])
-        t1 = float(times[j + 1])
-        delta = t1 - t0
-        interval_jumps = jumps_by_interval.get(j, [])
-        jump_paths = sorted({p for p, _, _ in interval_jumps})
-
-        plain = np.ones(n_paths, dtype=bool)
-        plain[jump_paths] = False
-        if np.any(plain):
-            rows = all_idx[plain]
-            xi = normals[rows, cursor[rows]]
-            db = np.sqrt(delta) * xi
-            x_cur[rows] = euler_increment(field, spec, t0, x_cur[rows], db, delta)
-            increments[rows, j] = db
+        # round r moves every path still short of t_{j+1} to its next stop,
+        # its next jump in this interval or t_{j+1}, then applies the jumps
+        rows = np.arange(n_paths)
+        t_start = np.full(n_paths, times[j])
+        while True:
+            ev = np.where(next_event[rows] < last_event[rows], next_event[rows], -1)
+            # the next jump lies in this interval iff it is no later than t_{j+1}
+            jumps = event_time[ev] <= times[j + 1]
+            stop = np.where(jumps, event_time[ev], times[j + 1])
+            sub = stop - t_start
+            db = np.sqrt(sub)[:, None] * normals[rows, cursor[rows]]
             cursor[rows] += 1
+            x_cur[rows] = euler_increment(field, spec, t_start, x_cur[rows], db, sub)
+            increments[rows, j] += db
 
-        for p in jump_paths:
-            t_a = t0
-            x = x_cur[p : p + 1]
-            db_total = np.zeros(n)
-            for q, tau, k in interval_jumps:
-                if q != p:
-                    continue
-                sub = tau - t_a
-                xi = normals[p, cursor[p]]
-                cursor[p] += 1
-                db = np.sqrt(sub) * xi
-                x = euler_increment(field, spec, t_a, x, db[None, :], sub)
-                db_total += db
-                x_before = x[0].copy()
-                y_before = field.value(tau, x)
-                shift = np.asarray(
-                    spec.jump_coeff(tau, x, y_before, meas.marks[k]), dtype=float
-                ).reshape(n)
-                x_after = x_before + shift
-                events.append((p, tau, k, j, x_before, x_after))
-                x = x_after[None, :].copy()
-                t_a = tau
-            sub = t1 - t_a
-            xi = normals[p, cursor[p]]
-            cursor[p] += 1
-            db = np.sqrt(sub) * xi
-            x = euler_increment(field, spec, t_a, x, db[None, :], sub)
-            db_total += db
-            x_cur[p] = x[0]
-            increments[p, j] = db_total
+            rows, ev, t_start = rows[jumps], ev[jumps], stop[jumps]
+            if not rows.size:
+                break
+            x_before = x_cur[rows]
+            y_before = field.value(t_start, x_before)
+            shift = np.empty_like(x_before)
+            for k in np.unique(table.atom[ev]):
+                at = table.atom[ev] == k
+                shift[at] = np.asarray(
+                    spec.jump_coeff(t_start[at], x_before[at], y_before[at], meas.marks[k]),
+                    dtype=float,
+                ).reshape(-1, n)
+            table.x_before[ev] = x_before
+            table.x_after[ev] = x_cur[rows] = x_before + shift
+            next_event[rows] += 1
 
         states[:, j + 1] = x_cur
-        exited |= _outside_box(field.grid, x_cur)
+        exited |= np.any((x_cur < field.grid.lower) | (x_cur > field.grid.upper), axis=1)
 
-    # each path's rows are appended in time order, so a stable sort by path
-    # gives the (path, time) order
-    dtype = [("path", np.int64), ("time", float), ("atom", np.int64), ("interval", np.int64)]
-    dtype += [("x_before", float, (n,)), ("x_after", float, (n,))]
-    table = np.array(events, dtype=dtype).view(np.recarray)
-    table = table[np.argsort(table.path, kind="stable")]
     return Ensemble(times, states, increments, exited, table)
 
 

@@ -237,8 +237,8 @@ class TestFunction:
     __test__ = False  # not a pytest collection target
 
     value: Callable  # (t scalar or (B,), x (B, n)) -> (B,)
-    grad: Callable  # (t scalar, x) -> (B, n)
-    hess: Callable  # (t scalar, x) -> (B, n, n)
+    grad: Callable  # (t scalar or (B,), x) -> (B, n)
+    hess: Callable  # (t scalar or (B,), x) -> (B, n, n)
     dt: Callable  # (t scalar, x) -> (B,)
 
 
@@ -247,25 +247,12 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
 
     Time derivatives use forward differences of consecutive snapshots,
     second space derivatives second-difference stencils (zero on faces);
-    everything is interpolated like the field itself.
+    everything is interpolated like the field itself.  Both are computed
+    on demand from the levels that bracket the query time.
     """
     grid = field.grid
-    ndim = grid.ndim
-    shape = grid.shape
-    n_levels = field.times.shape[0]
     dt_field = float(field.times[1] - field.times[0])
-
     comp_vals = field.values[:, :, component]  # (L, n_nodes)
-    dt_snaps = (comp_vals[1:] - comp_vals[:-1]) / dt_field
-
-    hess_snaps = np.zeros((n_levels, grid.n_nodes, ndim, ndim))
-    for lev in range(n_levels):
-        nd = comp_vals[lev].reshape(shape)
-        for i in range(ndim):
-            for j in range(i, ndim):
-                d2 = second_difference(nd, grid, i, j).ravel()
-                hess_snaps[lev, :, i, j] = d2
-                hess_snaps[lev, :, j, i] = d2
 
     def value(t, x):
         return field.value(t, x)[:, component]
@@ -274,11 +261,19 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
         return field.gradient(t, x)[:, component, :]
 
     def hess(t, x):
-        return field.interpolate(t, x, hess_snaps)
+        i, _ = field.time_bracket(t)
+        lo, hi = int(np.min(i)), int(np.max(i)) + 2  # the levels the query blends
+        nd = comp_vals[lo:hi].T.reshape(grid.shape + (hi - lo,))
+        levels = np.empty((hi - lo, grid.n_nodes, grid.ndim, grid.ndim))
+        for a in range(grid.ndim):
+            for b in range(a, grid.ndim):
+                d2 = second_difference(nd, grid, a, b).reshape(grid.n_nodes, hi - lo).T
+                levels[:, :, a, b] = levels[:, :, b, a] = d2
+        return field.interpolate(t, x, levels, first_level=lo)
 
     def time_deriv(t, x):
         i, _ = field.time_bracket(t)
-        return multilinear_interpolate(grid, dt_snaps[i], x)
+        return multilinear_interpolate(grid, (comp_vals[i + 1] - comp_vals[i]) / dt_field, x)
 
     return TestFunction(value=value, grad=grad, hess=hess, dt=time_deriv)
 

@@ -10,8 +10,10 @@ together with dimensions, the horizon and the (finite-activity) jump
 measure.  All coefficient callables follow a numpy broadcasting
 convention: state-like arguments carry a leading batch axis, e.g.
 
-    f(t, x, u, p, w) with  t scalar, x (B, n), u (B, m),
+    f(t, x, u, p, w) with  t scalar or (B,), x (B, n), u (B, m),
                            p (B, m, n), w (B, K, m)  ->  (B, n).
+
+A ``(B,)`` time array must give what B calls with scalar times give.
 
 ``w`` is the per-atom value table standing in for an L2(nu) element:
 row k holds the value attached to jump mark ``y_k``, and every
@@ -111,11 +113,12 @@ class ProblemSpec:
         if self.measure.mark_dim != self.l:
             raise ValueError("measure mark dimension must equal l")
 
-    def phi_integral(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def phi_integral(self, t, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The nu-integral of phi: sum_k weight_k phi(t, x, u, y_k), shape (B, n).
 
-        ``t`` is original time.  The atoms are added one at a time in
-        their stored order, so every caller gets the same bits.
+        ``t`` is original time, a scalar or one time per row.  The atoms
+        are added one at a time in their stored order, so every caller
+        gets the same bits.
         """
         meas = self.measure
         out = np.zeros((x.shape[0], self.n))

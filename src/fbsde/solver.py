@@ -399,18 +399,21 @@ class SolutionField:
         i = np.clip(np.floor(s), 0, self.times.shape[0] - 2).astype(np.int64)
         return i, np.clip(s - i, 0.0, 1.0)
 
-    def interpolate(self, t, points: np.ndarray, data: np.ndarray) -> np.ndarray:
+    def interpolate(
+        self, t, points: np.ndarray, data: np.ndarray, first_level: int = 0
+    ) -> np.ndarray:
         """Per-level node data (L, n_nodes, ...) at time ``t`` (scalar or (B,)).
 
-        Only the 2^d cell corners of each point are blended in time, which
-        is elementwise the arithmetic of blending whole levels first.
+        ``data[l]`` is level ``first_level + l``: it need only hold the levels
+        that bracket ``t``.  Only the 2^d cell corners of each point are
+        blended in time, elementwise the arithmetic of blending whole levels.
         """
         flats, weights = cell_corners(self.grid, points)
         i, alpha = self.time_bracket(t)
         alpha = np.reshape(alpha, alpha.shape + (1,) * (data.ndim - 2))
         expand = (slice(None),) + (None,) * (data.ndim - 2)
         rows = data.reshape((-1,) + data.shape[2:])  # level i, node k: row i * n_nodes + k
-        at = i * data.shape[1] + flats
+        at = (i - first_level) * data.shape[1] + flats
         corner_values = (1.0 - alpha) * rows[at] + alpha * rows[at + data.shape[1]]
         out = np.zeros(corner_values.shape[1:])
         for weight, corner in zip(weights, corner_values):
@@ -424,11 +427,12 @@ class SolutionField:
         return self.interpolate(t, points, self.gradients)
 
     def nonlocal_table(
-        self, t: float, points: np.ndarray, u_here: np.ndarray | None = None
+        self, t, points: np.ndarray, u_here: np.ndarray | None = None
     ) -> np.ndarray:
         """Shifted-difference table at off-grid base points, original time.
 
-        ``u_here`` defaults to the field's value at ``points``.
+        ``t`` is a scalar or one time per point; ``u_here`` defaults to
+        the field's value at ``points``.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if u_here is None:
@@ -575,7 +579,8 @@ def solve_final_value(
         config=config,
     )
     sup_u = field_obj.sup_norms()
-    sup_grad = np.sqrt(np.sum(gradients**2, axis=(-1, -2))).max(axis=1)
+    # level by level: a whole-array square would copy the gradients
+    sup_grad = np.array([np.sqrt(np.sum(g**2, axis=(-1, -2))).max() for g in gradients])
 
     diag = Diagnostics(
         sup_u=sup_u,

@@ -145,3 +145,32 @@ class TestOneShiftRoutine:
                 phi = np.asarray(spec.jump_coeff(t, x, u, mark), dtype=float)
                 want = want + weight * phi.reshape(x.shape[0], spec.n)
             assert np.array_equal(spec.phi_integral(t, x, u), want), f"{name}: t={t}"
+
+
+class TestCoefficientTimes:
+    @pytest.mark.parametrize("name", ["heat", "manufactured-nonlocal", "pure-jump", "coupled-linear"])
+    def test_time_array_equals_scalar_calls(self, name):
+        # every coefficient takes t as a scalar or as one time per row
+        spec = build_problem(name).spec
+        rng = np.random.default_rng(11)
+        n_rows, k = 5, len(spec.measure)
+        t = rng.random(n_rows) * spec.horizon
+        x = rng.uniform(-2.0, 2.0, (n_rows, spec.n))
+        u = rng.standard_normal((n_rows, spec.m))
+        p = rng.standard_normal((n_rows, spec.m, spec.n))
+        w = rng.standard_normal((n_rows, k, spec.m))
+        calls = [
+            (spec.drift, lambda b: (x[b], u[b], p[b], w[b])),
+            (spec.generator, lambda b: (x[b], u[b], p[b], w[b])),
+            (spec.diffusion, lambda b: (x[b], u[b])),
+        ] + [
+            (spec.jump_coeff, lambda b, mark=mark: (x[b], u[b], mark))
+            for mark in spec.measure.marks
+        ]
+        for fn, args in calls:
+            batch = np.asarray(fn(t, *args(slice(None))), dtype=float)
+            rows = [
+                np.asarray(fn(float(t[b]), *args(slice(b, b + 1))), dtype=float)
+                for b in range(n_rows)
+            ]
+            assert np.array_equal(batch, np.concatenate(rows)), fn.__name__

@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -14,9 +15,13 @@ from fbsde import (
     RngStream,
     SolutionField,
     SolverConfig,
+    build_problem,
+    catalog_names,
     euler_increment,
     sample_poisson_measure,
     simulate_ensemble,
+    solve_final_value,
+    spatial_gradient,
 )
 from fbsde import paths
 
@@ -433,3 +438,253 @@ class TestEnsembleArrays:
             chunked = simulate_ensemble(*args)
         assert_same_ensemble(chunked, simulate_ensemble(*args))
 
+
+
+def reference_simulate(field, spec, x0, dt, n_paths, seed):
+    """Reference: the per-path jump loop that the event-synchronous rounds
+    replace, kept verbatim apart from its set-up (one chunk)."""
+    times = paths._time_grid(spec.horizon, dt)
+    streams = [RngStream(seed, p) for p in range(n_paths)]
+    n = spec.n
+    n_steps = times.shape[0] - 1
+    meas = spec.measure
+
+    gens = [s.generator() for s in streams]
+    schedules = [paths._draw_jump_schedule(meas, spec.horizon, gen) for gen in gens]
+    max_jumps = max((len(s[0]) for s in schedules), default=0)
+    normals = np.zeros((n_paths, n_steps + max_jumps, n))
+    for p, gen in enumerate(gens):
+        total = n_steps + len(schedules[p][0])
+        normals[p, :total] = gen.standard_normal((total, n))
+
+    jumps_by_interval = {}
+    for p, (taus, atoms) in enumerate(schedules):
+        if len(taus) == 0:
+            continue
+        idx = np.searchsorted(times, taus, side="left") - 1
+        idx = np.clip(idx, 0, n_steps - 1)
+        for tau, k, j in zip(taus, atoms, idx):
+            jumps_by_interval.setdefault(int(j), []).append((p, float(tau), int(k)))
+
+    x_cur = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (n_paths, 1))
+    cursor = np.zeros(n_paths, dtype=np.int64)
+    states = np.empty((n_paths, n_steps + 1, n))
+    states[:, 0] = x_cur
+    increments = np.zeros((n_paths, n_steps, n))
+    events = []
+    exited = np.zeros(n_paths, dtype=bool)
+    all_idx = np.arange(n_paths)
+
+    for j in range(n_steps):
+        t0 = float(times[j])
+        t1 = float(times[j + 1])
+        delta = t1 - t0
+        interval_jumps = jumps_by_interval.get(j, [])
+        jump_paths = sorted({p for p, _, _ in interval_jumps})
+
+        plain = np.ones(n_paths, dtype=bool)
+        plain[jump_paths] = False
+        if np.any(plain):
+            rows = all_idx[plain]
+            xi = normals[rows, cursor[rows]]
+            db = np.sqrt(delta) * xi
+            x_cur[rows] = euler_increment(field, spec, t0, x_cur[rows], db, delta)
+            increments[rows, j] = db
+            cursor[rows] += 1
+
+        for p in jump_paths:
+            t_a = t0
+            x = x_cur[p : p + 1]
+            db_total = np.zeros(n)
+            for q, tau, k in interval_jumps:
+                if q != p:
+                    continue
+                sub = tau - t_a
+                xi = normals[p, cursor[p]]
+                cursor[p] += 1
+                db = np.sqrt(sub) * xi
+                x = euler_increment(field, spec, t_a, x, db[None, :], sub)
+                db_total += db
+                x_before = x[0].copy()
+                y_before = field.value(tau, x)
+                shift = np.asarray(
+                    spec.jump_coeff(tau, x, y_before, meas.marks[k]), dtype=float
+                ).reshape(n)
+                x_after = x_before + shift
+                events.append((p, tau, k, j, x_before, x_after))
+                x = x_after[None, :].copy()
+                t_a = tau
+            sub = t1 - t_a
+            xi = normals[p, cursor[p]]
+            cursor[p] += 1
+            db = np.sqrt(sub) * xi
+            x = euler_increment(field, spec, t_a, x, db[None, :], sub)
+            db_total += db
+            x_cur[p] = x[0]
+            increments[p, j] = db_total
+
+        states[:, j + 1] = x_cur
+        exited |= np.any((x_cur < field.grid.lower) | (x_cur > field.grid.upper), axis=1)
+
+    dtype = [("path", np.int64), ("time", float), ("atom", np.int64), ("interval", np.int64)]
+    dtype += [("x_before", float, (n,)), ("x_after", float, (n,))]
+    table = np.array(events, dtype=dtype).view(np.recarray)
+    table = table[np.argsort(table.path, kind="stable")]
+    return Ensemble(times, states, increments, exited, table)
+
+
+def _time_column(t):
+    # a scalar time or one time per row, as a column
+    return np.reshape(t, (-1, 1))
+
+
+def sine_field(spec, lo, hi, nodes, levels=9):
+    """exp(-t) sin(x_1) cos(x_2) ... with finite-difference gradients."""
+    grid = Grid((lo,) * spec.n, (hi,) * spec.n, (nodes,) * spec.n)
+    config = SolverConfig(
+        grid=grid, n_steps=levels - 1, dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1))
+    )
+    times = np.linspace(0.0, spec.horizon, levels)
+    pts = grid.nodes()
+    shape = np.sin(pts[:, 0]) * np.prod(np.cos(pts[:, 1:]), axis=1)
+    values = np.exp(-times)[:, None, None] * shape[None, :, None]
+    gradients = np.stack([spatial_gradient(grid, v) for v in values])
+    return SolutionField(
+        grid=grid, times=times, values=values, gradients=gradients, spec=spec, config=config
+    )
+
+
+def high_rate_setup():
+    """Several jumps of one path in one interval; t-, x- and u-dependent coefficients."""
+    measure = LevyMeasure(marks=[[0.3], [-0.2]], weights=[18.0, 12.0])
+
+    def drift(t, x, u, p, w):
+        return 0.2 * u - 0.3 * _time_column(t) * x + 0.1 * w[:, :, 0].sum(axis=1, keepdims=True)
+
+    def jump(t, x, u, y):
+        return y[0] * (1.0 + 0.5 * u) * (1.0 + 0.2 * _time_column(t))
+
+    spec = ProblemSpec(
+        n=1,
+        m=1,
+        l=1,
+        horizon=1.0,
+        drift=drift,
+        generator=_zeros(1),
+        diffusion=lambda t, x, u: (0.4 + 0.1 * _time_column(t) * u)[:, :, None],
+        jump_coeff=jump,
+        terminal=lambda x: np.sin(x),
+        measure=measure,
+    )
+    return spec, sine_field(spec, -10.0, 10.0, 81)
+
+
+def vector_mark_setup():
+    """2-D state and 2-D marks on a 2-D sine field, with a mixed diffusion."""
+    measure = LevyMeasure(marks=[[0.3, 0.1], [-0.2, 0.4]], weights=[1.5, 1.0])
+    mat = np.array([[0.6, 0.2], [0.0, 0.5]])
+
+    def drift(t, x, u, p, w):
+        nonlocal_sum = w[:, :, 0].sum(axis=1, keepdims=True)
+        return 0.2 * u - 0.1 * _time_column(t) * x + 0.3 * p[:, 0, :] + 0.1 * nonlocal_sum
+
+    def diffusion(t, x, u):
+        return np.broadcast_to(mat, (x.shape[0], 2, 2)) * (1.0 + 0.2 * np.reshape(t, (-1, 1, 1)))
+
+    def jump(t, x, u, y):
+        return y * (1.0 + 0.1 * _time_column(t)) * (1.0 + 0.05 * x[:, :1])
+
+    spec = ProblemSpec(
+        n=2,
+        m=1,
+        l=2,
+        horizon=1.0,
+        drift=drift,
+        generator=_zeros(1),
+        diffusion=diffusion,
+        jump_coeff=jump,
+        terminal=lambda x: (np.sin(x[:, 0]) * np.cos(x[:, 1]))[:, None],
+        measure=measure,
+    )
+    return spec, sine_field(spec, -4.0, 4.0, 17, levels=5)
+
+
+def exiting_setup():
+    """Drift and jumps carry some of the paths out of a narrow box."""
+    measure = LevyMeasure(marks=[[0.8]], weights=[3.0])
+    spec = make_spec(
+        drift=lambda t, x, u, p, w: np.full((x.shape[0], 1), 1.5),
+        sigma_val=0.6,
+        jump=lambda t, x, u, y: np.full((x.shape[0], 1), y[0]),
+        measure=measure,
+    )
+    return spec, zero_field(spec, lo=-2.5, hi=2.5)
+
+
+def catalog_setup(name):
+    built = build_problem(name, {"nodes": 41, "steps": 40})
+    field, _ = solve_final_value(built.spec, built.solver_config, built.constants)
+    return built.spec, field, built.x0
+
+
+SETUPS = {
+    **{name: functools.partial(catalog_setup, name) for name in catalog_names()},
+    "high-rate": lambda: (*high_rate_setup(), np.array([0.2])),
+    "vector-marks": lambda: (*vector_mark_setup(), np.array([0.5, -0.3])),
+    "exiting": lambda: (*exiting_setup(), np.array([0.0])),
+}
+DT = {"high-rate": 0.125, "vector-marks": 0.05, "exiting": 0.05}
+
+
+class TestEventSynchronousRounds:
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_equals_the_per_path_jump_loop(self, name):
+        spec, field, x0 = SETUPS[name]()
+        args = (field, spec, x0, DT.get(name, 1.0 / 40.0), 60, 3)
+        ens = simulate_ensemble(*args)
+        assert_same_ensemble(ens, reference_simulate(*args))
+        assert len(ens.events) > 0
+
+    def test_setups_cover_multi_jump_intervals_and_exits(self):
+        spec, field = high_rate_setup()
+        ens = simulate_ensemble(field, spec, np.array([0.2]), 0.125, 20, base_seed=3)
+        per_interval = np.zeros((len(ens), len(ens.times) - 1), dtype=np.int64)
+        np.add.at(per_interval, (ens.events.path, ens.events.interval), 1)
+        assert per_interval.max() >= 3
+        spec, field = exiting_setup()
+        ens = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 60, base_seed=3)
+        assert ens.exited.any() and not ens.exited.all()
+
+    def test_one_increment_call_per_round(self):
+        spec, field = high_rate_setup()
+        with mock.patch.object(paths, "euler_increment", wraps=paths.euler_increment) as spy:
+            ens = simulate_ensemble(field, spec, np.array([0.2]), 0.125, 20, base_seed=3)
+        n_steps = len(ens.times) - 1
+        per_interval = np.zeros((len(ens), n_steps), dtype=np.int64)
+        np.add.at(per_interval, (ens.events.path, ens.events.interval), 1)
+        # round 0 starts at t_j, later rounds at jump times inside (t_j, t_{j+1})
+        starts = [np.min(call.args[2]) for call in spy.call_args_list]
+        called = np.bincount(np.searchsorted(ens.times, starts, side="right") - 1, minlength=n_steps)
+        assert np.array_equal(called, 1 + per_interval.max(axis=0))
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_per_row_times_equal_single_row_calls(self, n_rows, seed):
+        spec, field = VECTOR_MARK_SETUP
+        rng = np.random.default_rng(seed)
+        t = rng.random(n_rows)
+        delta = 0.1 * rng.random(n_rows)
+        x = rng.uniform(-3.0, 3.0, (n_rows, 2))
+        db = rng.standard_normal((n_rows, 2))
+        batch = euler_increment(field, spec, t, x, db, delta)
+        rows = [
+            euler_increment(field, spec, float(t[b]), x[b : b + 1], db[b : b + 1], float(delta[b]))
+            for b in range(n_rows)
+        ]
+        assert np.array_equal(batch, np.concatenate(rows))
+
+
+VECTOR_MARK_SETUP = vector_mark_setup()

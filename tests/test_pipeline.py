@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fbsde import (
     Ensemble,
     Grid,
     LevyMeasure,
+    MaxPrincipleConstants,
     ProblemSpec,
     SolutionField,
     SolverConfig,
@@ -22,9 +24,11 @@ from fbsde import (
     field_test_function,
     ito_residuals,
     link_ensemble,
+    multilinear_interpolate,
     simulate_ensemble,
     solve_final_value,
 )
+from fbsde.solver import second_difference
 
 
 def _zeros(m):
@@ -566,3 +570,91 @@ class TestEventRows:
         assert ORDER_LINKED.ensemble.exited.any() and len(ORDER_LINKED.ensemble.events)
         for name in catalog_names():
             assert len(catalog_linked(name).ensemble.events) > 0, name
+
+
+def all_levels_test_function(field, component=0):
+    """Reference: ``field_test_function`` as it was, with every level's
+    Hessian and time derivative built up front."""
+    grid = field.grid
+    ndim = grid.ndim
+    n_levels = field.times.shape[0]
+    dt_field = float(field.times[1] - field.times[0])
+    comp_vals = field.values[:, :, component]
+    dt_snaps = (comp_vals[1:] - comp_vals[:-1]) / dt_field
+    hess_snaps = np.zeros((n_levels, grid.n_nodes, ndim, ndim))
+    for lev in range(n_levels):
+        nd = comp_vals[lev].reshape(grid.shape)
+        for i in range(ndim):
+            for j in range(i, ndim):
+                d2 = second_difference(nd, grid, i, j).ravel()
+                hess_snaps[lev, :, i, j] = d2
+                hess_snaps[lev, :, j, i] = d2
+
+    def time_deriv(t, x):
+        i, _ = field.time_bracket(t)
+        return multilinear_interpolate(grid, dt_snaps[i], x)
+
+    return TestFunction(
+        value=lambda t, x: field.value(t, x)[:, component],
+        grad=lambda t, x: field.gradient(t, x)[:, component, :],
+        hess=lambda t, x: field.interpolate(t, x, hess_snaps),
+        dt=time_deriv,
+    )
+
+
+def coupled_2d_linked():
+    """A solved 2-D field with a mixed diffusion and two jump atoms, linked."""
+    measure = LevyMeasure(marks=[[0.3, 0.0], [0.0, -0.3]], weights=[0.7, 0.7])
+    sigma = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+    def f(t, x, u, p, w):
+        return 0.25 * u + 0.15 * p[:, 0, :] + 0.1 * w[:, :, 0].sum(axis=1, keepdims=True)
+
+    spec = ProblemSpec(
+        n=2,
+        m=1,
+        l=2,
+        horizon=1.0,
+        drift=f,
+        generator=lambda t, x, u, p, w: -0.5 * u + 0.2 * p[:, :, 0],
+        diffusion=lambda t, x, u: np.broadcast_to(sigma, (x.shape[0], 2, 2)).copy(),
+        jump_coeff=lambda t, x, u, y: np.broadcast_to(y, (x.shape[0], 2)).copy(),
+        terminal=lambda x: (np.sin(x[:, 0]) * np.cos(x[:, 1]))[:, None],
+        measure=measure,
+    )
+    config = SolverConfig(grid=Grid((-6.0, -6.0), (6.0, 6.0), (17, 17)), n_steps=40)
+    field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0.0, 1.0, 1.0))
+    ens = simulate_ensemble(field, spec, np.zeros(2), 0.025, 40, base_seed=5)
+    return link_ensemble(ens, field, spec)
+
+
+class TestFieldTestFunctionOnDemand:
+    @pytest.mark.parametrize(
+        "make_linked",
+        [functools.partial(catalog_linked, name) for name in catalog_names()]
+        + [coupled_2d_linked],
+        ids=catalog_names() + ["coupled-2d"],
+    )
+    def test_ito_residuals_equal_all_levels_reference(self, make_linked):
+        linked = make_linked()
+        field = linked.field
+        reference = all_levels_test_function(field)
+        assert np.array_equal(
+            ito_residuals(linked), ito_residuals(linked, reference)
+        )
+        # per-row times reach levels that are not neighbours
+        tf = field_test_function(field)
+        states = linked.ensemble.states[:, 7]
+        t = np.linspace(0.0, field.spec.horizon, len(states))
+        assert np.array_equal(tf.hess(t, states), reference.hess(t, states))
+
+    def test_holds_no_level_table(self):
+        field = coupled_2d_linked().field
+        points = np.random.default_rng(1).uniform(-5.0, 5.0, (50, 2))
+        tracemalloc.start()
+        try:
+            field_test_function(field).hess(0.37, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < field.values.nbytes + field.gradients.nbytes

@@ -495,6 +495,14 @@ class TestNonlocalTable:
         )
         with pytest.raises(NonFiniteShiftError, match="atom 0"):
             field.nonlocal_table(0.5, np.array([[1.3]]))
+        # with one time per point, the message names the first non-finite row's time
+        spec = dataclasses.replace(
+            spec, jump_coeff=lambda t, x, u, y: np.where(x > 2.0, np.nan, 0.5)
+        )
+        field = dataclasses.replace(field, spec=spec)
+        points = np.array([[1.0], [2.5], [3.0]])
+        with pytest.raises(NonFiniteShiftError, match=r"atom 0 at t=0\.5$"):
+            field.nonlocal_table(np.array([0.25, 0.5, 0.75]), points)
 
 
 class TestMaxPrinciple:
