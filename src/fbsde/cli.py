@@ -180,16 +180,29 @@ def _assumption_report(built: BuiltProblem) -> AssumptionReport:
 _CSV_BLOCK_ROWS = 1 << 14
 
 
+def _text(values: np.ndarray) -> np.ndarray:
+    """Each value's CSV text, formatted once for reuse in many rows."""
+    return np.array([_FLOAT % v for v in values.tolist()], dtype=object)
+
+
 def _write_csv(path: Path, columns: list[tuple[str, str]], blocks) -> None:
     """Header, then each block of ``blocks`` formatted with one row template.
 
-    ``columns`` pairs each column name with its format; a block is a tuple
-    of equal-length 1-D arrays, one per column.
+    ``columns`` pairs each column name with its format; a block holds one
+    entry per column: a 1-D array (all of equal length) formatted with the
+    column's format, an object array of ready text, or a ``str`` shared by
+    every row of the block, which goes into the block's template.
     """
-    row_fmt = ",".join(fmt for _, fmt in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
         for block in blocks:
+            cells = [
+                c.replace("%", "%%") if isinstance(c, str)
+                else "%s" if c.dtype == object else fmt
+                for (_, fmt), c in zip(columns, block)
+            ]
+            row_fmt = ",".join(cells) + "\n"
+            block = [c for c in block if not isinstance(c, str)]
             for lo in range(0, len(block[0]), _CSV_BLOCK_ROWS):
                 cols = [c[lo : lo + _CSV_BLOCK_ROWS].tolist() for c in block]
                 fh.writelines(map(row_fmt.__mod__, zip(*cols)))
@@ -197,7 +210,7 @@ def _write_csv(path: Path, columns: list[tuple[str, str]], blocks) -> None:
 
 def _write_field_csv(path: Path, field_obj: SolutionField) -> None:
     nodes = field_obj.grid.nodes()
-    n_nodes, n = nodes.shape
+    n = nodes.shape[1]
     m = field_obj.m
     grad_ids = [(c, i) for c in range(m) for i in range(n)]
     columns = (
@@ -206,13 +219,14 @@ def _write_field_csv(path: Path, field_obj: SolutionField) -> None:
         + [(f"field_{c}", _FLOAT) for c in range(m)]
         + [(f"grad_{c}_{i}", _FLOAT) for c, i in grad_ids]
     )
-    # one block per time level
+    node_text = tuple(_text(col) for col in nodes.T)
+    # one block per time level; level and t are the same on every row
     blocks = (
-        (np.full(n_nodes, lev), np.full(n_nodes, t))
-        + tuple(nodes.T)
+        (_INT % lev, _FLOAT % t)
+        + node_text
         + tuple(field_obj.values[lev].T)
         + tuple(field_obj.gradients[lev][:, c, i] for c, i in grad_ids)
-        for lev, t in enumerate(field_obj.times)
+        for lev, t in enumerate(field_obj.times.tolist())
     )
     _write_csv(path, columns, blocks)
 
@@ -230,9 +244,10 @@ def _write_paths_csv(path: Path, linked: Linked) -> None:
     # jumps[p, j]: jumps of path p in the interval ending at times[j]
     jumps = np.zeros((n_paths, n_levels), dtype=int)
     np.add.at(jumps, (ens.events.path, ens.events.interval + 1), 1)
-    # one block per path
+    time_text = _text(ens.times)
+    # one block per path; the path id is the same on every row
     blocks = (
-        (np.full(n_levels, pid), ens.times)
+        (_INT % pid, time_text)
         + tuple(ens.states[pid].T)
         + tuple(linked.y[pid].T)
         + (jumps[pid],)

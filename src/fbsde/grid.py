@@ -99,23 +99,31 @@ def grid_nodes(grid: Grid) -> np.ndarray:
 def cell_corners(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat node indices and weights, each (2^d, B), of the cell corners of ``points``.
 
-    ``points`` has shape (B, ndim); points outside the box are clamped to
-    the nearest face.  The weights of a point are nonnegative and sum to one.
+    ``points`` has shape (B, ndim); points outside the box, infinite
+    coordinates included, are clamped to the nearest face.  The weights of
+    a point are nonnegative and sum to one.  A NaN coordinate raises
+    ``ValueError`` naming the first point row with one.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.ndim:
         raise ValueError("points must have shape (B, ndim)")
-    corner = np.arange(1 << grid.ndim)[:, None]
-    flats = np.zeros((corner.shape[0], pts.shape[0]), dtype=np.int64)
-    weights = np.ones(flats.shape)
+    if np.isnan(pts).any():
+        row = int(np.argmax(np.isnan(pts).any(axis=1)))
+        raise ValueError(f"query point row {row} is NaN: {pts[row].tolist()}")
+    spacings, strides = grid.spacings, grid.strides
     for ax in range(grid.ndim):
-        lo, hi, h = grid.lower[ax], grid.upper[ax], grid.spacings[ax]
-        s = (np.clip(pts[:, ax], lo, hi) - lo) / h
+        lo, hi = grid.lower[ax], grid.upper[ax]
+        s = (np.clip(pts[:, ax], lo, hi) - lo) / spacings[ax]
         cell = np.minimum(np.floor(s).astype(np.int64), grid.shape[ax] - 2)
         frac = s - cell
-        bit = (corner >> ax) & 1
-        weights = weights * np.where(bit, frac, 1.0 - frac)
-        flats = flats + (cell + bit) * grid.strides[ax]
+        # this axis's low and high node; its bit is the highest of the corner index so far
+        w_ax = np.array([1.0 - frac, frac])
+        f_ax = np.array([cell, cell + 1]) * strides[ax]
+        if ax == 0:
+            weights, flats = w_ax, f_ax
+        else:
+            weights = (weights * w_ax[:, None]).reshape(2 << ax, -1)
+            flats = (flats + f_ax[:, None]).reshape(2 << ax, -1)
     return flats, weights
 
 
@@ -127,7 +135,8 @@ def multilinear_interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) 
     nearest face, so the output never leaves the range of the data.
     """
     flats, weights = cell_corners(grid, points)
-    corner_values = values[flats]  # (2^d, B, ...)
+    # np.take copies the gathered rows in one pass; values[flats] copies each on its own
+    corner_values = np.take(values, flats, axis=0)  # (2^d, B, ...)
     expand = (slice(None),) + (None,) * (values.ndim - 1)
     out = np.zeros(corner_values.shape[1:])
     for weight, corner in zip(weights, corner_values):

@@ -6,6 +6,12 @@ and Ztilde the per-atom shifted-difference table at the pre-jump state.
 The backward-equation residual is a terminal telescoping check over the
 whole interval, with the compensated jump sum standing in for the
 integral against the compensated measure.
+
+Linking and the Ito check walk the time grid in level blocks: runs of
+whole levels of at most ``_BLOCK_ROWS`` (path, level) rows, queried in
+one batch with one time per row.  Every row gets the bits of a
+one-level query, and the Ito check's per-path sums are still added
+level by level, so block size changes no result.
 """
 
 from __future__ import annotations
@@ -81,10 +87,36 @@ class ResidualReport:
     total_paths: int
 
 
+# (path, level) rows queried together: bounds one level block's temporaries
+_BLOCK_ROWS = 1 << 11
+
+
+def _level_blocks(n_paths: int, n_levels: int) -> list[slice]:
+    """Runs of whole levels of at most ``_BLOCK_ROWS`` rows, at least one level each."""
+    step = max(1, _BLOCK_ROWS // max(n_paths, 1))
+    return [slice(lo, min(lo + step, n_levels)) for lo in range(0, n_levels, step)]
+
+
+def _rows(a: np.ndarray, block: slice) -> np.ndarray:
+    """The (path, level) rows of ``a[:, block]``, path-major, as one batch axis."""
+    return a[:, block].reshape((-1,) + a.shape[2:])
+
+
+def _level_rows(per_level: np.ndarray, block: slice, n_paths: int) -> np.ndarray:
+    """The level's entry of ``per_level`` (times, steps) for each row of :func:`_rows`."""
+    return np.broadcast_to(
+        per_level[block], (n_paths, block.stop - block.start)
+    ).reshape(-1)
+
+
 def link_ensemble(
     ensemble: Ensemble, field: SolutionField, spec: ProblemSpec
 ) -> Linked:
-    """Link a whole ensemble, vectorized across paths level by level."""
+    """Link a whole ensemble, one field query per block of whole levels.
+
+    Each block batches the rows of all paths at its levels, with one
+    time per row; every row's result is that of a query on its own.
+    """
     if field.spec is not spec:
         raise ValueError("path ensemble and field must share the same ProblemSpec")
     times, states = ensemble.times, ensemble.states
@@ -93,17 +125,18 @@ def link_ensemble(
     y = np.empty((n_paths, n_levels, spec.m))
     z = np.empty((n_paths, n_levels, spec.m, spec.n))
     ztab = np.empty((n_paths, n_levels, len(spec.measure), spec.m))
-    for j in range(n_levels):
-        t = float(times[j])
-        xb = states[:, j]
+    for block in _level_blocks(n_paths, n_levels):
+        t = _level_rows(times, block, n_paths)
+        xb = _rows(states, block)
         yb = field.value(t, xb)
         sig = np.asarray(spec.diffusion(t, xb, yb), dtype=float).reshape(
-            n_paths, spec.n, spec.n
+            -1, spec.n, spec.n
         )
         grad = field.gradient(t, xb)
-        y[:, j] = yb
-        z[:, j] = np.einsum("bmi,bij->bmj", grad, sig)
-        ztab[:, j] = field.nonlocal_table(t, xb, u_here=yb)
+        shape = (n_paths, block.stop - block.start)
+        y[:, block] = yb.reshape(shape + y.shape[2:])
+        z[:, block] = np.einsum("bmi,bij->bmj", grad, sig).reshape(shape + z.shape[2:])
+        ztab[:, block] = field.nonlocal_table(t, xb, u_here=yb).reshape(shape + ztab.shape[2:])
 
     ev = ensemble.events
     jump_values = field.value(ev.time, ev.x_after) - field.value(ev.time, ev.x_before)
@@ -260,16 +293,32 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
     def grad(t, x):
         return field.gradient(t, x)[:, component, :]
 
-    def hess(t, x):
-        i, _ = field.time_bracket(t)
-        lo, hi = int(np.min(i)), int(np.max(i)) + 2  # the levels the query blends
+    def level_hessians(lo, hi):
         nd = comp_vals[lo:hi].T.reshape(grid.shape + (hi - lo,))
         levels = np.empty((hi - lo, grid.n_nodes, grid.ndim, grid.ndim))
         for a in range(grid.ndim):
             for b in range(a, grid.ndim):
                 d2 = second_difference(nd, grid, a, b).reshape(grid.n_nodes, hi - lo).T
                 levels[:, :, a, b] = levels[:, :, b, a] = d2
-        return field.interpolate(t, x, levels, first_level=lo)
+        return levels
+
+    def hess(t, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
+        i, _ = field.time_bracket(t)
+        out = np.empty((x.shape[0], grid.ndim, grid.ndim))
+        # rows grouped by bracket level: a group's table of level Hessians holds
+        # two levels, or no more node rows than its query gathers (2^d corners
+        # at two levels per row), however far apart the rows' times are
+        span = max(1, (x.shape[0] << (grid.ndim + 1)) // grid.n_nodes - 1)
+        group = i // span
+        for g in np.unique(group).tolist():
+            rows = group == g
+            lo, hi = int(i[rows].min()), int(i[rows].max()) + 2  # the levels blended
+            out[rows] = field.interpolate(
+                t[rows], x[rows], level_hessians(lo, hi), first_level=lo
+            )
+        return out
 
     def time_deriv(t, x):
         i, _ = field.time_bracket(t)
@@ -299,41 +348,50 @@ def ito_residuals(linked: Linked, test_fn: Optional[TestFunction] = None) -> np.
     y, z, ztab = linked.y, linked.z, linked.ztilde
     db = linked.ensemble.brownian_increments
 
-    time_term = np.zeros(n_paths)
-    drift_term = np.zeros(n_paths)
-    brown_term = np.zeros(n_paths)
-    hess_term = np.zeros(n_paths)
-    comp_jump = np.zeros(n_paths)
-    integrand_term = np.zeros(n_paths)
-    for j in range(n_steps):
-        t = float(times[j])
-        h_step = float(dts[j])
-        xb = states[:, j]
-        gx = np.asarray(tf.grad(t, xb), dtype=float).reshape(n_paths, spec.n)
-        time_term += np.asarray(tf.dt(t, xb), dtype=float).reshape(n_paths) * h_step
+    # per-path running sums (time, drift, brownian, hessian, comp, integrand),
+    # added level by level with atoms inner: the rounding of a per-level loop
+    sums = np.zeros((6, n_paths))
+    n_atoms = len(meas)
+    for block in _level_blocks(n_paths, n_steps):
+        t = _level_rows(times, block, n_paths)
+        h = _level_rows(dts, block, n_paths)
+        xb = _rows(states, block)
+        yb = _rows(y, block)
+        # one row per term: time, drift, brownian, hessian, then comp and
+        # integrand of each atom k at 4 + 2k and 5 + 2k
+        terms = np.empty((4 + 2 * n_atoms, t.shape[0]))
+        gx = np.asarray(tf.grad(t, xb), dtype=float).reshape(-1, spec.n)
         f_raw = np.asarray(
-            spec.drift(t, xb, y[:, j], z[:, j], ztab[:, j]), dtype=float
-        ).reshape(n_paths, spec.n)
-        drift_term += np.einsum("bi,bi->b", gx, f_raw) * h_step
-        sig = np.asarray(spec.diffusion(t, xb, y[:, j]), dtype=float).reshape(
-            n_paths, spec.n, spec.n
+            spec.drift(t, xb, yb, _rows(z, block), _rows(ztab, block)), dtype=float
+        ).reshape(-1, spec.n)
+        terms[1] = np.einsum("bi,bi->b", gx, f_raw) * h
+        sig = np.asarray(spec.diffusion(t, xb, yb), dtype=float).reshape(
+            -1, spec.n, spec.n
         )
-        brown_term += np.einsum("bi,bij,bj->b", gx, sig, db[:, j])
-        hx = np.asarray(tf.hess(t, xb), dtype=float).reshape(n_paths, spec.n, spec.n)
+        terms[2] = np.einsum("bi,bij,bj->b", gx, sig, _rows(db, block))
+        hx = np.asarray(tf.hess(t, xb), dtype=float).reshape(-1, spec.n, spec.n)
         gram = np.einsum("bik,bjk->bij", sig, sig)
-        hess_term += 0.5 * np.einsum("bij,bij->b", hx, gram) * h_step
-        base = np.asarray(tf.value(t, xb), dtype=float).reshape(n_paths)
-        for k in range(len(meas)):
+        terms[3] = 0.5 * np.einsum("bij,bij->b", hx, gram) * h
+        base = np.asarray(tf.value(t, xb), dtype=float).reshape(-1)
+        for k in range(n_atoms):
             shift = np.asarray(
-                spec.jump_coeff(t, xb, y[:, j], meas.marks[k]), dtype=float
-            ).reshape(n_paths, spec.n)
-            dphi = (
-                np.asarray(tf.value(t, xb + shift), dtype=float).reshape(n_paths)
-                - base
-            )
+                spec.jump_coeff(t, xb, yb, meas.marks[k]), dtype=float
+            ).reshape(-1, spec.n)
+            dphi = np.asarray(tf.value(t, xb + shift), dtype=float).reshape(-1) - base
             pairing = np.einsum("bi,bi->b", gx, shift)
-            comp_jump += meas.weights[k] * dphi * h_step
-            integrand_term += meas.weights[k] * (dphi - pairing) * h_step
+            terms[4 + 2 * k] = meas.weights[k] * dphi * h
+            terms[5 + 2 * k] = meas.weights[k] * (dphi - pairing) * h
+        terms = terms.reshape(-1, n_paths, block.stop - block.start)
+        for jj, j in enumerate(range(block.start, block.stop)):
+            # the test function's time derivative takes one scalar time
+            terms[0, :, jj] = np.asarray(
+                tf.dt(float(times[j]), states[:, j]), dtype=float
+            ).reshape(n_paths) * float(dts[j])
+            sums[:4] += terms[:4, :, jj]
+            for k in range(n_atoms):
+                sums[4] += terms[4 + 2 * k, :, jj]
+                sums[5] += terms[5 + 2 * k, :, jj]
+    time_term, drift_term, brown_term, hess_term, comp_jump, integrand_term = sums
 
     events = linked.ensemble.events
     after = np.asarray(tf.value(events.time, events.x_after), dtype=float)

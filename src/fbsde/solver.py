@@ -394,8 +394,15 @@ class SolutionField:
 
     def time_bracket(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Level i and weight alpha, in the shape of ``t``, with t at
-        (1 - alpha) times[i] + alpha times[i + 1], clamped to [0, T]."""
-        s = np.asarray(t, dtype=float) / (self.times[1] - self.times[0])
+        (1 - alpha) times[i] + alpha times[i + 1], clamped to [0, T].
+
+        Infinite times clamp to the first or last level; a NaN time raises
+        ``ValueError`` naming its row."""
+        t = np.asarray(t, dtype=float)
+        if np.isnan(t).any():
+            where = f" row {int(np.argmax(np.isnan(t)))}" if t.ndim else ""
+            raise ValueError(f"query time{where} is NaN")
+        s = t / (self.times[1] - self.times[0])
         i = np.clip(np.floor(s), 0, self.times.shape[0] - 2).astype(np.int64)
         return i, np.clip(s - i, 0.0, 1.0)
 
@@ -414,7 +421,10 @@ class SolutionField:
         expand = (slice(None),) + (None,) * (data.ndim - 2)
         rows = data.reshape((-1,) + data.shape[2:])  # level i, node k: row i * n_nodes + k
         at = (i - first_level) * data.shape[1] + flats
-        corner_values = (1.0 - alpha) * rows[at] + alpha * rows[at + data.shape[1]]
+        # np.take copies the gathered rows in one pass; rows[at] copies each on its own
+        corner_values = (1.0 - alpha) * np.take(rows, at, axis=0) + alpha * np.take(
+            rows, at + data.shape[1], axis=0
+        )
         out = np.zeros(corner_values.shape[1:])
         for weight, corner in zip(weights, corner_values):
             out += weight[expand] * corner

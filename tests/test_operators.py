@@ -13,7 +13,7 @@ from fbsde import (
     integrate_over_nu,
     multilinear_interpolate,
 )
-from fbsde.grid import grid_axes
+from fbsde.grid import cell_corners, grid_axes
 
 
 def _zeros(m):
@@ -60,6 +60,56 @@ class TestInterpolation:
         out = multilinear_interpolate(grid, vals, query)
         expect = 1.5 + 2.0 * query[:, 0] - 0.5 * query[:, 1]
         assert np.allclose(out[:, 0], expect, atol=1e-13)
+
+
+def reference_cell_corners(grid, points):
+    """Reference: ``cell_corners`` as it was, every axis applied to all
+    2^d corners at once through the corner index's bits."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    corner = np.arange(1 << grid.ndim)[:, None]
+    flats = np.zeros((corner.shape[0], pts.shape[0]), dtype=np.int64)
+    weights = np.ones(flats.shape)
+    for ax in range(grid.ndim):
+        lo, hi, h = grid.lower[ax], grid.upper[ax], grid.spacings[ax]
+        s = (np.clip(pts[:, ax], lo, hi) - lo) / h
+        cell = np.minimum(np.floor(s).astype(np.int64), grid.shape[ax] - 2)
+        frac = s - cell
+        bit = (corner >> ax) & 1
+        weights = weights * np.where(bit, frac, 1.0 - frac)
+        flats = flats + (cell + bit) * grid.strides[ax]
+    return flats, weights
+
+
+CORNER_GRIDS = [
+    Grid((-5.0,), (5.0,), (101,)),
+    Grid((0.0, -1.0), (2.0, 1.0), (5, 7)),
+    Grid((-6.0, -6.0, 0.0), (6.0, 6.0, 1.5), (4, 17, 6)),
+]
+
+
+class TestCellCorners:
+    # interior, beyond each face, exactly on nodes and faces, signed zeros, infinities
+    @given(
+        st.sampled_from(range(len(CORNER_GRIDS))),
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -5.0, 5.0, 6.0, np.inf, -np.inf]),
+            ),
+            min_size=0,
+            max_size=24,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_the_reference(self, which, coords):
+        grid = CORNER_GRIDS[which]
+        n_pts = len(coords) // grid.ndim
+        points = np.array(coords[: n_pts * grid.ndim], dtype=float).reshape(n_pts, grid.ndim)
+        flats, weights = cell_corners(grid, points)
+        ref_flats, ref_weights = reference_cell_corners(grid, points)
+        assert flats.dtype == ref_flats.dtype and np.array_equal(flats, ref_flats)
+        assert weights.shape == ref_weights.shape
+        assert weights.tobytes() == ref_weights.tobytes()  # signed zeros too
 
 
 class TestEvalNonlocal:

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fbsde import (
     simulate_ensemble,
     solve_final_value,
 )
+from fbsde import pipeline
 from fbsde.solver import second_difference
 
 
@@ -658,3 +660,190 @@ class TestFieldTestFunctionOnDemand:
         finally:
             tracemalloc.stop()
         assert peak < field.values.nbytes + field.gradients.nbytes
+
+
+def per_level_link(ensemble, field, spec):
+    """Reference: ``link_ensemble``'s old loop, one field query per level on
+    the P rows of that level.  Returns (y, z, ztilde)."""
+    times, states = ensemble.times, ensemble.states
+    n_paths, n_levels = states.shape[:2]
+    y = np.empty((n_paths, n_levels, spec.m))
+    z = np.empty((n_paths, n_levels, spec.m, spec.n))
+    ztab = np.empty((n_paths, n_levels, len(spec.measure), spec.m))
+    for j in range(n_levels):
+        t = float(times[j])
+        xb = states[:, j]
+        yb = field.value(t, xb)
+        sig = np.asarray(spec.diffusion(t, xb, yb), dtype=float).reshape(
+            n_paths, spec.n, spec.n
+        )
+        grad = field.gradient(t, xb)
+        y[:, j] = yb
+        z[:, j] = np.einsum("bmi,bij->bmj", grad, sig)
+        ztab[:, j] = field.nonlocal_table(t, xb, u_here=yb)
+    return y, z, ztab
+
+
+def assert_blocks_equal_per_level_loops(linked, reference_ito):
+    """Relinking ``linked``'s ensemble and its Ito check equal the per-level
+    loops: ``per_level_link``, and ``reference_ito`` from the per-level loop
+    of ``per_event_ito_residuals``."""
+    field = linked.field
+    relinked = link_ensemble(linked.ensemble, field, field.spec)
+    for got, want in zip(
+        (relinked.y, relinked.z, relinked.ztilde),
+        per_level_link(linked.ensemble, field, field.spec),
+    ):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(relinked.jump_values, linked.jump_values)
+    assert np.array_equal(ito_residuals(relinked), reference_ito)
+
+
+def empty_linked():
+    return ORDER_LINKED.take([])
+
+
+def block_rows_cases(n_paths, n_levels):
+    """``_BLOCK_ROWS`` values: 1, one that leaves a ragged last block, one above P * L."""
+    rows = n_paths * n_levels
+    ragged = next((b for b in range(2 * n_paths + 1, rows) if rows % b), 5)
+    return [1, ragged, rows + 1]
+
+
+BLOCK_SETUPS = (
+    [functools.partial(catalog_linked, name) for name in catalog_names()]
+    + [coupled_2d_linked, lambda: ORDER_LINKED, no_event_linked, empty_linked]
+)
+BLOCK_IDS = catalog_names() + ["coupled-2d", "exiting-paths", "no-events", "no-paths"]
+
+
+class TestLevelBlocks:
+    """Level blocks give the per-level loops' results bit for bit, at any block size."""
+
+    @pytest.mark.parametrize("make_linked", BLOCK_SETUPS, ids=BLOCK_IDS)
+    def test_link_and_ito_equal_per_level_loops(self, make_linked):
+        linked = make_linked()
+        tf = field_test_function(linked.field)
+        reference_ito = per_event_ito_residuals(linked, tf) if len(linked) else np.zeros(0)
+        n_paths, n_levels = linked.ensemble.states.shape[:2]
+        cases = block_rows_cases(n_paths, n_levels)
+        assert n_paths == 0 or (n_paths * n_levels) % cases[1]
+        assert_blocks_equal_per_level_loops(linked, reference_ito)
+        for block_rows in cases:
+            with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+                assert_blocks_equal_per_level_loops(linked, reference_ito)
+
+    @pytest.mark.parametrize("n_paths, n_levels", [(12, 21), (400, 101), (1, 7), (0, 5)])
+    def test_blocks_are_runs_of_whole_levels(self, n_paths, n_levels):
+        for block_rows in block_rows_cases(n_paths, n_levels) + [1 << 11]:
+            with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+                blocks = pipeline._level_blocks(n_paths, n_levels)
+            levels = [j for b in blocks for j in range(b.start, b.stop)]
+            assert levels == list(range(n_levels)) and all(b.stop > b.start for b in blocks)
+            # at most _BLOCK_ROWS rows, unless one level alone holds more
+            assert all((b.stop - b.start) * n_paths <= max(block_rows, n_paths) for b in blocks)
+
+    # from one row to beyond the 20 paths x 21 levels of the ensemble
+    @given(st.integers(min_value=1, max_value=20 * 21 + 3))
+    @settings(max_examples=20, deadline=None)
+    def test_results_do_not_depend_on_block_size(self, block_rows):
+        linked = BLOCK_PROPERTY_LINKED
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            relinked = link_ensemble(linked.ensemble, linked.field, linked.field.spec)
+            ito = ito_residuals(relinked)
+        for name in ("y", "z", "ztilde", "jump_values"):
+            assert np.array_equal(getattr(relinked, name), getattr(linked, name))
+        assert np.array_equal(ito, BLOCK_PROPERTY_ITO)
+
+    def test_one_gradient_query_per_block(self):
+        linked = coupled_2d_linked()
+        field, ens = linked.field, linked.ensemble
+        n_paths, n_levels = ens.states.shape[:2]
+        assert (n_paths, n_levels) == (40, 41)
+        for block_rows, n_blocks in ((1 << 11, 1), (3 * n_paths, 14), (1, n_levels)):
+            with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows), mock.patch.object(
+                SolutionField, "gradient", autospec=True, side_effect=SolutionField.gradient
+            ) as gradient:
+                link_ensemble(ens, field, field.spec)
+            assert gradient.call_count == n_blocks
+
+
+BLOCK_PROPERTY_LINKED = u_dependent_shift_linked()
+BLOCK_PROPERTY_ITO = ito_residuals(BLOCK_PROPERTY_LINKED)
+
+
+def mc_2d_problem():
+    """The benchmark's ``mc-2d`` problem: a 2-D analogue of ``coupled-linear``
+    solved on 41^2 nodes x 100 steps.  Returns (field, spec)."""
+    measure = LevyMeasure(marks=[[0.3, 0.0], [0.0, -0.3]], weights=[0.7, 0.7])
+    sigma = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+    def nu_w(w):
+        return np.einsum("k,bk->b", measure.weights, w[:, :, 0])
+
+    def f(t, x, u, p, w):
+        wi = nu_w(w)
+        return np.stack(
+            [
+                0.25 * u[:, 0] + 0.15 * p[:, 0, 0] + 0.1 * wi,
+                -0.2 * u[:, 0] + 0.1 * p[:, 0, 1] - 0.1 * wi,
+            ],
+            axis=1,
+        )
+
+    def g(t, x, u, p, w):
+        return (-0.5 * u[:, 0] + 0.2 * p[:, 0, 0] - 0.1 * p[:, 0, 1] + 0.1 * nu_w(w))[
+            :, None
+        ]
+
+    spec = ProblemSpec(
+        n=2,
+        m=1,
+        l=2,
+        horizon=1.0,
+        drift=f,
+        generator=g,
+        diffusion=lambda t, x, u: np.broadcast_to(sigma, (x.shape[0], 2, 2)).copy(),
+        jump_coeff=lambda t, x, u, y: np.broadcast_to(y, (x.shape[0], 2)).copy(),
+        terminal=lambda x: (np.sin(x[:, 0]) * np.cos(x[:, 1]))[:, None],
+        measure=measure,
+    )
+    config = SolverConfig(grid=Grid((-6.0, -6.0), (6.0, 6.0), (41, 41)), n_steps=100)
+    constants = MaxPrincipleConstants(0.0, 0.05 + 0.5 * measure.total_mass, 0.55)
+    field, _ = solve_final_value(spec, config, constants)
+    return field, spec
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes allocated above the level at the call) under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestLevelBlockMemory:
+    def test_block_temporaries_do_not_grow_with_the_level_count(self):
+        field, spec = mc_2d_problem()
+        link_extra, ito_peak = [], []
+        for path_steps in (100, 400):
+            ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / path_steps, 400, 7)
+            linked, peak = traced_peak(link_ensemble, ens, field, spec)
+            returned = sum(
+                a.nbytes for a in (linked.y, linked.z, linked.ztilde, linked.jump_values)
+            )
+            link_extra.append(peak - returned)
+            ito_peak.append(traced_peak(ito_residuals, linked)[1])
+        # holding every level's block temporaries at once would grow them 4x
+        for small, large in (link_extra, ito_peak):
+            assert abs(large - small) <= 0.15 * small, (link_extra, ito_peak)
+        # a block of few paths spans many levels; its Hessian tables must not
+        # follow (one table for every level of the mc-2d field peaks at 10.9 MB)
+        for n_paths in (1, 4):
+            ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / 400, n_paths, 7)
+            linked = link_ensemble(ens, field, spec)
+            assert traced_peak(ito_residuals, linked)[1] <= ito_peak[1], n_paths

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -865,3 +866,73 @@ class TestVectorValuedField:
         assert err1 <= 5e-3, err1
         assert err2 <= 1e-2, err2
         assert check_max_principle(field, diag).passed
+
+
+def _jump_field_2d(nodes):
+    """A 2-D field on [-6, 6]^2 with ``nodes`` per axis and a nonzero jump shift."""
+    grid = Grid((-6.0, -6.0), (6.0, 6.0), (nodes, nodes))
+    spec = dataclasses.replace(
+        _spec_2d(horizon=1.0),
+        jump_coeff=lambda t, x, u, y: np.broadcast_to([0.3, -0.2], (x.shape[0], 2)).copy(),
+    )
+    levels = 5
+    pts = grid.nodes()
+    values = np.stack([_oracle_2d(t, pts, 1.0) for t in np.linspace(0.0, 1.0, levels)])
+    return SolutionField(
+        grid=grid,
+        times=np.linspace(0.0, 1.0, levels),
+        values=values,
+        gradients=np.stack([spatial_gradient(grid, v) for v in values]),
+        spec=spec,
+        config=SolverConfig(grid=grid, n_steps=levels - 1),
+    )
+
+
+class TestNanQueries:
+    """A NaN time or coordinate fails with a ValueError naming its row, on any grid."""
+
+    QUERIES = ("value", "gradient", "nonlocal_table")
+
+    @pytest.mark.parametrize("nodes", [41, 40], ids=["odd-grid", "even-grid"])
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nan_coordinate_names_the_first_nan_row(self, nodes, query, axis):
+        field = _jump_field_2d(nodes)
+        points = np.zeros((4, 2))
+        points[2, axis] = points[3, 1 - axis] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"query point row 2 is NaN"):
+                getattr(field, query)(0.5, points)
+            with pytest.raises(ValueError, match=r"query point row 0 is NaN"):
+                getattr(field, query)(0.5, points[2:])
+
+    @pytest.mark.parametrize("nodes", [41, 40], ids=["odd-grid", "even-grid"])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_nan_time_names_the_first_nan_row(self, nodes, query):
+        field = _jump_field_2d(nodes)
+        points = np.zeros((3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^query time is NaN$"):
+                getattr(field, query)(np.nan, points)
+            with pytest.raises(ValueError, match=r"^query time row 1 is NaN$"):
+                getattr(field, query)(np.array([0.5, np.nan, np.nan]), points)
+
+    def test_multilinear_interpolate_rejects_a_nan_point(self):
+        grid = Grid((0.0,), (4.0,), (5,))
+        with pytest.raises(ValueError, match=r"query point row 1 is NaN: \[nan\]"):
+            multilinear_interpolate(grid, np.zeros(5), np.array([[1.0], [np.nan]]))
+
+    @pytest.mark.parametrize("nodes", [41, 40], ids=["odd-grid", "even-grid"])
+    def test_infinite_queries_clamp_without_warnings(self, nodes):
+        field = _jump_field_2d(nodes)
+        inf = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, points = np.array([inf, -inf]), np.array([[inf, -inf], [-inf, 2.0]])
+            for query in (field.value, field.gradient):
+                face = query(np.array([1.0, 0.0]), np.array([[6.0, -6.0], [-6.0, 2.0]]))
+                assert np.array_equal(query(times, points), face)
+            # shifted infinite points clamp to the face as well
+            assert np.all(np.isfinite(field.nonlocal_table(times, points)))
