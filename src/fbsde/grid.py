@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = ["Grid", "grid_axes", "grid_nodes", "multilinear_interpolate"]
+__all__ = ["Grid", "grid_axes", "grid_nodes", "grid_faces", "multilinear_interpolate"]
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "lower", tuple(float(v) for v in self.lower))
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
-        object.__setattr__(self, "shape", tuple(int(v) for v in self.shape))
+        object.__setattr__(self, "shape", tuple(_node_count(v) for v in self.shape))
         if not (len(self.lower) == len(self.upper) == len(self.shape)):
             raise ValueError("lower, upper and shape must have the same length")
         if not np.all(np.isfinite(self.lower + self.upper)):
@@ -43,17 +45,18 @@ class Grid:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
+    # computed once per grid: the march and the point queries read them often
+    @cached_property
     def n_nodes(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(
             (hi - lo) / (n - 1) for lo, hi, n in zip(self.lower, self.upper, self.shape)
         )
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
         # flat C-order strides: stride of the last axis is 1
         out = [1] * self.ndim
@@ -66,16 +69,18 @@ class Grid:
         return grid_nodes(self)
 
     def boundary_mask(self) -> np.ndarray:
-        """Boolean flat mask of nodes lying on any face of the box."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for ax in range(self.ndim):
-            sl_lo = [slice(None)] * self.ndim
-            sl_lo[ax] = 0
-            sl_hi = [slice(None)] * self.ndim
-            sl_hi[ax] = self.shape[ax] - 1
-            mask[tuple(sl_lo)] = True
-            mask[tuple(sl_hi)] = True
-        return mask.ravel()
+        """Boolean flat mask of nodes lying on any face of the box (read-only)."""
+        return grid_faces(self)[0]
+
+
+def _node_count(v) -> int:
+    # operator.index takes ints and numpy integers, and rejects 3.7 instead of truncating it
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"shape entries must be integer node counts, got {v!r}")
 
 
 @lru_cache(maxsize=64)
@@ -94,6 +99,19 @@ def grid_nodes(grid: Grid) -> np.ndarray:
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
     nodes.flags.writeable = False
     return nodes
+
+
+@lru_cache(maxsize=64)
+def grid_faces(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat mask of the nodes on any face, and their coordinates."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for ax in range(grid.ndim):
+        mask[(slice(None),) * ax + (0,)] = True
+        mask[(slice(None),) * ax + (-1,)] = True
+    mask = mask.ravel()
+    nodes = grid_nodes(grid)[mask]
+    mask.flags.writeable = nodes.flags.writeable = False
+    return mask, nodes
 
 
 def cell_corners(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite."""
+    # min and max propagate NaN without a temporary of the array's size
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def shifted_differences(
     evaluate: Callable[[np.ndarray], np.ndarray],
     spec: ProblemSpec,
@@ -57,13 +63,16 @@ def shifted_differences(
     for k in range(len(meas)):
         shift = np.asarray(spec.jump_coeff(s, points, u_here, meas.marks[k]), dtype=float)
         shift = shift.reshape(n_pts, ndim)
-        finite = np.all(np.isfinite(shift), axis=1)
-        if not np.all(finite):
+        if not all_finite(shift):
+            finite = np.all(np.isfinite(shift), axis=1)
             first = np.broadcast_to(s, (n_pts,))[np.argmin(finite)]
             raise NonFiniteShiftError(
                 f"jump coefficient returned non-finite shift for atom {k} at t={first}"
             )
-        zero_rows = ~np.any(shift != 0.0, axis=1)
+        # column by column: a reduction along the short row axis costs more
+        zero_rows = shift[:, 0] == 0.0
+        for c in range(1, ndim):
+            zero_rows &= shift[:, c] == 0.0
         if np.all(zero_rows):
             table[:, k, :] = 0.0
             continue
@@ -96,6 +105,33 @@ def integrate_over_nu(w: np.ndarray, measure: LevyMeasure) -> np.ndarray:
     return np.einsum("k,...km->...m", measure.weights, w)
 
 
+def _half_gram(sig: np.ndarray) -> np.ndarray:
+    """Half the Gram matrix, 0.5 * sigma sigma^T, of each (n, n) block of ``sig``.
+
+    Returns a (B, n, n) view of an entry-major (n, n, B) array, so each
+    entry ``a2[:, i, j]`` is contiguous over the batch.  Each entry i <= j
+    is one sum over k in increasing order, mirrored to (j, i), so the
+    result is exactly symmetric.  For n <= 2 it equals
+    ``0.5 * np.einsum("bik,bjk->bij", sig, sig)`` bit for bit; for larger
+    n einsum may add the terms in another order.
+    """
+    b, n, _ = sig.shape
+    out = np.empty((n, n, b))
+    term = np.empty(b)
+    for i in range(n):
+        for j in range(i, n):
+            acc = out[i, j]
+            # strided reads of sig cost less than a transposed copy of it
+            np.multiply(sig[:, i, 0], sig[:, j, 0], out=acc)
+            for k in range(1, n):
+                acc += np.multiply(sig[:, i, k], sig[:, j, k], out=term)
+            acc += 0.0  # a sum that starts from +0.0, as einsum's does: no -0.0
+            acc *= 0.5
+            if j > i:
+                out[j, i] = acc
+    return out.transpose(2, 0, 1)
+
+
 def assemble_coefficients(
     spec: ProblemSpec,
     t: float,
@@ -111,7 +147,8 @@ def assemble_coefficients(
 
         du/dt = sum_ij a2_ij d2u/dx_i dx_j - sum_i a1_i du/dx_i - a0.
 
-    ``a2`` is half the Gram matrix of sigma (exactly symmetric), ``a1``
+    ``a2`` is :func:`_half_gram` of sigma (exactly symmetric, each entry
+    ``a2[:, i, j]`` contiguous over the batch), ``a1``
     couples the nu-integral of phi with the drift, and ``a0`` collects
     the generator and the nu-integral of the nonlocal table.  The
     composite gradient argument p * sigma is formed here; ``p`` is
@@ -124,12 +161,14 @@ def assemble_coefficients(
     w = np.asarray(w, dtype=float)
 
     sig = np.asarray(spec.diffusion(s, x, u), dtype=float)
-    a2 = 0.5 * np.einsum("bik,bjk->bij", sig, sig)
+    a2 = _half_gram(sig)
     p_sigma = np.einsum("bmi,bij->bmj", p, sig)
 
     f_val = np.asarray(spec.drift(s, x, u, p_sigma, w), dtype=float)
-    a1 = spec.phi_integral(s, x, u) - f_val.reshape(x.shape[0], spec.n)
+    a1 = spec.phi_integral(s, x, u)
+    a1 -= f_val.reshape(x.shape[0], spec.n)
     a0 = -np.asarray(spec.generator(s, x, u, p_sigma, w), dtype=float).reshape(
         x.shape[0], spec.m
-    ) - integrate_over_nu(w, spec.measure)
+    )
+    a0 -= integrate_over_nu(w, spec.measure)
     return a2, a1, a0

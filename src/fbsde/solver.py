@@ -14,14 +14,15 @@ point query blends only the cell corners of its bracketing levels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BlowUpError, DegenerateDiffusionError, LinearSolveError
-from .grid import Grid, cell_corners, grid_nodes
-from .operators import assemble_coefficients, eval_nonlocal, shifted_differences
+from .grid import Grid, cell_corners, grid_faces, grid_nodes
+from .operators import all_finite, assemble_coefficients, eval_nonlocal, shifted_differences
 from .problem import ProblemSpec
 
 __all__ = [
@@ -67,6 +68,9 @@ class SolverConfig:
     dirichlet_data: Optional[Callable] = None
 
     def __post_init__(self):
+        # a float or bool count would be truncated or taken for 1 somewhere in the march
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.cutoff_width <= 0.0:
@@ -126,24 +130,35 @@ def _axis_slice(total_ndim: int, axis: int, sl: slice | int) -> tuple:
     return tuple(idx)
 
 
-def spatial_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+def spatial_gradient(
+    grid: Grid, values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-node gradient of (n_nodes, m) node values, shape (n_nodes, m, n).
 
     Central differences at interior nodes, one-sided second-order
     stencils on the faces; exact for node values of affine functions.
+    ``out``, if given, is a C-contiguous (n_nodes, m, n) array that
+    receives the result and is returned.
     """
     shape = grid.shape
     m = values.shape[1]
     nd = values.reshape(*shape, m)
     total = grid.ndim + 1
-    out = np.empty(shape + (m, grid.ndim))
+    if out is None:
+        out = np.empty((grid.n_nodes, m, grid.ndim))
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    by_axis = out.reshape(shape + (m, grid.ndim))  # a view: out is contiguous
     for ax in range(grid.ndim):
         h = grid.spacings[ax]
-        g = np.empty_like(nd)
-        g[_axis_slice(total, ax, slice(1, -1))] = (
-            nd[_axis_slice(total, ax, slice(2, None))]
-            - nd[_axis_slice(total, ax, slice(None, -2))]
-        ) / (2.0 * h)
+        g = by_axis[..., ax]
+        inner = g[_axis_slice(total, ax, slice(1, -1))]
+        np.subtract(
+            nd[_axis_slice(total, ax, slice(2, None))],
+            nd[_axis_slice(total, ax, slice(None, -2))],
+            out=inner,
+        )
+        inner /= 2.0 * h
         g[_axis_slice(total, ax, 0)] = (
             -3.0 * nd[_axis_slice(total, ax, 0)]
             + 4.0 * nd[_axis_slice(total, ax, 1)]
@@ -154,8 +169,7 @@ def spatial_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
             - 4.0 * nd[_axis_slice(total, ax, -2)]
             + nd[_axis_slice(total, ax, -3)]
         ) / (2.0 * h)
-        out[..., ax] = g
-    return out.reshape(grid.n_nodes, m, grid.ndim)
+    return out
 
 
 def second_difference(nd: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
@@ -176,20 +190,34 @@ def second_difference(nd: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
             + nd[_axis_slice(total, i, slice(None, -2))]
         ) / grid.spacings[i] ** 2
         return out
+    out[_cross_inner(total, i, j)] = _cross_difference(nd, grid, i, j)
+    return out
+
+
+def _cross_inner(total_ndim: int, i: int, j: int) -> tuple:
+    """Index of the nodes off the faces of both axis i and axis j."""
+    idx: list = [slice(None)] * total_ndim
+    idx[i] = idx[j] = slice(1, -1)
+    return tuple(idx)
+
+
+def _cross_difference(nd: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
+    """The four-point cross stencil (i != j) at the nodes of :func:`_cross_inner`."""
+    total = nd.ndim
     hij = 4.0 * grid.spacings[i] * grid.spacings[j]
     pp = nd[_axis_slice(total, i, slice(2, None))][_axis_slice(total, j, slice(2, None))]
     pm = nd[_axis_slice(total, i, slice(2, None))][_axis_slice(total, j, slice(None, -2))]
     mp = nd[_axis_slice(total, i, slice(None, -2))][_axis_slice(total, j, slice(2, None))]
     mm = nd[_axis_slice(total, i, slice(None, -2))][_axis_slice(total, j, slice(None, -2))]
-    out[inner][_axis_slice(total, j, slice(1, -1))] = (pp - pm - mp + mm) / hij
-    return out
+    return (pp - pm - mp + mm) / hij
 
 
 def _mixed_second_sum(values: np.ndarray, a2: np.ndarray, grid: Grid) -> np.ndarray:
     """Sum of cross-derivative terms 2 a_ij d2u/dx_i dx_j over pairs i < j.
 
     Contributions at face nodes in either axis are dropped (those rows
-    are overwritten by the boundary condition anyway).
+    are overwritten by the boundary condition anyway): each pair adds
+    only where its stencil fits, to a sum that starts from +0.0.
     """
     shape = grid.shape
     m = values.shape[1]
@@ -197,22 +225,32 @@ def _mixed_second_sum(values: np.ndarray, a2: np.ndarray, grid: Grid) -> np.ndar
     out = np.zeros(shape + (m,))
     for i in range(grid.ndim):
         for j in range(i + 1, grid.ndim):
-            coeff = (2.0 * a2[:, i, j]).reshape(shape)
-            out += coeff[..., None] * second_difference(nd, grid, i, j)
+            inner = _cross_inner(grid.ndim, i, j)
+            coeff = 2.0 * a2[:, i, j].reshape(shape)[inner]
+            out[inner + (slice(None),)] += coeff[..., None] * _cross_difference(nd, grid, i, j)
     return out.reshape(grid.n_nodes, m)
 
 
+def _axis_to(ndim: int, src: int, dst: int) -> tuple:
+    """Transpose order that moves axis ``src`` to ``dst`` (np.moveaxis, for less overhead)."""
+    order = [k for k in range(ndim) if k != src]
+    order.insert(dst, src)
+    return tuple(order)
+
+
 def solve_tridiagonal(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray, axis: int = -1
 ) -> np.ndarray:
     """Batched Thomas solve of independent tridiagonal systems.
 
-    ``lower``, ``diag`` and ``upper`` have shape (..., N), one system per
-    leading index; ``lower[..., 0]`` and ``upper[..., -1]`` are ignored.
-    ``rhs`` has shape (..., N) or (..., N, k) with the same leading
-    shape, and the solution has the shape of ``rhs``.  The loop runs
-    along the line only; each of its steps is vectorized across every
-    system and right-hand-side column.
+    ``lower``, ``diag`` and ``upper`` have one shape: the N rows of each
+    system lie along ``axis`` (the last by default), one system per index
+    of the other axes; the first row's ``lower`` and the last row's
+    ``upper`` are ignored.  ``rhs`` has that shape, or that shape plus a
+    trailing axis of k columns, and the solution has the shape of
+    ``rhs``.  The loop runs along the line only; each of its steps is
+    vectorized across every system and right-hand-side column, and is
+    fastest when ``axis`` is 0 of C-contiguous arrays.
 
     There is no pivoting, so every row must be strictly diagonally
     dominant, ``|diag| > |lower| + |upper|``.  ``step_imex`` guarantees
@@ -223,31 +261,42 @@ def solve_tridiagonal(
     ``gtsv`` when it makes no row interchange, so such systems solve to
     the same bits.
     """
-    line = diag.ndim - 1
+    if not -diag.ndim <= axis < diag.ndim:
+        raise ValueError(f"axis {axis} is out of range for {diag.ndim}-D systems")
+    line = axis % diag.ndim
     arrays = [lower, diag, upper, rhs]
     if rhs.ndim > diag.ndim:
         if rhs.shape[-1] == 1:
-            # one column: a single system's row entries then become numpy
-            # scalars, whose arithmetic costs far less than that of (1,) arrays
             arrays[3] = rhs[..., 0]
         else:
             # the columns of a row share its coefficients
             arrays[:3] = [a[..., None] for a in arrays[:3]]
-    # one entry per row, each entry spanning every system at once
-    low, piv, up, x = (list(np.moveaxis(a, line, 0)) for a in arrays)
+    if arrays[3].ndim == 1:
+        # one system, one column: each row entry is a scalar, and Python
+        # floats run the loop several times faster than numpy scalars, with
+        # the same IEEE arithmetic
+        low, piv, up, x = (a.tolist() for a in arrays)
+    else:
+        # one entry per row, each entry spanning every system at once
+        first = _axis_to(arrays[3].ndim, line, 0)
+        low, piv, up, x = (list(a.transpose(first)) for a in arrays)
     n = len(piv)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, n):
-            fact = low[i] / piv[i - 1]
-            piv[i] = piv[i] - fact * up[i - 1]
-            x[i] = x[i] - fact * x[i - 1]
+        try:
+            for i in range(1, n):
+                fact = low[i] / piv[i - 1]
+                piv[i] = piv[i] - fact * up[i - 1]
+                x[i] = x[i] - fact * x[i - 1]
+        except ZeroDivisionError:
+            pass  # a float pivot was zero; the check below names it
         pivots = np.array(piv)
         if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
             raise LinearSolveError("tridiagonal solve hit a zero or non-finite pivot")
         x[-1] = x[-1] / piv[-1]
         for i in range(n - 2, -1, -1):
             x[i] = (x[i] - up[i] * x[i + 1]) / piv[i]
-    return np.moveaxis(np.array(x), 0, line).reshape(rhs.shape)
+    sol = np.array(x)
+    return sol.transpose(_axis_to(sol.ndim, 0, line)).reshape(rhs.shape)
 
 
 def _face_values(
@@ -255,9 +304,8 @@ def _face_values(
 ) -> np.ndarray:
     """Full-grid array holding prescribed values at face nodes (0 elsewhere)."""
     out = np.zeros((grid.n_nodes, m))
-    mask = grid.boundary_mask()
     if config.dirichlet_data is not None:
-        pts = grid_nodes(grid)[mask]
+        mask, pts = grid_faces(grid)
         vals = np.asarray(config.dirichlet_data(horizon - t_next, pts), dtype=float)
         out[mask] = vals.reshape(pts.shape[0], m)
     return out
@@ -276,33 +324,41 @@ def _solve_axis_sweep(
     Every grid line along ``axis`` is an independent tridiagonal system
     whose two face rows are identity rows carrying the values of
     ``bfull``.  All lines and all m field components go to one batched
-    :func:`solve_tridiagonal` call on the (..., N, m) stack, with the
-    other axes as batch axes.  Returns a new (n_nodes, m) array.
+    :func:`solve_tridiagonal` call, on copies laid out line axis first so
+    that each row entry of its loop is one contiguous block.  Returns a
+    new (n_nodes, m) array.
     """
     shape = grid.shape
     m = work.shape[1]
     h = grid.spacings[axis]
     r = dt / (h * h)
 
-    faces = [0, -1]
-    cf = np.moveaxis(coeff.reshape(shape), axis, -1)
+    # axis and 0 swapped: the line axis first, the others in any fixed order
+    cf = np.ascontiguousarray(coeff.reshape(shape).swapaxes(0, axis))
     off = -r * cf  # the operator is symmetric: lower and upper bands agree
     diag = 1.0 + 2.0 * r * cf
-    off[..., faces] = 0.0
-    diag[..., faces] = 1.0
-    rhs = np.moveaxis(work.reshape(*shape, m), axis, -2).copy()
-    rhs[..., faces, :] = np.moveaxis(bfull.reshape(*shape, m), axis, -2)[..., faces, :]
+    rhs = work.reshape(*shape, m).swapaxes(0, axis).copy()
+    faces = bfull.reshape(*shape, m).swapaxes(0, axis)
+    for face in (0, -1):
+        off[face] = 0.0
+        diag[face] = 1.0
+        rhs[face] = faces[face]
 
-    sol = solve_tridiagonal(off, diag, off, rhs)
-    return np.moveaxis(sol, -2, axis).reshape(grid.n_nodes, m)
+    sol = solve_tridiagonal(off, diag, off, rhs, axis=0)
+    return sol.swapaxes(0, axis).reshape(grid.n_nodes, m)
 
 
 def step_imex(
-    u_now: np.ndarray, t: float, spec: ProblemSpec, config: SolverConfig
+    u_now: np.ndarray,
+    t: float,
+    spec: ProblemSpec,
+    config: SolverConfig,
+    p: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Advance the reversed equation one time step from Cauchy time ``t``.
 
-    ``u_now`` holds the (n_nodes, m) node values on ``config.grid``.
+    ``u_now`` holds the (n_nodes, m) node values on ``config.grid`` and
+    ``p`` their :func:`spatial_gradient`, computed here if not given.
     Diffusion (coefficients frozen at ``u_now``) is implicit, one
     tridiagonal sweep per axis; transport, reaction, the nonlocal table
     and, on 2-D and 3-D grids, the mixed derivatives are explicit.  Face
@@ -312,40 +368,41 @@ def step_imex(
     grid = config.grid
     ndim = grid.ndim
     dt = spec.horizon / config.n_steps
-    nodes = grid_nodes(grid)
 
-    p = spatial_gradient(grid, u_now)
+    if p is None:
+        p = spatial_gradient(grid, u_now)
     w = eval_nonlocal(grid, u_now, spec, t)
-    a2, a1, a0 = assemble_coefficients(spec, t, nodes, u_now, p, w)
+    a2, a1, a0 = assemble_coefficients(spec, t, grid_nodes(grid), u_now, p, w)
 
-    if not np.all(np.isfinite(a2)):
+    if not all_finite(a2):
         raise DegenerateDiffusionError(
             "non-finite diffusion coefficient a2 on the grid; check sigma"
         )
-    if not np.all(np.diagonal(a2, axis1=1, axis2=2) > 0.0):
+    if not all(a2[:, i, i].min() > 0.0 for i in range(ndim)):
         raise DegenerateDiffusionError(
             "non-positive diffusion pivot a_ii; ellipticity fails on the grid"
         )
 
-    expl = -np.einsum("bi,bmi->bm", a1, p) - a0
+    expl = -np.einsum("bi,bmi->bm", a1, p)
+    expl -= a0
     if ndim > 1:
-        expl = expl + _mixed_second_sum(u_now, a2, grid)
-    rhs = u_now + dt * expl
+        expl += _mixed_second_sum(u_now, a2, grid)
+    expl *= dt
+    rhs = u_now + expl
 
     bfull = _face_values(config, grid, t + dt, spec.horizon, u_now.shape[1])
-    mask = grid.boundary_mask()
 
-    if not np.all(np.isfinite(rhs)):
+    if not all_finite(rhs):
         raise BlowUpError("explicit terms produced non-finite values", level=-1)
 
     u_next = rhs
     for ax in range(ndim):
         u_next = _solve_axis_sweep(grid, u_next, ax, a2[:, ax, ax], dt, bfull)
-    u_next[mask] = bfull[mask]
+    np.copyto(u_next, bfull, where=grid.boundary_mask()[:, None])
 
-    if not np.all(np.isfinite(u_next)):
+    if not all_finite(u_next):
         raise BlowUpError("implicit solve produced non-finite values", level=-1)
-    return u_next, float(np.abs(a1).max())
+    return u_next, float(max(a1.max(), -a1.min()))
 
 
 @dataclass(frozen=True)
@@ -357,7 +414,8 @@ class SolutionField:
     boundary-prepared terminal data exactly.  Evaluation between
     snapshots is linear in time and multilinear in space, with queries
     clamped to the box.  :meth:`value` and :meth:`gradient` take ``t`` as
-    a scalar or one time per point.  A fresh array given to the field is
+    a scalar or one time per point; queries of both on the same rows can
+    share one :meth:`locate`.  A fresh array given to the field is
     taken over and made read-only; views and read-only arrays are copied.
     """
 
@@ -371,8 +429,7 @@ class SolutionField:
     def __post_init__(self):
         for name in ("times", "values", "gradients"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            # min and max propagate NaN without a temporary of the array's size
-            if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            if not all_finite(arr):
                 raise ValueError(f"{name} must be finite")
             if arr.base is not None or not arr.flags.writeable:
                 arr = arr.copy()
@@ -406,17 +463,25 @@ class SolutionField:
         i = np.clip(np.floor(s), 0, self.times.shape[0] - 2).astype(np.int64)
         return i, np.clip(s - i, 0.0, 1.0)
 
+    def locate(self, t, points: np.ndarray) -> tuple:
+        """Cell corners and time bracket of the query rows (``t``, ``points``).
+
+        Pass the result as ``at`` to several queries on the same rows, so
+        that they locate the rows once.
+        """
+        return cell_corners(self.grid, points), self.time_bracket(t)
+
     def interpolate(
-        self, t, points: np.ndarray, data: np.ndarray, first_level: int = 0
+        self, t, points: np.ndarray, data: np.ndarray, first_level: int = 0, at=None
     ) -> np.ndarray:
         """Per-level node data (L, n_nodes, ...) at time ``t`` (scalar or (B,)).
 
         ``data[l]`` is level ``first_level + l``: it need only hold the levels
         that bracket ``t``.  Only the 2^d cell corners of each point are
         blended in time, elementwise the arithmetic of blending whole levels.
+        ``at`` is ``self.locate(t, points)``, if the caller has it.
         """
-        flats, weights = cell_corners(self.grid, points)
-        i, alpha = self.time_bracket(t)
+        (flats, weights), (i, alpha) = self.locate(t, points) if at is None else at
         alpha = np.reshape(alpha, alpha.shape + (1,) * (data.ndim - 2))
         expand = (slice(None),) + (None,) * (data.ndim - 2)
         rows = data.reshape((-1,) + data.shape[2:])  # level i, node k: row i * n_nodes + k
@@ -430,11 +495,11 @@ class SolutionField:
             out += weight[expand] * corner
         return out
 
-    def value(self, t, points: np.ndarray) -> np.ndarray:
-        return self.interpolate(t, points, self.values)
+    def value(self, t, points: np.ndarray, at=None) -> np.ndarray:
+        return self.interpolate(t, points, self.values, at=at)
 
-    def gradient(self, t, points: np.ndarray) -> np.ndarray:
-        return self.interpolate(t, points, self.gradients)
+    def gradient(self, t, points: np.ndarray, at=None) -> np.ndarray:
+        return self.interpolate(t, points, self.gradients, at=at)
 
     def nonlocal_table(
         self, t, points: np.ndarray, u_here: np.ndarray | None = None
@@ -451,7 +516,13 @@ class SolutionField:
 
     def sup_norms(self) -> np.ndarray:
         """Per-level sup over nodes of the euclidean field norm."""
-        return np.sqrt(np.sum(self.values**2, axis=-1)).max(axis=1)
+        # eight levels at a time: squaring every level at once would copy the field
+        return np.concatenate(
+            [
+                np.sqrt(np.sum(self.values[i : i + 8] ** 2, axis=-1)).max(axis=1)
+                for i in range(0, len(self.values), 8)
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -534,7 +605,7 @@ def solve_final_value(
     n_steps = config.n_steps
     dt = T / n_steps
     nodes = grid_nodes(grid)
-    mask = grid.boundary_mask()
+    mask, face_nodes = grid_faces(grid)
 
     h_vals = np.asarray(spec.terminal(nodes), dtype=float).reshape(grid.n_nodes, spec.m)
     if not np.all(np.isfinite(h_vals)):
@@ -545,18 +616,22 @@ def solve_final_value(
         boundary_sup = 0.0
     else:
         u0 = h_vals.copy()
-        psi0 = np.asarray(config.dirichlet_data(T, nodes[mask]), dtype=float)
+        psi0 = np.asarray(config.dirichlet_data(T, face_nodes), dtype=float)
         if not np.all(np.isfinite(psi0)):
             raise ValueError("Dirichlet data must be finite at every face node")
         u0[mask] = psi0.reshape(-1, spec.m)
         boundary_sup = float(np.sqrt(np.sum(u0[mask] ** 2, axis=-1)).max())
 
-    levels = [u0]
-    u = u0
+    # march level j is stored at original-time level n_steps - j, and its
+    # gradient is computed once, for the step and for the field
+    values = np.empty((n_steps + 1, grid.n_nodes, spec.m))
+    gradients = np.empty(values.shape + (grid.ndim,))
+    values[-1] = u = u0
     coarse = False
     for j in range(n_steps):
+        p = spatial_gradient(grid, u, out=gradients[-1 - j])
         try:
-            u, max_transport = step_imex(u, j * dt, spec, config)
+            u, max_transport = step_imex(u, j * dt, spec, config, p)
         except BlowUpError as exc:
             raise BlowUpError(
                 f"solution blew up at time level {j + 1}: {exc}", level=j + 1
@@ -566,19 +641,14 @@ def solve_final_value(
             coarse = dt * max_transport > min(grid.spacings)
         if config.dirichlet_data is not None:
             face_now = np.asarray(
-                config.dirichlet_data(T - (j + 1) * dt, nodes[mask]), dtype=float
+                config.dirichlet_data(T - (j + 1) * dt, face_nodes), dtype=float
             ).reshape(-1, spec.m)
             boundary_sup = max(
                 boundary_sup, float(np.sqrt(np.sum(face_now**2, axis=-1)).max())
             )
-        levels.append(u)
-
-    values = np.stack(levels[::-1])
-    del levels
+        values[-2 - j] = u
+    spatial_gradient(grid, u, out=gradients[0])
     times = np.linspace(0.0, T, n_steps + 1)
-    gradients = np.empty(values.shape + (grid.ndim,))
-    for i, v in enumerate(values):
-        gradients[i] = spatial_gradient(grid, v)
 
     field_obj = SolutionField(
         grid=grid,

@@ -14,6 +14,7 @@ from fbsde import (
     multilinear_interpolate,
 )
 from fbsde.grid import cell_corners, grid_axes
+from fbsde.operators import _half_gram, shifted_differences
 
 
 def _zeros(m):
@@ -378,3 +379,104 @@ class TestProblemSpecValidation:
                 jump_coeff=lambda t, x, u, y: np.zeros((x.shape[0], 1)),
                 terminal=lambda x: x.copy(), measure=measure,
             )
+
+
+# entries with both zeros, so that products of either sign of zero occur
+SIGMA_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
+def _sigma_batch(n, entries):
+    return np.array(entries, dtype=float).reshape(-1, n, n)
+
+
+class TestHalfGram:
+    """``a2 = 0.5 sigma sigma^T`` without einsum, entry-major."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_einsum_bit_for_bit_up_to_two_dimensions(self, n, data):
+        rows = data.draw(st.integers(min_value=1, max_value=6))
+        size = rows * n * n
+        sig = _sigma_batch(n, data.draw(st.lists(SIGMA_ENTRY, min_size=size, max_size=size)))
+        # einsum's sums start from +0.0: a (-0.0) + (-0.0) entry is +0.0 there
+        want = 0.5 * np.einsum("bik,bjk->bij", sig, sig)
+        got = _half_gram(sig)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_signed_zero_products_give_positive_zero(self):
+        sig = np.array([[[-0.0, 0.0], [0.0, 0.0]], [[1.0, -0.0], [-0.0, 0.0]]])
+        got = _half_gram(sig)
+        assert not np.signbit(got).any()
+
+    @given(st.lists(SIGMA_ENTRY, min_size=9 * 4, max_size=9 * 4))
+    @settings(max_examples=80, deadline=None)
+    def test_three_dimensions_within_one_rounding_per_term(self, entries):
+        sig = _sigma_batch(3, entries)
+        got = _half_gram(sig)
+        assert np.array_equal(got, got.swapaxes(1, 2))  # exactly symmetric
+        want = 0.5 * np.einsum("bik,bjk->bij", sig, sig)
+        # two orders of a 3-term sum differ by at most 2 roundings of sum |terms|
+        scale = 0.5 * np.einsum("bik,bjk->bij", np.abs(sig), np.abs(sig))
+        assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * scale)
+
+    def test_entries_are_contiguous_over_the_batch(self):
+        sig = np.random.default_rng(0).normal(size=(50, 3, 3))
+        got = _half_gram(sig)
+        for i in range(3):
+            for j in range(3):
+                assert got[:, i, j].flags.c_contiguous
+
+    def test_assembled_a2_is_the_half_gram(self):
+        rng = np.random.default_rng(1)
+        mat = rng.normal(size=(50, 2, 2))
+        spec = ProblemSpec(
+            n=2,
+            m=1,
+            l=1,
+            horizon=1.0,
+            drift=_zeros(2),
+            generator=_zeros(1),
+            diffusion=lambda t, x, u: mat.copy(),
+            jump_coeff=lambda t, x, u, y: np.zeros((x.shape[0], 2)),
+            terminal=lambda x: x[:, :1].copy(),
+            measure=LevyMeasure(marks=[[1.0]], weights=[1.0]),
+        )
+        x, u = np.zeros((50, 2)), np.zeros((50, 1))
+        a2, _, _ = assemble_coefficients(spec, 0.0, x, u, np.zeros((50, 1, 2)), np.zeros((50, 1, 1)))
+        assert a2.tobytes() == (0.5 * np.einsum("bik,bjk->bij", mat, mat)).tobytes()
+        assert a2[:, 0, 1].flags.c_contiguous
+
+
+class TestZeroShiftRows:
+    """The column-by-column zero-shift test marks exactly the rows with no shift."""
+
+    SHIFT = st.tuples(st.sampled_from([0.0, -0.0, 0.25]), st.sampled_from([0.0, -0.0, -1.0]))
+
+    @given(st.lists(SHIFT, min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_without_a_shift_are_exact_zeros(self, shifts):
+        grid = Grid((-2.0, -2.0), (2.0, 2.0), (9, 9))
+        shift = np.array(shifts)
+        spec = ProblemSpec(
+            n=2,
+            m=1,
+            l=1,
+            horizon=1.0,
+            drift=_zeros(2),
+            generator=_zeros(1),
+            diffusion=lambda t, x, u: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy(),
+            jump_coeff=lambda t, x, u, y: shift.copy(),
+            terminal=lambda x: x[:, :1].copy(),
+            measure=LevyMeasure(marks=[[1.0]], weights=[1.0]),
+        )
+        points = np.random.default_rng(len(shifts)).uniform(-1.0, 1.0, (len(shifts), 2))
+        u_here = points[:, :1] + 0.5
+        table = shifted_differences(lambda q: q[:, :1].copy(), spec, 0.5, points, u_here)[:, 0, 0]
+        moved = np.any(shift != 0.0, axis=1)
+        assert np.array_equal(table[~moved], np.zeros((~moved).sum()))
+        assert not np.signbit(table[~moved]).any()
+        assert np.array_equal(table[moved], (points + shift)[moved, 0] - u_here[moved, 0])

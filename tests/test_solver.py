@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from fbsde import (
     spatial_gradient,
     step_imex,
 )
+from fbsde import solver as solver_module
 from fbsde.grid import multilinear_interpolate
 from fbsde.solver import _mixed_second_sum, _solve_axis_sweep, solve_tridiagonal
 
@@ -936,3 +939,210 @@ class TestNanQueries:
                 assert np.array_equal(query(times, points), face)
             # shifted infinite points clamp to the face as well
             assert np.all(np.isfinite(field.nonlocal_table(times, points)))
+
+
+def _heat_spec(n, m=1, sigma=None):
+    """Heat-type problem in n dimensions; ``sigma`` is a constant (n, n) matrix."""
+    mat = np.eye(n) if sigma is None else np.asarray(sigma, dtype=float)
+    return ProblemSpec(
+        n=n,
+        m=m,
+        l=1,
+        horizon=0.5,
+        drift=lambda t, x, u, p, w: 0.1 * np.repeat(u[:, :1], n, axis=1),
+        generator=lambda t, x, u, p, w: -0.2 * u,
+        diffusion=lambda t, x, u: np.broadcast_to(mat, (x.shape[0], n, n)).copy(),
+        jump_coeff=lambda t, x, u, y: np.zeros((x.shape[0], n)),
+        terminal=lambda x: np.repeat(np.sin(x).prod(axis=1, keepdims=True), m, axis=1),
+        measure=DUMMY_MEASURE,
+    )
+
+
+def _march_case(name):
+    """(spec, config) of a small march: 1-D, 2-D, 3-D, or 2-D with face data."""
+    if name == "1d":
+        grid = Grid((-3.0,), (3.0,), (41,))
+        return _heat_spec(1, m=2), SolverConfig(grid=grid, n_steps=30, cutoff_width=1.0)
+    if name == "2d":
+        grid = Grid((-3.0, -2.0), (3.0, 2.0), (21, 17))
+        spec = _heat_spec(2, sigma=[[1.0, 0.4], [-0.3, 0.8]])
+        return spec, SolverConfig(grid=grid, n_steps=20, cutoff_width=0.5)
+    if name == "3d":
+        grid = Grid((0.0,) * 3, (3.0,) * 3, (9, 8, 7))
+        spec = _heat_spec(3, sigma=[[1.0, 0.2, 0.0], [0.1, 0.9, 0.3], [0.0, -0.2, 1.1]])
+        return spec, SolverConfig(grid=grid, n_steps=12, cutoff_width=0.5)
+    grid = Grid((0.0, 0.0), (math.pi, math.pi), (17, 17))
+    return _heat_spec(2), SolverConfig(
+        grid=grid,
+        n_steps=16,
+        dirichlet_data=lambda t, x: (np.cos(t) * (x[:, :1] - x[:, 1:])),
+    )
+
+
+MARCH_CASES = ["1d", "2d", "3d", "dirichlet"]
+
+
+class TestOneGradientPerLevel:
+    """The march differentiates each level once and stores that gradient."""
+
+    @pytest.mark.parametrize("name", MARCH_CASES)
+    def test_stored_gradient_is_the_level_gradient(self, name):
+        spec, config = _march_case(name)
+        field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0.0, 1.0, 1.0))
+        assert field.gradients.shape == field.values.shape + (config.grid.ndim,)
+        for values, gradient in zip(field.values, field.gradients):
+            # bytes: signs of zero included
+            assert spatial_gradient(config.grid, values).tobytes() == gradient.tobytes()
+
+    @pytest.mark.parametrize("name", MARCH_CASES)
+    def test_given_gradient_equals_the_default(self, name):
+        spec, config = _march_case(name)
+        field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0.0, 1.0, 1.0))
+        u = np.array(field.values[-3])
+        default = step_imex(u, 0.1, spec, config)
+        given_p = step_imex(u, 0.1, spec, config, spatial_gradient(config.grid, u))
+        assert default[0].tobytes() == given_p[0].tobytes() and default[1] == given_p[1]
+
+    @pytest.mark.parametrize(
+        "grid, steps",
+        [(Grid((0.0,) * 3, (math.pi,) * 3, (17,) * 3), 40), (Grid((-6.0,), (6.0,), (201,)), 400)],
+        ids=["17^3x40", "201x400"],
+    )
+    def test_one_spatial_gradient_call_per_level(self, grid, steps):
+        spec = _heat_spec(grid.ndim)
+        config = SolverConfig(grid=grid, n_steps=steps, cutoff_width=0.5)
+        with mock.patch.object(
+            solver_module, "spatial_gradient", wraps=solver_module.spatial_gradient
+        ) as spy:
+            solve_final_value(spec, config, MaxPrincipleConstants(0.0, 1.0, 1.0))
+        assert spy.call_count == steps + 1
+
+    @pytest.mark.parametrize(
+        "grid, steps",
+        [
+            (Grid((0.0,), (3.0,), (201,)), 200),
+            (Grid((0.0,) * 2, (3.0,) * 2, (33, 33)), 200),
+            (Grid((0.0,) * 3, (3.0,) * 3, (13,) * 3), 100),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_peak_is_the_field_plus_a_few_levels(self, grid, steps):
+        spec = _heat_spec(grid.ndim)
+        config = SolverConfig(grid=grid, n_steps=steps, cutoff_width=0.5)
+        constants = MaxPrincipleConstants(0.0, 1.0, 1.0)
+        solve_final_value(spec, config, constants)  # fills the per-grid caches
+        tracemalloc.start()
+        try:
+            field, _ = solve_final_value(spec, config, constants)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = field.values.nbytes + field.gradients.nbytes
+        level = stored // len(field.times)  # one level of values and gradients
+        # a list of levels stacked at the end would add every level's values again
+        assert peak <= stored + 24 * level, (peak - stored) / level
+
+
+class TestIntegerCounts:
+    GRID = Grid((0.0,), (1.0,), (11,))
+
+    @pytest.mark.parametrize("bad", [2.5, 4.0, np.nan, True, "4", None])
+    def test_non_integer_step_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="n_steps"):
+            SolverConfig(grid=self.GRID, n_steps=bad, cutoff_width=0.2)
+
+    def test_numpy_integer_step_count_accepted(self):
+        config = SolverConfig(grid=self.GRID, n_steps=np.int64(4), cutoff_width=0.2)
+        field, _ = solve_final_value(
+            diffusion_spec(), config, MaxPrincipleConstants(0.0, 0.0, 0.0)
+        )
+        assert len(field.times) == 5
+
+    @pytest.mark.parametrize("bad", [3.7, 4.0, np.nan, True, "5"])
+    def test_non_integer_node_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="shape"):
+            Grid((0.0, 0.0), (1.0, 1.0), (5, bad))
+
+    def test_numpy_integer_node_count_accepted(self):
+        grid = Grid((0.0,), (1.0,), (np.int64(7),))
+        assert grid.shape == (7,) and type(grid.shape[0]) is int
+
+
+class TestScalarThomas:
+    """One system with one column runs on Python floats, to the same bits."""
+
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_a_batch_of_one(self, n, column, seed):
+        lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(seed), (), n, None)
+        if column:
+            rhs = rhs[:, None]
+        got = solve_tridiagonal(lower, diag, upper, rhs)
+        batch = solve_tridiagonal(lower[None], diag[None], upper[None], rhs[None])
+        assert got.shape == rhs.shape and got.tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("row", [0, 2, 5])
+    def test_zero_pivot_in_a_float_division_raises(self, row):
+        lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(7), (), 6, 1)
+        diag[row], upper[row] = 0.0, 0.0
+        if row > 0:
+            lower[row] = 0.0  # the pivot of this row is then exactly 0
+        with pytest.raises(LinearSolveError, match="pivot"):
+            solve_tridiagonal(lower, diag, upper, rhs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pivot_raises(self, bad):
+        lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(8), (), 6, None)
+        diag[3] = bad
+        with pytest.raises(LinearSolveError, match="pivot"):
+            solve_tridiagonal(lower, diag, upper, rhs)
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_line_axis_first_equals_last(self, k):
+        lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(9), (4, 3), 8, k)
+        last = solve_tridiagonal(lower, diag, upper, rhs)
+        to_front = (2, 0, 1) + ((3,) if k is not None else ())
+        first = solve_tridiagonal(
+            *(np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (lower, diag, upper)),
+            np.ascontiguousarray(rhs.transpose(to_front)),
+            axis=0,
+        )
+        assert first.transpose(np.argsort(to_front)).tobytes() == last.tobytes()
+        with pytest.raises(ValueError, match="axis 3 is out of range"):
+            solve_tridiagonal(lower, diag, upper, rhs, axis=3)
+
+
+class TestSharedLocation:
+    """Queries on the same rows share one ``locate``, to the same bits."""
+
+    @given(st.lists(st.tuples(QUERY_TIME, QUERY_POINT), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_located_queries_equal_plain_queries(self, rows):
+        field = FIELD_2D
+        t = np.array([r[0] for r in rows])
+        x = np.array([r[1] for r in rows])
+        at = field.locate(t, x)
+        assert field.value(t, x, at).tobytes() == field.value(t, x).tobytes()
+        assert field.gradient(t, x, at).tobytes() == field.gradient(t, x).tobytes()
+
+    def test_euler_increment_locates_its_rows_once(self):
+        from fbsde import paths
+
+        field = _jump_field_2d(17)
+        spec = dataclasses.replace(
+            field.spec, jump_coeff=lambda t, x, u, y: np.zeros((x.shape[0], 2))
+        )
+        field = dataclasses.replace(field, spec=spec)
+        x = np.random.default_rng(3).uniform(-5.0, 5.0, (30, 2))
+        with mock.patch.object(
+            solver_module, "cell_corners", wraps=solver_module.cell_corners
+        ) as corners, mock.patch.object(
+            SolutionField, "time_bracket", autospec=True, side_effect=SolutionField.time_bracket
+        ) as bracket:
+            paths.euler_increment(field, spec, 0.3, x, np.zeros((30, 2)), 0.01)
+        # the nonlocal table of a vanishing shift makes no query
+        assert corners.call_count == 1 and bracket.call_count == 1
