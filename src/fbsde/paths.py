@@ -202,12 +202,10 @@ def euler_increment(
     ``delta`` are scalars or one start time and one substep per row.
     """
     x = np.atleast_2d(x)
-    at = field.locate(t, x)
-    y = field.value(t, x, at)
+    y, grad = field.gradient(t, x, with_value=True)
     sig = np.asarray(spec.diffusion(t, x, y), dtype=float).reshape(
         x.shape[0], spec.n, spec.n
     )
-    grad = field.gradient(t, x, at)
     zarg = np.einsum("bmi,bij->bmj", grad, sig)
     wtab = field.nonlocal_table(t, x, u_here=y)
     fval = np.asarray(spec.drift(t, x, y, zarg, wtab), dtype=float).reshape(

@@ -128,12 +128,10 @@ def link_ensemble(
     for block in _level_blocks(n_paths, n_levels):
         t = _level_rows(times, block, n_paths)
         xb = _rows(states, block)
-        at = field.locate(t, xb)
-        yb = field.value(t, xb, at)
+        yb, grad = field.gradient(t, xb, with_value=True)
         sig = np.asarray(spec.diffusion(t, xb, yb), dtype=float).reshape(
             -1, spec.n, spec.n
         )
-        grad = field.gradient(t, xb, at)
         shape = (n_paths, block.stop - block.start)
         y[:, block] = yb.reshape(shape + y.shape[2:])
         z[:, block] = np.einsum("bmi,bij->bmj", grad, sig).reshape(shape + z.shape[2:])

@@ -137,8 +137,8 @@ def spatial_gradient(
 
     Central differences at interior nodes, one-sided second-order
     stencils on the faces; exact for node values of affine functions.
-    ``out``, if given, is a C-contiguous (n_nodes, m, n) array that
-    receives the result and is returned.
+    ``out``, if given, is a C-contiguous float64 (n_nodes, m, n) array
+    that receives the result and is returned.
     """
     shape = grid.shape
     m = values.shape[1]
@@ -146,8 +146,15 @@ def spatial_gradient(
     total = grid.ndim + 1
     if out is None:
         out = np.empty((grid.n_nodes, m, grid.ndim))
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+    elif not (
+        out.shape == (grid.n_nodes, m, grid.ndim)
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape {(grid.n_nodes, m, grid.ndim)},"
+            f" got {out.dtype} {out.shape}"
+        )
     by_axis = out.reshape(shape + (m, grid.ndim))  # a view: out is contiguous
     for ax in range(grid.ndim):
         h = grid.spacings[ax]
@@ -231,26 +238,17 @@ def _mixed_second_sum(values: np.ndarray, a2: np.ndarray, grid: Grid) -> np.ndar
     return out.reshape(grid.n_nodes, m)
 
 
-def _axis_to(ndim: int, src: int, dst: int) -> tuple:
-    """Transpose order that moves axis ``src`` to ``dst`` (np.moveaxis, for less overhead)."""
-    order = [k for k in range(ndim) if k != src]
-    order.insert(dst, src)
-    return tuple(order)
-
-
 def solve_tridiagonal(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray, axis: int = -1
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
     """Batched Thomas solve of independent tridiagonal systems.
 
-    ``lower``, ``diag`` and ``upper`` have one shape: the N rows of each
-    system lie along ``axis`` (the last by default), one system per index
-    of the other axes; the first row's ``lower`` and the last row's
-    ``upper`` are ignored.  ``rhs`` has that shape, or that shape plus a
-    trailing axis of k columns, and the solution has the shape of
-    ``rhs``.  The loop runs along the line only; each of its steps is
-    vectorized across every system and right-hand-side column, and is
-    fastest when ``axis`` is 0 of C-contiguous arrays.
+    ``lower``, ``diag`` and ``upper`` have shape (..., N), one system per
+    leading index; ``lower[..., 0]`` and ``upper[..., -1]`` are ignored.
+    ``rhs`` has shape (..., N) or (..., N, k) with the same leading
+    shape, and the solution has the shape of ``rhs``.  The loop runs
+    along the line only; each of its steps is vectorized across every
+    system and right-hand-side column.
 
     There is no pivoting, so every row must be strictly diagonally
     dominant, ``|diag| > |lower| + |upper|``.  ``step_imex`` guarantees
@@ -261,9 +259,20 @@ def solve_tridiagonal(
     ``gtsv`` when it makes no row interchange, so such systems solve to
     the same bits.
     """
-    if not -diag.ndim <= axis < diag.ndim:
-        raise ValueError(f"axis {axis} is out of range for {diag.ndim}-D systems")
-    line = axis % diag.ndim
+    line = diag.ndim - 1
+    bands = (np.moveaxis(a, line, 0) for a in (lower, diag, upper))
+    return np.moveaxis(_thomas(*bands, np.moveaxis(rhs, line, 0)), 0, line)
+
+
+def _thomas(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """The Thomas loop of :func:`solve_tridiagonal` on line-first arrays.
+
+    The bands have shape (N, ...) and ``rhs`` (N, ...) or (N, ..., k);
+    the solution has the shape of ``rhs``.  The loop is fastest when each
+    row ``a[i]`` is one contiguous block.
+    """
     arrays = [lower, diag, upper, rhs]
     if rhs.ndim > diag.ndim:
         if rhs.shape[-1] == 1:
@@ -278,8 +287,7 @@ def solve_tridiagonal(
         low, piv, up, x = (a.tolist() for a in arrays)
     else:
         # one entry per row, each entry spanning every system at once
-        first = _axis_to(arrays[3].ndim, line, 0)
-        low, piv, up, x = (list(a.transpose(first)) for a in arrays)
+        low, piv, up, x = (list(a) for a in arrays)
     n = len(piv)
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
@@ -290,13 +298,12 @@ def solve_tridiagonal(
         except ZeroDivisionError:
             pass  # a float pivot was zero; the check below names it
         pivots = np.array(piv)
-        if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+        if not (all_finite(pivots) and pivots.all()):
             raise LinearSolveError("tridiagonal solve hit a zero or non-finite pivot")
         x[-1] = x[-1] / piv[-1]
         for i in range(n - 2, -1, -1):
             x[i] = (x[i] - up[i] * x[i + 1]) / piv[i]
-    sol = np.array(x)
-    return sol.transpose(_axis_to(sol.ndim, 0, line)).reshape(rhs.shape)
+    return np.array(x).reshape(rhs.shape)
 
 
 def _face_values(
@@ -324,9 +331,8 @@ def _solve_axis_sweep(
     Every grid line along ``axis`` is an independent tridiagonal system
     whose two face rows are identity rows carrying the values of
     ``bfull``.  All lines and all m field components go to one batched
-    :func:`solve_tridiagonal` call, on copies laid out line axis first so
-    that each row entry of its loop is one contiguous block.  Returns a
-    new (n_nodes, m) array.
+    Thomas loop, on copies laid out line axis first so that each row of
+    the loop is one contiguous block.  Returns a new (n_nodes, m) array.
     """
     shape = grid.shape
     m = work.shape[1]
@@ -344,7 +350,7 @@ def _solve_axis_sweep(
         diag[face] = 1.0
         rhs[face] = faces[face]
 
-    sol = solve_tridiagonal(off, diag, off, rhs, axis=0)
+    sol = _thomas(off, diag, off, rhs)
     return sol.swapaxes(0, axis).reshape(grid.n_nodes, m)
 
 
@@ -414,8 +420,8 @@ class SolutionField:
     boundary-prepared terminal data exactly.  Evaluation between
     snapshots is linear in time and multilinear in space, with queries
     clamped to the box.  :meth:`value` and :meth:`gradient` take ``t`` as
-    a scalar or one time per point; queries of both on the same rows can
-    share one :meth:`locate`.  A fresh array given to the field is
+    a scalar or one time per point; ``gradient(t, x, with_value=True)``
+    gives both on the same rows and locates the rows once.  A fresh array given to the field is
     taken over and made read-only; views and read-only arrays are copied.
     """
 
@@ -463,43 +469,49 @@ class SolutionField:
         i = np.clip(np.floor(s), 0, self.times.shape[0] - 2).astype(np.int64)
         return i, np.clip(s - i, 0.0, 1.0)
 
-    def locate(self, t, points: np.ndarray) -> tuple:
-        """Cell corners and time bracket of the query rows (``t``, ``points``).
-
-        Pass the result as ``at`` to several queries on the same rows, so
-        that they locate the rows once.
-        """
-        return cell_corners(self.grid, points), self.time_bracket(t)
-
     def interpolate(
-        self, t, points: np.ndarray, data: np.ndarray, first_level: int = 0, at=None
+        self, t, points: np.ndarray, data: np.ndarray, first_level: int = 0
     ) -> np.ndarray:
         """Per-level node data (L, n_nodes, ...) at time ``t`` (scalar or (B,)).
 
         ``data[l]`` is level ``first_level + l``: it need only hold the levels
         that bracket ``t``.  Only the 2^d cell corners of each point are
         blended in time, elementwise the arithmetic of blending whole levels.
-        ``at`` is ``self.locate(t, points)``, if the caller has it.
         """
-        (flats, weights), (i, alpha) = self.locate(t, points) if at is None else at
-        alpha = np.reshape(alpha, alpha.shape + (1,) * (data.ndim - 2))
-        expand = (slice(None),) + (None,) * (data.ndim - 2)
-        rows = data.reshape((-1,) + data.shape[2:])  # level i, node k: row i * n_nodes + k
-        at = (i - first_level) * data.shape[1] + flats
-        # np.take copies the gathered rows in one pass; rows[at] copies each on its own
-        corner_values = (1.0 - alpha) * np.take(rows, at, axis=0) + alpha * np.take(
-            rows, at + data.shape[1], axis=0
-        )
-        out = np.zeros(corner_values.shape[1:])
-        for weight, corner in zip(weights, corner_values):
-            out += weight[expand] * corner
+        return self._interpolate_each(t, points, (data,), first_level)[0]
+
+    def _interpolate_each(self, t, points, datas, first_level: int = 0) -> list:
+        """:meth:`interpolate` of each of ``datas``, the rows located once."""
+        flats, weights = cell_corners(self.grid, points)
+        i, alpha = self.time_bracket(t)
+        out = []
+        for data in datas:
+            a = np.reshape(alpha, alpha.shape + (1,) * (data.ndim - 2))
+            expand = (slice(None),) + (None,) * (data.ndim - 2)
+            rows = data.reshape((-1,) + data.shape[2:])  # level i, node k: row i * n_nodes + k
+            row = (i - first_level) * data.shape[1] + flats
+            # np.take copies the gathered rows in one pass; rows[row] copies each on its own
+            corner_values = (1.0 - a) * np.take(rows, row, axis=0) + a * np.take(
+                rows, row + data.shape[1], axis=0
+            )
+            blended = np.zeros(corner_values.shape[1:])
+            for weight, corner in zip(weights, corner_values):
+                blended += weight[expand] * corner
+            out.append(blended)
         return out
 
-    def value(self, t, points: np.ndarray, at=None) -> np.ndarray:
-        return self.interpolate(t, points, self.values, at=at)
+    def value(self, t, points: np.ndarray) -> np.ndarray:
+        return self.interpolate(t, points, self.values)
 
-    def gradient(self, t, points: np.ndarray, at=None) -> np.ndarray:
-        return self.interpolate(t, points, self.gradients, at=at)
+    def gradient(self, t, points: np.ndarray, with_value: bool = False):
+        """Spatial gradient at the rows (``t``, ``points``).
+
+        With ``with_value``, returns (value, gradient) and locates the rows
+        once for both; each is the array of its own query, bit for bit.
+        """
+        if with_value:
+            return tuple(self._interpolate_each(t, points, (self.values, self.gradients)))
+        return self.interpolate(t, points, self.gradients)
 
     def nonlocal_table(
         self, t, points: np.ndarray, u_here: np.ndarray | None = None
@@ -516,13 +528,8 @@ class SolutionField:
 
     def sup_norms(self) -> np.ndarray:
         """Per-level sup over nodes of the euclidean field norm."""
-        # eight levels at a time: squaring every level at once would copy the field
-        return np.concatenate(
-            [
-                np.sqrt(np.sum(self.values[i : i + 8] ** 2, axis=-1)).max(axis=1)
-                for i in range(0, len(self.values), 8)
-            ]
-        )
+        # level by level: a whole-array square would copy the field
+        return np.array([np.sqrt(np.sum(v**2, axis=-1)).max() for v in self.values])
 
 
 @dataclass(frozen=True)
@@ -608,7 +615,7 @@ def solve_final_value(
     mask, face_nodes = grid_faces(grid)
 
     h_vals = np.asarray(spec.terminal(nodes), dtype=float).reshape(grid.n_nodes, spec.m)
-    if not np.all(np.isfinite(h_vals)):
+    if not all_finite(h_vals):
         raise ValueError("terminal data h must be finite at every grid node")
     if config.dirichlet_data is None:
         xi = cutoff_values(grid, config.cutoff_width)
@@ -617,7 +624,7 @@ def solve_final_value(
     else:
         u0 = h_vals.copy()
         psi0 = np.asarray(config.dirichlet_data(T, face_nodes), dtype=float)
-        if not np.all(np.isfinite(psi0)):
+        if not all_finite(psi0):
             raise ValueError("Dirichlet data must be finite at every face node")
         u0[mask] = psi0.reshape(-1, spec.m)
         boundary_sup = float(np.sqrt(np.sum(u0[mask] ** 2, axis=-1)).max())

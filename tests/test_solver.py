@@ -34,7 +34,7 @@ from fbsde import (
 )
 from fbsde import solver as solver_module
 from fbsde.grid import multilinear_interpolate
-from fbsde.solver import _mixed_second_sum, _solve_axis_sweep, solve_tridiagonal
+from fbsde.solver import _mixed_second_sum, _solve_axis_sweep, _thomas, solve_tridiagonal
 
 
 def _zeros(m):
@@ -268,6 +268,28 @@ class TestSpatialGradient:
         g = spatial_gradient(grid, vals)
         assert np.allclose(g[:, 0, 0], 1.5, atol=1e-12)
         assert np.allclose(g[:, 0, 1], -0.25, atol=1e-12)
+
+    def test_out_receives_the_gradient(self):
+        grid = Grid((0.0, 0.0), (1.0, 2.0), (5, 9))
+        vals = np.sin(grid.nodes()).reshape(grid.n_nodes, 2)
+        out = np.empty((grid.n_nodes, 2, 2))
+        assert spatial_gradient(grid, vals, out=out) is out
+        assert out.tobytes() == spatial_gradient(grid, vals).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.empty(45 * 2 * 2),  # the right size, flat
+            np.empty((2, 45, 2)),  # the right size, components first
+            np.empty((45, 2, 2), dtype=np.float32),
+            np.empty((45, 2, 4))[..., ::2],  # not contiguous
+        ],
+        ids=["flat", "transposed", "float32", "strided"],
+    )
+    def test_out_of_another_layout_rejected(self, bad):
+        grid = Grid((0.0, 0.0), (1.0, 2.0), (5, 9))
+        with pytest.raises(ValueError, match="out must be"):
+            spatial_gradient(grid, np.zeros((grid.n_nodes, 2)), out=bad)
 
 
 class TestCutoff:
@@ -1102,32 +1124,30 @@ class TestScalarThomas:
             solve_tridiagonal(lower, diag, upper, rhs)
 
     @pytest.mark.parametrize("k", [None, 1, 3])
-    def test_line_axis_first_equals_last(self, k):
+    def test_line_first_loop_equals_solve_tridiagonal(self, k):
+        # the implicit sweeps run the loop on contiguous line-first copies
         lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(9), (4, 3), 8, k)
         last = solve_tridiagonal(lower, diag, upper, rhs)
         to_front = (2, 0, 1) + ((3,) if k is not None else ())
-        first = solve_tridiagonal(
+        first = _thomas(
             *(np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (lower, diag, upper)),
             np.ascontiguousarray(rhs.transpose(to_front)),
-            axis=0,
         )
         assert first.transpose(np.argsort(to_front)).tobytes() == last.tobytes()
-        with pytest.raises(ValueError, match="axis 3 is out of range"):
-            solve_tridiagonal(lower, diag, upper, rhs, axis=3)
 
 
 class TestSharedLocation:
-    """Queries on the same rows share one ``locate``, to the same bits."""
+    """Value and gradient on the same rows locate the rows once, to the same bits."""
 
     @given(st.lists(st.tuples(QUERY_TIME, QUERY_POINT), min_size=1, max_size=8))
     @settings(max_examples=40, deadline=None)
-    def test_located_queries_equal_plain_queries(self, rows):
+    def test_with_value_equals_separate_queries(self, rows):
         field = FIELD_2D
         t = np.array([r[0] for r in rows])
         x = np.array([r[1] for r in rows])
-        at = field.locate(t, x)
-        assert field.value(t, x, at).tobytes() == field.value(t, x).tobytes()
-        assert field.gradient(t, x, at).tobytes() == field.gradient(t, x).tobytes()
+        y, grad = field.gradient(t, x, with_value=True)
+        assert y.tobytes() == field.value(t, x).tobytes()
+        assert grad.tobytes() == field.gradient(t, x).tobytes()
 
     def test_euler_increment_locates_its_rows_once(self):
         from fbsde import paths
