@@ -1,15 +1,20 @@
 """Named benchmark problems with documented oracles and default constants.
 
 Coefficients are plain numpy callables following the batch convention of
-:mod:`fbsde.problem`.  Each entry builds a complete problem bundle:
-spec, solver configuration, sup-bound constants, start point, growth
-envelopes and default assumption sample sets.
+:mod:`fbsde.problem`.  ``CATALOG`` maps each name to its builder; the
+builder's keyword defaults are the problem's parameters, and
+:func:`build_problem` overrides them by name.  A builder returns a
+complete problem bundle: spec, solver configuration, sup-bound
+constants, start point and growth envelopes.  The default path step and
+the assumption sample sets follow from the spec and the grid.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -19,29 +24,29 @@ from .grid import Grid
 from .problem import GrowthEnvelopes, LevyMeasure, ProblemSpec
 from .solver import MaxPrincipleConstants, SolverConfig
 
-__all__ = ["BuiltProblem", "CatalogEntry", "CATALOG", "catalog_names", "build_problem"]
+__all__ = ["BuiltProblem", "CATALOG", "catalog_names", "build_problem"]
 
 
 @dataclass(frozen=True)
 class BuiltProblem:
-    name: str
     spec: ProblemSpec
     constants: MaxPrincipleConstants
     solver_config: SolverConfig
     oracle: Optional[Callable]  # field(t, x (B, n)) -> (B, m), original time
     x0: np.ndarray
-    default_path_dt: float
     envelopes: GrowthEnvelopes
-    ellipticity_samples: list
-    growth_samples: list
 
+    @property
+    def default_path_dt(self) -> float:
+        return self.spec.horizon / 1000.0
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    summary: str
-    builder: Callable[..., BuiltProblem]
-    defaults: dict
+    @property
+    def ellipticity_samples(self) -> list:
+        return _sample_sets(self.spec, self.solver_config.grid)[0]
+
+    @property
+    def growth_samples(self) -> list:
+        return _sample_sets(self.spec, self.solver_config.grid)[1]
 
 
 def _zeros_like_m(m: int):
@@ -134,18 +139,13 @@ def _build_heat(nodes: int = 201, steps: int = 400, horizon: float = 1.0) -> Bui
         gen_decay=lambda s, q, r: 0.0,
         jump_env=lambda s: 1.0,
     )
-    ell, growth = _sample_sets(spec, grid)
     return BuiltProblem(
-        name="heat",
         spec=spec,
         constants=MaxPrincipleConstants(0.0, 0.0, 0.0),
         solver_config=config,
         oracle=oracle,
         x0=np.array([math.pi / 2.0]),
-        default_path_dt=T / 1000.0,
         envelopes=envelopes,
-        ellipticity_samples=ell,
-        growth_samples=growth,
     )
 
 
@@ -218,18 +218,13 @@ def _build_manufactured(
         gen_decay=lambda s, q, r: 0.0,
         jump_env=lambda s: abs(m1) + 0.5,
     )
-    ell, growth = _sample_sets(spec, grid)
     return BuiltProblem(
-        name="manufactured-nonlocal",
         spec=spec,
         constants=constants,
         solver_config=config,
         oracle=oracle,
         x0=np.array([0.0]),
-        default_path_dt=T / 1000.0,
         envelopes=envelopes,
-        ellipticity_samples=ell,
-        growth_samples=growth,
     )
 
 
@@ -282,18 +277,13 @@ def _build_pure_jump(
         gen_decay=lambda s, q, r: 0.0,
         jump_env=lambda s: float(rate) * abs(float(mark)) + 0.5,
     )
-    ell, growth = _sample_sets(spec, grid)
     return BuiltProblem(
-        name="pure-jump",
         spec=spec,
         constants=constants,
         solver_config=config,
         oracle=None,
         x0=np.array([0.0]),
-        default_path_dt=T / 1000.0,
         envelopes=envelopes,
-        ellipticity_samples=ell,
-        growth_samples=growth,
     )
 
 
@@ -352,53 +342,21 @@ def _build_coupled_linear(
         gen_decay=lambda s, q, r: 0.0,
         jump_env=lambda s: 0.5,
     )
-    ell, growth = _sample_sets(spec, grid)
     return BuiltProblem(
-        name="coupled-linear",
         spec=spec,
         constants=constants,
         solver_config=config,
         oracle=None,
         x0=np.array([0.0]),
-        default_path_dt=T / 1000.0,
         envelopes=envelopes,
-        ellipticity_samples=ell,
-        growth_samples=growth,
     )
 
 
-CATALOG: dict[str, CatalogEntry] = {
-    "heat": CatalogEntry(
-        name="heat",
-        summary="pure diffusion with closed-form field",
-        builder=_build_heat,
-        defaults={"nodes": 201, "steps": 400, "horizon": 1.0},
-    ),
-    "manufactured-nonlocal": CatalogEntry(
-        name="manufactured-nonlocal",
-        summary="forced problem with exact field exp(-t) cos(x) and jumps",
-        builder=_build_manufactured,
-        defaults={"nodes": 201, "steps": 400, "horizon": 1.0, "half_width": 3.0},
-    ),
-    "pure-jump": CatalogEntry(
-        name="pure-jump",
-        summary="single-atom compensated jumps, small diffusion floor",
-        builder=_build_pure_jump,
-        defaults={
-            "nodes": 301,
-            "steps": 300,
-            "horizon": 1.0,
-            "rate": 1.0,
-            "sigma_small": 0.05,
-            "mark": 1.0,
-        },
-    ),
-    "coupled-linear": CatalogEntry(
-        name="coupled-linear",
-        summary="drift and generator linear in (u, p, w), constant jump shift",
-        builder=_build_coupled_linear,
-        defaults={"nodes": 401, "steps": 800, "horizon": 1.0, "half_width": 6.0},
-    ),
+CATALOG: dict[str, Callable[..., BuiltProblem]] = {
+    "heat": _build_heat,
+    "manufactured-nonlocal": _build_manufactured,
+    "pure-jump": _build_pure_jump,
+    "coupled-linear": _build_coupled_linear,
 }
 
 
@@ -406,40 +364,38 @@ def catalog_names() -> list[str]:
     return sorted(CATALOG)
 
 
-def build_problem(
-    name: str,
-    params: Mapping | None = None,
-    *,
-    cutoff_width: float | None = None,
-    linear_solver: str | None = None,
-) -> BuiltProblem:
-    """Resolve a catalog entry and build it with parameter overrides."""
+def _parameter(name: str, key: str, kind: type, value):
+    """``value`` as the type of the builder default: text is parsed, numbers are not cast.
+
+    An integer parameter takes only integers (``operator.index``), so 3.7
+    nodes is rejected instead of truncated; no parameter takes a bool.
+    """
+    try:
+        if isinstance(value, str):
+            return kind(value)
+        if not isinstance(value, bool):
+            return operator.index(value) if kind is int else float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(
+        f"parameter {key!r} of problem {name!r} must be {kind.__name__}, got {value!r}"
+    )
+
+
+def build_problem(name: str, params: Mapping | None = None) -> BuiltProblem:
+    """Build a catalog problem; ``params`` override its builder's keyword defaults."""
     if name not in CATALOG:
         raise ConfigError(
             f"unknown problem {name!r}; available: {', '.join(catalog_names())}"
         )
-    entry = CATALOG[name]
-    merged = dict(entry.defaults)
+    builder = CATALOG[name]
+    defaults = {k: p.default for k, p in inspect.signature(builder).parameters.items()}
+    kwargs = {}
     for key, value in dict(params or {}).items():
-        if key not in entry.defaults:
+        if key not in defaults:
             raise ConfigError(
                 f"unknown parameter {key!r} for problem {name!r}; "
-                f"known: {', '.join(sorted(entry.defaults))}"
+                f"known: {', '.join(sorted(defaults))}"
             )
-        kind = type(entry.defaults[key])
-        try:
-            merged[key] = kind(value)
-        except ValueError:
-            raise ValueError(
-                f"parameter {key!r} of problem {name!r} must be {kind.__name__}, "
-                f"got {value!r}"
-            ) from None
-    built = entry.builder(**merged)
-    if cutoff_width is not None or linear_solver is not None:
-        cfg = built.solver_config
-        if cutoff_width is not None:
-            cfg = replace(cfg, cutoff_width=float(cutoff_width))
-        if linear_solver is not None:
-            cfg = replace(cfg, linear_solver=linear_solver)
-        built = replace(built, solver_config=cfg)
-    return built
+        kwargs[key] = _parameter(name, key, type(defaults[key]), value)
+    return builder(**kwargs)

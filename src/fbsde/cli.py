@@ -11,11 +11,10 @@ significant digits so values round-trip losslessly.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -54,7 +53,6 @@ class RunConfig:
     nodes: Optional[int] = None
     steps: Optional[int] = None
     cutoff_width: Optional[float] = None
-    solver_mode: Optional[str] = None
     paths: int = 256
     dt: Optional[float] = None
     seed: int = 0
@@ -79,21 +77,38 @@ class RunConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """Flat ``key = value`` file with dotted sections; returns values with line numbers."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _path_error(path, exc) from None
     out: dict[str, tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise ConfigError(f"{path}:{lineno}: empty key or value")
-            out[key] = (value, lineno)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
+        out[key] = (value, lineno)
     return out
+
+
+def _path_error(path, exc: Exception) -> ConfigError:
+    """A file-system failure on ``path`` as a configuration error that names it."""
+    return ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def _out_dir(config: RunConfig) -> Path:
+    out_dir = Path(config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _path_error(out_dir, exc) from None
+    return out_dir
 
 
 # config-file key -> (RunConfig field, type)
@@ -102,7 +117,6 @@ _FILE_KEYS = {
     "solver.nodes": ("nodes", int),
     "solver.steps": ("steps", int),
     "solver.cutoff_width": ("cutoff_width", float),
-    "solver.mode": ("solver_mode", str),
     "sim.paths": ("paths", int),
     "sim.dt": ("dt", float),
     "sim.seed": ("seed", int),
@@ -133,18 +147,15 @@ def _build(config: RunConfig) -> BuiltProblem:
     A run that simulates has its start point and path step checked here.
     """
     try:
-        built = build_problem(
-            config.problem,
-            config.params,
-            cutoff_width=config.cutoff_width,
-            linear_solver=config.solver_mode,
-        )
+        built = build_problem(config.problem, config.params)
         cfg = built.solver_config
         if config.nodes is not None:
-            grid = dataclasses.replace(cfg.grid, shape=(config.nodes,) * cfg.grid.ndim)
+            grid = replace(cfg.grid, shape=(config.nodes,) * cfg.grid.ndim)
             cfg = replace(cfg, grid=grid)
         if config.steps is not None:
             cfg = replace(cfg, n_steps=config.steps)
+        if config.cutoff_width is not None:
+            cfg = replace(cfg, cutoff_width=float(config.cutoff_width))
         if "simulate" in config.stages or config.rungs:
             x0 = built.x0 if config.x0 is None else config.x0
             _check_start_point(cfg, x0)
@@ -273,7 +284,6 @@ def _report_dict(
             "nodes": built.solver_config.grid.shape,
             "steps": built.solver_config.n_steps,
             "cutoff_width": built.solver_config.cutoff_width,
-            "linear_solver": built.solver_config.linear_solver,
             "paths": config.paths,
             "dt": _path_dt(config, built),
             "x0": list(np.asarray(built.x0, dtype=float)),
@@ -285,15 +295,7 @@ def _report_dict(
     if assumptions is not None:
         report["assumptions"] = {
             "passed": assumptions.passed,
-            "entries": [
-                {
-                    "name": e.name,
-                    "samples": e.samples,
-                    "worst_margin": e.worst_margin,
-                    "passed": e.passed,
-                }
-                for e in assumptions.entries
-            ],
+            "entries": [asdict(e) for e in assumptions.entries],
         }
     if diag is not None:
         report["diagnostics"] = {
@@ -303,17 +305,10 @@ def _report_dict(
             "boundary_data_sup": diag.boundary_data_sup,
             "lambda_rate": max_principle.lambda_rate,
             "coarse_time_grid": diag.coarse_time_grid,
-            "constants": dataclasses.asdict(diag.constants),
+            "constants": asdict(diag.constants),
         }
     if max_principle is not None:
-        report["max_principle"] = {
-            "passed": max_principle.passed,
-            "margin": max_principle.margin,
-            "bound": max_principle.bound,
-            "observed": max_principle.observed,
-            "lambda_rate": max_principle.lambda_rate,
-            "first_violation_level": max_principle.first_violation_level,
-        }
+        report["max_principle"] = asdict(max_principle)
     if residuals is not None:
         report["residuals"] = {
             "rms": residuals.rms,
@@ -330,8 +325,7 @@ def run(config: RunConfig) -> int:
     """Execute the selected stages; exit status 1 if an enabled check fails."""
     config.validate()
     built = _build(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(config)
 
     assumptions = None
     diag = None
@@ -380,8 +374,7 @@ def sweep(config: RunConfig) -> int:
     if config.rungs < 2:
         raise ConfigError("sweep needs at least 2 rungs")
     built0 = _build(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(config)
 
     base_nodes = built0.solver_config.grid.shape[0]
     base_steps = built0.solver_config.n_steps
@@ -441,24 +434,12 @@ def sweep(config: RunConfig) -> int:
         prev_err = err
         prev_rms = rms
 
-    header = [
-        "rung",
-        "nodes",
-        "steps",
-        "h",
-        "dt_solver",
-        "path_dt",
-        "field_error",
-        "residual_rms",
-        "field_error_ratio",
-        "residual_ratio",
-    ]
+    # a row's keys, in insertion order, are the CSV columns
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
             cells = []
-            for key in header:
-                v = row[key]
+            for v in row.values():
                 if v is None:
                     cells.append("")
                 elif isinstance(v, int):
@@ -491,12 +472,8 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--nodes", type=int, dest="nodes")
-    common.add_argument("--grid", type=int, dest="nodes", help="alias for --nodes")
     common.add_argument("--steps", type=int)
     common.add_argument("--cutoff-width", type=float, dest="cutoff_width")
-    common.add_argument(
-        "--solver", choices=("auto", "tridiag", "adi"), dest="solver_mode"
-    )
     common.add_argument("--out", dest="out_dir", help="output directory")
 
     sim = argparse.ArgumentParser(add_help=False)
@@ -556,7 +533,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         nodes=pick(args.nodes, "nodes", None),
         steps=pick(args.steps, "steps", None),
         cutoff_width=pick(args.cutoff_width, "cutoff_width", None),
-        solver_mode=pick(args.solver_mode, "solver_mode", None),
         paths=int(pick(getattr(args, "paths", None), "paths", 256)),
         dt=pick(getattr(args, "dt", None), "dt", None),
         seed=int(pick(getattr(args, "seed", None), "seed", 0)),

@@ -40,9 +40,6 @@ __all__ = [
     "check_max_principle",
 ]
 
-_SOLVER_MODES = ("auto", "tridiag", "adi")
-
-
 def _check_tolerance(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -58,6 +55,11 @@ class SolverConfig:
     throughout.  Supplying ``dirichlet_data(t, x) -> (B, m)`` (t in
     original time) switches to prescribed face values, which
     manufactured-solution verification needs.
+
+    The implicit part is always solved by line sweeps, one tridiagonal
+    solve per grid line and axis.  ``linear_solver`` names that scheme and
+    takes only ``"auto"``; it stays because the benchmark harness passes
+    it, and it goes with the benchmark change of ROADMAP.md, item 1.
     """
 
     grid: Grid
@@ -76,12 +78,8 @@ class SolverConfig:
         if self.cutoff_width <= 0.0:
             raise ValueError("cutoff width must be positive")
         _check_tolerance("max_principle_tol", self.max_principle_tol)
-        if self.linear_solver not in _SOLVER_MODES:
-            raise ValueError(
-                f"linear_solver must be one of {_SOLVER_MODES}, got {self.linear_solver!r}"
-            )
-        if self.linear_solver == "tridiag" and self.grid.ndim != 1:
-            raise ValueError("tridiag solver requires a 1-D grid")
+        if self.linear_solver != "auto":
+            raise ValueError(f"linear_solver must be 'auto', got {self.linear_solver!r}")
         for lo, hi in zip(self.grid.lower, self.grid.upper):
             if not self.cutoff_width < 0.5 * (hi - lo):
                 raise ValueError(

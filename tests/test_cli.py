@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -69,6 +70,21 @@ class TestRunCommand:
         assert report["residuals"]["total_paths"] == 40
         assert (tmp_path / "field.csv").exists()
         assert (tmp_path / "paths.csv").exists()
+
+    def test_verify_csv_bytes_are_pinned(self, tmp_path):
+        # SHA-256 of both CSVs of one small verify run.  They change only
+        # with a stated change of the scheme, the RNG order or the CSV format.
+        argv = ["verify", "--problem", "coupled-linear", "--nodes", "41", "--steps", "40"]
+        argv += ["--paths", "20", "--dt", "0.05", "--seed", "7", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("field.csv", "paths.csv")
+        }
+        assert digests == {
+            "field.csv": "11ca3aabdefc3499d63e10c9fa55599b3d865df20ea2025e762084938225b2de",
+            "paths.csv": "2d24bca1994b6b87f857a806827b8db91de55335baf5caf43816631ae59010aa",
+        }
 
     def test_unknown_problem_lists_catalog(self, tmp_path, capsys):
         code = main(["solve", "--problem", "nosuch", "--out", str(tmp_path)])
@@ -208,7 +224,7 @@ class TestConfigFile:
 
 
 class TestConfigErrors:
-    # explicit ids: the first five keep the names that earlier test reports use
+    # explicit ids: the first two keep the names that earlier test reports use
     @pytest.mark.parametrize(
         "command, flags, file_text, named",
         [
@@ -219,17 +235,12 @@ class TestConfigErrors:
             pytest.param(
                 "solve", ["--param", "nodes=abc"], None, "'nodes'", id="flags1-None-'nodes'"
             ),
+            # the retired solver-mode and grid settings are unknown, not ignored
             pytest.param(
-                "solve", [], "solver.mode = bogus\n", "'bogus'",
-                id="flags2-solver.mode = bogus\n-'bogus'",
+                "solve", [], "solver.mode = auto\n", "'solver.mode'", id="solver-mode-key"
             ),
-            pytest.param(
-                "solve", [], "solver.mode = sparse\n", "'sparse'",
-                id="flags3-solver.mode = sparse\n-'sparse'",
-            ),
-            pytest.param(
-                "solve", ["--solver", "sparse"], None, "'sparse'", id="flags4-None-'sparse'"
-            ),
+            pytest.param("solve", ["--solver", "auto"], None, "--solver", id="solver-flag"),
+            pytest.param("solve", ["--grid", "41"], None, "--grid", id="grid-flag"),
             pytest.param("verify", ["--x0", "a"], None, "--x0", id="x0-not-a-number"),
             pytest.param("verify", ["--x0", "9"], None, "x0 must lie", id="x0-outside-box"),
             pytest.param("simulate", ["--x0", "1,2"], None, "x0 must have 1", id="x0-too-long"),
@@ -257,11 +268,37 @@ class TestConfigErrors:
             argv += ["--config", str(cfg)]
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects a bad --solver choice itself
+        except SystemExit as exc:  # argparse rejects an unknown flag itself
             code = exc.code
         assert code == 2
         err = capsys.readouterr().err
         assert any(named in line for line in err.splitlines()), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, where",
+        [
+            ("solve", "--config", "missing"),
+            ("solve", "--config", "not-utf8"),
+            ("solve", "--out", "under-a-file"),
+            ("sweep", "--out", "under-a-file"),
+        ],
+    )
+    def test_file_system_input_exits_2_naming_the_path(
+        self, tmp_path, capsys, command, flag, where
+    ):
+        plain = tmp_path / "plain.cfg"
+        plain.write_bytes(b"\xffproblem = heat\n")
+        path = {
+            "missing": tmp_path / "nope.cfg",
+            "not-utf8": plain,
+            "under-a-file": plain / "out",
+        }[where]
+        argv = [command, "--problem", "heat", "--out", str(tmp_path / "out")]
+        argv += ["--rungs", "2"] if command == "sweep" else []
+        assert main(argv + [flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: "), err
         assert "Traceback" not in err
 
 
@@ -271,7 +308,6 @@ FILE_KEY_FLAGS = {
     "solver.nodes": ("41", ["--nodes", "41"]),
     "solver.steps": ("20", ["--steps", "20"]),
     "solver.cutoff_width": ("0.5", ["--cutoff-width", "0.5"]),
-    "solver.mode": ("tridiag", ["--solver", "tridiag"]),
     "sim.paths": ("6", ["--paths", "6"]),
     "sim.dt": ("0.05", ["--dt", "0.05"]),
     "sim.seed": ("9", ["--seed", "9"]),
@@ -288,8 +324,15 @@ class TestConfigErrorIsValueError:
 
     @pytest.mark.parametrize(
         "params",
-        [{"nosuch": "1"}, {"horizon": "abc"}],
-        ids=["config-error", "value-error"],
+        [
+            {"nosuch": "1"},
+            {"horizon": "abc"},
+            # numbers from Python are not truncated, and a bool is not a number
+            {"nodes": 3.7},
+            {"steps": 2.5},
+            {"horizon": True},
+        ],
+        ids=["config-error", "value-error", "float-nodes", "float-steps", "bool-horizon"],
     )
     def test_build_re_raises_with_the_same_message(self, params):
         with pytest.raises(ValueError) as direct:

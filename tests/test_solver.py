@@ -167,8 +167,8 @@ class TestAxisSweep:
 
 
 def test_line_solvers_do_not_import_scipy():
-    # importing the package loads every module, and every mode runs the
-    # numpy axis loop; scipy is only a test dependency
+    # importing the package loads every module, and 1-D and 2-D solves run
+    # the numpy axis loop; scipy is only a test dependency
     script = textwrap.dedent(
         """
         import sys
@@ -187,9 +187,9 @@ def test_line_solvers_do_not_import_scipy():
                 measure=LevyMeasure(marks=[[1.0]], weights=[1.0]),
             )
 
-        for n, mode in ((1, "auto"), (1, "tridiag"), (1, "adi"), (2, "auto"), (2, "adi")):
+        for n in (1, 2):
             grid = Grid((0.0,) * n, (3.0,) * n, (9,) * n)
-            config = SolverConfig(grid=grid, n_steps=4, cutoff_width=0.5, linear_solver=mode)
+            config = SolverConfig(grid=grid, n_steps=4, cutoff_width=0.5)
             solve_final_value(spec(n), config, MaxPrincipleConstants(0, 0, 0))
         print("scipy" in sys.modules)
         """
@@ -203,11 +203,6 @@ def test_line_solvers_do_not_import_scipy():
 
 
 class TestSolverConfigModes:
-    def test_tridiag_rejected_on_2d_grid(self):
-        grid = Grid((0.0, 0.0), (3.0, 3.0), (9, 9))
-        with pytest.raises(ValueError, match="1-D"):
-            SolverConfig(grid=grid, n_steps=4, cutoff_width=0.5, linear_solver="tridiag")
-
     def test_sparse_rejected(self):
         grid = Grid((0.0,), (3.0,), (9,))
         with pytest.raises(ValueError, match="'sparse'"):
@@ -742,15 +737,13 @@ class TestFieldOwnership:
 
 
 class TestTwoDimensional:
-    @pytest.mark.parametrize("mode", ["adi"])
-    def test_2d_heat_oracle(self, mode):
+    def test_2d_heat_oracle(self):
         horizon = 0.5
         spec = _spec_2d(horizon=horizon)
         grid = Grid((0.0, 0.0), (math.pi, math.pi), (41, 41))
         config = SolverConfig(
             grid=grid,
             n_steps=100,
-            linear_solver=mode,
             dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1)),
         )
         field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0, 0, 0))
@@ -759,10 +752,9 @@ class TestTwoDimensional:
             float(np.abs(field.values[i] - _oracle_2d(float(t), pts, horizon)).max())
             for i, t in enumerate(field.times)
         )
-        assert err <= 5e-3, f"{mode} error {err}"
+        assert err <= 5e-3, f"error {err}"
 
-    @pytest.mark.parametrize("mode", ["adi"])
-    def test_2d_mixed_derivative_manufactured(self, mode):
+    def test_2d_mixed_derivative_manufactured(self):
         # sigma with a cross term; forcing makes exp(-t) cos x cos y exact
         horizon = 0.5
         mat = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -790,7 +782,6 @@ class TestTwoDimensional:
                 grid=grid,
                 n_steps=steps,
                 cutoff_width=0.4,
-                linear_solver=mode,
                 dirichlet_data=lambda t, x: exact_field(t, x),
             )
             field, _ = solve_final_value(spec, config, MaxPrincipleConstants(2.0, 1.0, 0.0))
@@ -801,7 +792,7 @@ class TestTwoDimensional:
             )
             errors.append(err)
         assert errors[1] < errors[0]
-        assert errors[1] <= 5e-3, f"{mode} errors {errors}"
+        assert errors[1] <= 5e-3, f"errors {errors}"
 
 
 class TestThreeDimensional:
@@ -834,7 +825,6 @@ class TestThreeDimensional:
             grid=grid,
             n_steps=30,
             cutoff_width=1.0,
-            linear_solver="adi",
             dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1)),
         )
         field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0, 0, 0))
