@@ -69,10 +69,6 @@ class RunConfig:
                 raise ConfigError("paths must be >= 1")
             if self.seed < 0:
                 raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.nodes is not None and self.nodes < 3:
-            raise ConfigError("nodes must be >= 3")
-        if self.steps is not None and self.steps < 1:
-            raise ConfigError("steps must be >= 1")
 
 
 def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
@@ -144,16 +140,24 @@ def _apply_config_file(path: str | Path, base: dict) -> dict:
 def _build(config: RunConfig) -> BuiltProblem:
     """Catalog entry with the run's overrides; a rejected value is a ConfigError.
 
-    A run that simulates has its start point and path step checked here.
+    ``nodes`` and ``steps`` are the catalog's parameters of those names, so
+    setting one also through ``params`` is an error.  A run that simulates
+    has its start point and path step checked here.
     """
+    params = dict(config.params)
+    for key in ("nodes", "steps"):
+        value = getattr(config, key)
+        if value is None:
+            continue
+        if key in params:
+            raise ConfigError(
+                f"--{key} (solver.{key}) and --param {key}= (param.{key}) set the"
+                f" same catalog parameter {key!r}; give one"
+            )
+        params[key] = value
     try:
-        built = build_problem(config.problem, config.params)
+        built = build_problem(config.problem, params)
         cfg = built.solver_config
-        if config.nodes is not None:
-            grid = replace(cfg.grid, shape=(config.nodes,) * cfg.grid.ndim)
-            cfg = replace(cfg, grid=grid)
-        if config.steps is not None:
-            cfg = replace(cfg, n_steps=config.steps)
         if config.cutoff_width is not None:
             cfg = replace(cfg, cutoff_width=float(config.cutoff_width))
         if "simulate" in config.stages or config.rungs:
@@ -387,7 +391,8 @@ def sweep(config: RunConfig) -> int:
         nodes = (base_nodes - 1) * 2**r + 1
         steps = base_steps * 4**r
         path_dt = base_dt / 2**r
-        rung_cfg = replace(config, nodes=nodes, steps=steps, dt=path_dt)
+        rung_params = {**config.params, "nodes": nodes, "steps": steps}
+        rung_cfg = replace(config, params=rung_params, nodes=None, steps=None, dt=path_dt)
         built = _build(rung_cfg)
         field_obj, _ = solve_final_value(built.spec, built.solver_config, built.constants)
 

@@ -61,8 +61,7 @@ def shifted_differences(
     n_pts, ndim = points.shape
     table = np.empty((n_pts, len(meas), u_here.shape[1]))
     for k in range(len(meas)):
-        shift = np.asarray(spec.jump_coeff(s, points, u_here, meas.marks[k]), dtype=float)
-        shift = shift.reshape(n_pts, ndim)
+        shift = spec.phi(s, points, u_here, k)
         if not all_finite(shift):
             finite = np.all(np.isfinite(shift), axis=1)
             first = np.broadcast_to(s, (n_pts,))[np.argmin(finite)]
@@ -160,15 +159,13 @@ def assemble_coefficients(
     p = np.asarray(p, dtype=float)
     w = np.asarray(w, dtype=float)
 
-    sig = np.asarray(spec.diffusion(s, x, u), dtype=float)
+    sig = spec.sigma(s, x, u)
     a2 = _half_gram(sig)
     p_sigma = np.einsum("bmi,bij->bmj", p, sig)
 
-    f_val = np.asarray(spec.drift(s, x, u, p_sigma, w), dtype=float)
+    f_val = spec.f(s, x, u, p_sigma, w)
     a1 = spec.phi_integral(s, x, u)
-    a1 -= f_val.reshape(x.shape[0], spec.n)
-    a0 = -np.asarray(spec.generator(s, x, u, p_sigma, w), dtype=float).reshape(
-        x.shape[0], spec.m
-    )
+    a1 -= f_val
+    a0 = -spec.g(s, x, u, p_sigma, w)
     a0 -= integrate_over_nu(w, spec.measure)
     return a2, a1, a0

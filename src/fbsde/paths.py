@@ -197,21 +197,15 @@ def euler_increment(
     """One drift+diffusion Euler update over a jump-free substep.
 
     The drift is the coefficient of the decoupled equation: the problem
-    drift evaluated through the field (value, gradient composed with the
-    diffusion, nonlocal table) minus the jump compensator.  ``t`` and
-    ``delta`` are scalars or one start time and one substep per row.
+    drift evaluated at the field's (Y, Z, Ztilde) rows minus the jump
+    compensator.  ``spec`` must be ``field.spec``.  ``t`` and ``delta`` are
+    scalars or one start time and one substep per row.
     """
+    if field.spec is not spec:
+        raise ValueError("field and spec must share the same ProblemSpec")
     x = np.atleast_2d(x)
-    y, grad = field.gradient(t, x, with_value=True)
-    sig = np.asarray(spec.diffusion(t, x, y), dtype=float).reshape(
-        x.shape[0], spec.n, spec.n
-    )
-    zarg = np.einsum("bmi,bij->bmj", grad, sig)
-    wtab = field.nonlocal_table(t, x, u_here=y)
-    fval = np.asarray(spec.drift(t, x, y, zarg, wtab), dtype=float).reshape(
-        x.shape[0], spec.n
-    )
-    drift = fval - spec.phi_integral(t, x, y)
+    y, z, ztilde, sig = field.backward_rows(t, x)
+    drift = spec.f(t, x, y, z, ztilde) - spec.phi_integral(t, x, y)
     return x + drift * np.reshape(delta, (-1, 1)) + np.einsum("bij,bj->bi", sig, db)
 
 
@@ -317,10 +311,7 @@ def _simulate_paths(
             shift = np.empty_like(x_before)
             for k in np.unique(table.atom[ev]):
                 at = table.atom[ev] == k
-                shift[at] = np.asarray(
-                    spec.jump_coeff(t_start[at], x_before[at], y_before[at], meas.marks[k]),
-                    dtype=float,
-                ).reshape(-1, n)
+                shift[at] = spec.phi(t_start[at], x_before[at], y_before[at], k)
             table.x_before[ev] = x_before
             table.x_after[ev] = x_cur[rows] = x_before + shift
             next_event[rows] += 1
@@ -347,7 +338,8 @@ def simulate_ensemble(
     Paths are stepped in chunks of at most ``_CHUNK_PATHS``; path i
     consumes ``RngStream(base_seed, i)``, so the ensemble does not depend
     on the chunking.  ``dt`` must divide the horizon; ``x0`` must
-    lie in the inner region of the grid.  A path leaving the box is
+    lie in the inner region of the grid; ``spec`` must be ``field.spec``
+    (:func:`euler_increment` checks it).  A path leaving the box is
     flagged, not fatal.
     """
     if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:

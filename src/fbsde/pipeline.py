@@ -1,9 +1,11 @@
 """Reconstruction of (Y, Z, Ztilde) along paths and residual diagnostics.
 
-The backward pair is read off the decoupling field: Y is the field at
-the current state, Z the field gradient composed with the diffusion,
-and Ztilde the per-atom shifted-difference table at the pre-jump state.
-The backward-equation residual is a terminal telescoping check over the
+The backward pair is read off the decoupling field by
+``SolutionField.backward_rows``: Y is the field at the current state, Z
+the field gradient composed with the diffusion, and Ztilde the per-atom
+shifted-difference table at the pre-jump state.  Every coefficient is
+called through the methods of :class:`ProblemSpec`.  The
+backward-equation residual is a terminal telescoping check over the
 whole interval, with the compensated jump sum standing in for the
 integral against the compensated measure.
 
@@ -126,16 +128,10 @@ def link_ensemble(
     z = np.empty((n_paths, n_levels, spec.m, spec.n))
     ztab = np.empty((n_paths, n_levels, len(spec.measure), spec.m))
     for block in _level_blocks(n_paths, n_levels):
-        t = _level_rows(times, block, n_paths)
-        xb = _rows(states, block)
-        yb, grad = field.gradient(t, xb, with_value=True)
-        sig = np.asarray(spec.diffusion(t, xb, yb), dtype=float).reshape(
-            -1, spec.n, spec.n
-        )
+        rows = field.backward_rows(_level_rows(times, block, n_paths), _rows(states, block))
         shape = (n_paths, block.stop - block.start)
-        y[:, block] = yb.reshape(shape + y.shape[2:])
-        z[:, block] = np.einsum("bmi,bij->bmj", grad, sig).reshape(shape + z.shape[2:])
-        ztab[:, block] = field.nonlocal_table(t, xb, u_here=yb).reshape(shape + ztab.shape[2:])
+        for out, part in zip((y, z, ztab), rows):  # sigma, the fourth, is not kept
+            out[:, block] = part.reshape(shape + out.shape[2:])
 
     ev = ensemble.events
     jump_values = field.value(ev.time, ev.x_after) - field.value(ev.time, ev.x_before)
@@ -186,11 +182,14 @@ def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualRe
 
     R = Y_0 - [h(X_T) + sum g dt - sum Z dB - (jump sum - compensator)].
     Paths that left the grid are excluded from the statistics and
-    counted in ``excluded_paths``.
+    counted in ``excluded_paths``.  ``spec``, if given, must be the
+    field's own.
     """
     if not len(linked):
         raise ValueError("linked ensemble must be non-empty")
-    spec = spec or linked.field.spec
+    if spec is not None and spec is not linked.field.spec:
+        raise ValueError("field and spec must share the same ProblemSpec")
+    spec = linked.field.spec
     exited = linked.ensemble.exited
     included = linked.take(np.flatnonzero(~exited)) if exited.any() else linked
     excluded = len(linked) - len(included)
@@ -215,14 +214,9 @@ def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualRe
 
     gen = np.empty((n_paths, n_steps, spec.m))
     for j in range(n_steps):
-        t = float(times[j])
-        gen[:, j] = np.asarray(
-            spec.generator(t, states[:, j], y[:, j], z[:, j], ztab[:, j]), dtype=float
-        ).reshape(n_paths, spec.m)
+        gen[:, j] = spec.g(float(times[j]), states[:, j], y[:, j], z[:, j], ztab[:, j])
 
-    h_val = np.asarray(spec.terminal(states[:, -1]), dtype=float).reshape(
-        n_paths, spec.m
-    )
+    h_val = spec.h(states[:, -1])
     gen_term = np.einsum("pjm,j->pm", gen, dts)
     brown_term = np.einsum("pjmi,pji->pm", z[:, :n_steps], db)
     comp_term = np.einsum("pjkm,k,j->pm", ztab[:, :n_steps], spec.measure.weights, dts)
@@ -360,22 +354,16 @@ def ito_residuals(linked: Linked, test_fn: Optional[TestFunction] = None) -> np.
         # integrand of each atom k at 4 + 2k and 5 + 2k
         terms = np.empty((4 + 2 * n_atoms, t.shape[0]))
         gx = np.asarray(tf.grad(t, xb), dtype=float).reshape(-1, spec.n)
-        f_raw = np.asarray(
-            spec.drift(t, xb, yb, _rows(z, block), _rows(ztab, block)), dtype=float
-        ).reshape(-1, spec.n)
+        f_raw = spec.f(t, xb, yb, _rows(z, block), _rows(ztab, block))
         terms[1] = np.einsum("bi,bi->b", gx, f_raw) * h
-        sig = np.asarray(spec.diffusion(t, xb, yb), dtype=float).reshape(
-            -1, spec.n, spec.n
-        )
+        sig = spec.sigma(t, xb, yb)
         terms[2] = np.einsum("bi,bij,bj->b", gx, sig, _rows(db, block))
         hx = np.asarray(tf.hess(t, xb), dtype=float).reshape(-1, spec.n, spec.n)
         gram = np.einsum("bik,bjk->bij", sig, sig)
         terms[3] = 0.5 * np.einsum("bij,bij->b", hx, gram) * h
         base = np.asarray(tf.value(t, xb), dtype=float).reshape(-1)
         for k in range(n_atoms):
-            shift = np.asarray(
-                spec.jump_coeff(t, xb, yb, meas.marks[k]), dtype=float
-            ).reshape(-1, spec.n)
+            shift = spec.phi(t, xb, yb, k)
             dphi = np.asarray(tf.value(t, xb + shift), dtype=float).reshape(-1) - base
             pairing = np.einsum("bi,bi->b", gx, shift)
             terms[4 + 2 * k] = meas.weights[k] * dphi * h

@@ -14,6 +14,9 @@ convention: state-like arguments carry a leading batch axis, e.g.
                            p (B, m, n), w (B, K, m)  ->  (B, n).
 
 A ``(B,)`` time array must give what B calls with scalar times give.
+The numerics call them only through :meth:`ProblemSpec.f`, ``g``, ``sigma``,
+``phi`` and ``h``, which return float arrays of these shapes (B = ``x.shape[0]``)
+and name the field whose result has another size.
 
 ``w`` is the per-atom value table standing in for an L2(nu) element:
 row k holds the value attached to jump mark ``y_k``, and every
@@ -113,6 +116,27 @@ class ProblemSpec:
         if self.measure.mark_dim != self.l:
             raise ValueError("measure mark dimension must equal l")
 
+    def f(self, t, x: np.ndarray, u, p, w) -> np.ndarray:
+        """The drift at the rows of ``x``, shape (B, n)."""
+        return _shaped("drift", self.drift(t, x, u, p, w), (x.shape[0], self.n))
+
+    def g(self, t, x: np.ndarray, u, p, w) -> np.ndarray:
+        """The generator at the rows of ``x``, shape (B, m)."""
+        return _shaped("generator", self.generator(t, x, u, p, w), (x.shape[0], self.m))
+
+    def sigma(self, t, x: np.ndarray, u) -> np.ndarray:
+        """The diffusion matrix at the rows of ``x``, shape (B, n, n)."""
+        return _shaped("diffusion", self.diffusion(t, x, u), (x.shape[0], self.n, self.n))
+
+    def phi(self, t, x: np.ndarray, u, k) -> np.ndarray:
+        """The jump coefficient for atom ``k`` (mark y_k) at the rows of ``x``, (B, n)."""
+        shift = self.jump_coeff(t, x, u, self.measure.marks[k])
+        return _shaped("jump_coeff", shift, (x.shape[0], self.n))
+
+    def h(self, x: np.ndarray) -> np.ndarray:
+        """The terminal data at the rows of ``x``, shape (B, m)."""
+        return _shaped("terminal", self.terminal(x), (x.shape[0], self.m))
+
     def phi_integral(self, t, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The nu-integral of phi: sum_k weight_k phi(t, x, u, y_k), shape (B, n).
 
@@ -120,12 +144,19 @@ class ProblemSpec:
         are added one at a time in their stored order, so every caller
         gets the same bits.
         """
-        meas = self.measure
+        weights = self.measure.weights
         out = np.zeros((x.shape[0], self.n))
-        for k in range(len(meas)):
-            phi_k = np.asarray(self.jump_coeff(t, x, u, meas.marks[k]), dtype=float)
-            out += meas.weights[k] * phi_k.reshape(x.shape[0], self.n)
+        for k in range(len(weights)):
+            out += weights[k] * self.phi(t, x, u, k)
         return out
+
+
+def _shaped(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``; a result of another size names ``name``."""
+    out = np.asarray(value, dtype=float)
+    if out.size != math.prod(shape):
+        raise ValueError(f"{name} returned shape {out.shape}, expected {shape}")
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -149,12 +180,6 @@ class AssumptionReport:
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def entry(self, name: str) -> AssumptionCheck:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -196,7 +221,7 @@ def check_ellipticity(
     for t, x, u in sample_points:
         xb = np.asarray(x, dtype=float).reshape(1, spec.n)
         ub = np.asarray(u, dtype=float).reshape(1, spec.m)
-        sig = np.asarray(spec.diffusion(t, xb, ub), dtype=float).reshape(spec.n, spec.n)
+        sig = spec.sigma(t, xb, ub)[0]
         gram = sig @ sig.T
         eigs = np.linalg.eigvalsh(gram)
         lo, hi = float(eigs[0]), float(eigs[-1])
@@ -236,8 +261,8 @@ def check_growth(
         q = float(np.linalg.norm(pb))
         r = _table_norm(meas, wb[0])
 
-        f_val = np.asarray(spec.drift(t, xb, ub, pb, wb), dtype=float).ravel()
-        g_val = np.asarray(spec.generator(t, xb, ub, pb, wb), dtype=float).ravel()
+        f_val = spec.f(t, xb, ub, pb, wb)
+        g_val = spec.g(t, xb, ub, pb, wb)
         phi_int = spec.phi_integral(t, xb, ub)
 
         m_f = np.linalg.norm(f_val) - envelopes.drift_env(s, r) * (1.0 + q)

@@ -40,10 +40,6 @@ __all__ = [
     "check_max_principle",
 ]
 
-def _check_tolerance(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -65,7 +61,6 @@ class SolverConfig:
     grid: Grid
     n_steps: int
     cutoff_width: float = 1.0
-    max_principle_tol: float = 1e-10
     linear_solver: str = "auto"
     dirichlet_data: Optional[Callable] = None
 
@@ -77,7 +72,6 @@ class SolverConfig:
             raise ValueError("n_steps must be >= 1")
         if self.cutoff_width <= 0.0:
             raise ValueError("cutoff width must be positive")
-        _check_tolerance("max_principle_tol", self.max_principle_tol)
         if self.linear_solver != "auto":
             raise ValueError(f"linear_solver must be 'auto', got {self.linear_solver!r}")
         for lo, hi in zip(self.grid.lower, self.grid.upper):
@@ -419,7 +413,8 @@ class SolutionField:
     snapshots is linear in time and multilinear in space, with queries
     clamped to the box.  :meth:`value` and :meth:`gradient` take ``t`` as
     a scalar or one time per point; ``gradient(t, x, with_value=True)``
-    gives both on the same rows and locates the rows once.  A fresh array given to the field is
+    gives both on the same rows and locates the rows once; :meth:`backward_rows`
+    reads (Y, Z, Ztilde) off the field.  A fresh array given to the field is
     taken over and made read-only; views and read-only arrays are copied.
     """
 
@@ -524,6 +519,17 @@ class SolutionField:
             u_here = self.value(t, pts)
         return shifted_differences(lambda q: self.value(t, q), self.spec, t, pts, u_here)
 
+    def backward_rows(self, t, x: np.ndarray):
+        """(Y, Z, Ztilde, sigma) at the rows (``t``, ``x``).
+
+        Y = u, Z = grad u sigma(t, x, Y) and Ztilde = u(t, x + phi) - u(t, x)
+        per atom, shapes (B, m), (B, m, n) and (B, K, m); sigma is (B, n, n).
+        """
+        y, grad = self.gradient(t, x, with_value=True)
+        sig = self.spec.sigma(t, x, y)
+        z = np.einsum("bmi,bij->bmj", grad, sig)
+        return y, z, self.nonlocal_table(t, x, u_here=y), sig
+
     def sup_norms(self) -> np.ndarray:
         """Per-level sup over nodes of the euclidean field norm."""
         # level by level: a whole-array square would copy the field
@@ -555,32 +561,25 @@ class MaxPrincipleResult:
     first_violation_level: Optional[int]
 
 
-def growth_rate(constants: MaxPrincipleConstants, spec: ProblemSpec) -> float:
-    """Exponential rate c2 + c3 * L^2 + 1 with L = 2 nu(Z)."""
-    l_nonlocal = 2.0 * spec.measure.total_mass
-    return constants.c2 + constants.c3 * l_nonlocal**2 + 1.0
-
-
 def check_max_principle(
-    field: SolutionField,
-    diag: Diagnostics,
-    constants: MaxPrincipleConstants | None = None,
-    tol: float | None = None,
+    field: SolutionField, diag: Diagnostics, tol: float = 1e-10
 ) -> MaxPrincipleResult:
     """A-priori sup bound exp(lambda T) * max(sup of data, sqrt(c1)).
 
-    Sup norms are recomputed from the stored snapshots; the bound uses
-    the data sups recorded at solve time, so a rescaled field is caught.
-    The check never raises; a failure carries the first violating level.
+    The rate is lambda = c2 + c3 L^2 + 1 with L = 2 nu(Z).  Sup norms are
+    recomputed from the stored snapshots; the bound uses the data sups and
+    constants recorded at solve time, so a rescaled field is caught.  Only
+    a bad ``tol`` raises; a failure carries the first violating level.
     """
-    if constants is None:
-        constants = diag.constants
-    if tol is None:
-        tol = field.config.max_principle_tol
-    _check_tolerance("tol", tol)
-    lam = growth_rate(constants, field.spec)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    constants = diag.constants
+    lam = constants.c2 + constants.c3 * (2.0 * field.spec.measure.total_mass) ** 2 + 1.0
     base = max(diag.initial_data_sup, diag.boundary_data_sup, math.sqrt(constants.c1))
-    bound = math.exp(lam * field.spec.horizon) * base
+    try:
+        bound = math.exp(lam * field.spec.horizon) * base
+    except OverflowError:  # a horizon this long gives no finite bound
+        bound = math.inf if base else 0.0
     sups = field.sup_norms()
     observed = float(sups.max())
     violating = np.nonzero(sups > bound * (1.0 + tol))[0]
@@ -609,23 +608,18 @@ def solve_final_value(
     T = spec.horizon
     n_steps = config.n_steps
     dt = T / n_steps
-    nodes = grid_nodes(grid)
-    mask, face_nodes = grid_faces(grid)
+    mask = grid.boundary_mask()
 
-    h_vals = np.asarray(spec.terminal(nodes), dtype=float).reshape(grid.n_nodes, spec.m)
+    h_vals = spec.h(grid_nodes(grid))
     if not all_finite(h_vals):
         raise ValueError("terminal data h must be finite at every grid node")
     if config.dirichlet_data is None:
-        xi = cutoff_values(grid, config.cutoff_width)
-        u0 = h_vals * xi[:, None]
-        boundary_sup = 0.0
+        u0 = h_vals * cutoff_values(grid, config.cutoff_width)[:, None]
     else:
-        u0 = h_vals.copy()
-        psi0 = np.asarray(config.dirichlet_data(T, face_nodes), dtype=float)
-        if not all_finite(psi0):
+        faces = _face_values(config, grid, 0.0, T, spec.m)
+        if not all_finite(faces):
             raise ValueError("Dirichlet data must be finite at every face node")
-        u0[mask] = psi0.reshape(-1, spec.m)
-        boundary_sup = float(np.sqrt(np.sum(u0[mask] ** 2, axis=-1)).max())
+        u0 = np.where(mask[:, None], faces, h_vals)
 
     # march level j is stored at original-time level n_steps - j, and its
     # gradient is computed once, for the step and for the field
@@ -644,13 +638,6 @@ def solve_final_value(
         if j == 0:
             # transport-resolution heuristic: coarse N_t is allowed, only flagged
             coarse = dt * max_transport > min(grid.spacings)
-        if config.dirichlet_data is not None:
-            face_now = np.asarray(
-                config.dirichlet_data(T - (j + 1) * dt, face_nodes), dtype=float
-            ).reshape(-1, spec.m)
-            boundary_sup = max(
-                boundary_sup, float(np.sqrt(np.sum(face_now**2, axis=-1)).max())
-            )
         values[-2 - j] = u
     spatial_gradient(grid, u, out=gradients[0])
     times = np.linspace(0.0, T, n_steps + 1)
@@ -664,6 +651,9 @@ def solve_final_value(
         config=config,
     )
     sup_u = field_obj.sup_norms()
+    # every level's face rows hold the face data exactly: the prescribed
+    # values, or zeros under the cutoff construction
+    boundary_sup = float(np.sqrt(np.sum(values[:, mask] ** 2, axis=-1)).max())
     # level by level: a whole-array square would copy the gradients
     sup_grad = np.array([np.sqrt(np.sum(g**2, axis=(-1, -2))).max() for g in gradients])
 

@@ -554,3 +554,33 @@ class TestBlockWriters:
             _write_csv(out, columns, [block])
             lines = out.read_text().splitlines()
         assert lines[1:] == [f"0,{cells}", f"1,{cells}"]
+
+
+class TestOneSourcePerSetting:
+    @pytest.mark.parametrize(
+        "param, flag", [("nodes=7", ["--nodes", "11"]), ("steps=5", ["--steps", "10"])]
+    )
+    def test_flag_and_param_for_one_count_exit_2(self, tmp_path, capsys, param, flag):
+        argv = ["solve", "--problem", "heat", "--param", param, "--out", str(tmp_path)]
+        assert main(argv + flag) == 2
+        err = capsys.readouterr().err
+        key = param.split("=")[0]
+        assert f"--{key}" in err and f"--param {key}=" in err, err
+        assert "Traceback" not in err and not (tmp_path / "report.json").exists()
+
+    def test_sweep_rungs_refine_a_param_grid(self, tmp_path):
+        argv = ["sweep", "--problem", "heat", "--param", "nodes=21", "--param", "steps=10"]
+        argv += ["--rungs", "2", "--paths", "4", "--dt", "0.05", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = read_csv_rows(tmp_path / "sweep.csv")
+        nodes, steps = rows[0].index("nodes"), rows[0].index("steps")
+        assert [(r[nodes], r[steps]) for r in rows[1:]] == [("21", "10"), ("41", "40")]
+
+    def test_overflowing_sup_bound_exits_0(self, tmp_path, capsys):
+        argv = ["solve", "--problem", "heat", "--param", "horizon=1e300"]
+        argv += ["--nodes", "11", "--steps", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["max_principle"]["bound"] == float("inf")
+        assert report["checks"]["max_principle_pass"] is True

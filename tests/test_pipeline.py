@@ -22,6 +22,7 @@ from fbsde import (
     build_problem,
     catalog_names,
     estimate_class_s_norm,
+    euler_increment,
     field_test_function,
     ito_residuals,
     link_ensemble,
@@ -160,6 +161,22 @@ class TestLinkProcesses:
         ens = simulate_ensemble(field, spec, np.array([0.0]), 0.25, 1, base_seed=0)
         with pytest.raises(ValueError, match="same ProblemSpec"):
             link_ensemble(ens, field, other)
+
+    def test_simulate_and_residual_reject_another_spec(self):
+        spec = make_spec()
+        other = make_spec()
+        field = linear_field(spec)
+        with pytest.raises(ValueError, match="same ProblemSpec"):
+            simulate_ensemble(field, other, np.array([0.0]), 0.25, 1, base_seed=0)
+        with pytest.raises(ValueError, match="same ProblemSpec"):
+            euler_increment(field, other, 0.0, np.zeros((1, 1)), np.zeros((1, 1)), 0.25)
+        linked = link_ensemble(
+            simulate_ensemble(field, spec, np.array([0.0]), 0.25, 2, base_seed=0), field, spec
+        )
+        with pytest.raises(ValueError, match="same ProblemSpec"):
+            bsde_residual(linked, other)
+        # the field's own spec, given or left out, is the same residual
+        assert bsde_residual(linked, spec).rms == bsde_residual(linked).rms
 
 
 class TestBsdeResidual:

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,3 +251,52 @@ class TestProblemSpec:
                 terminal=lambda x: np.asarray(x, dtype=float).copy(),
                 measure=LevyMeasure(marks=[[1.0]], weights=[1.0]),
             )
+
+
+# each ProblemSpec method: (user field it calls, the call on a spec, result shape)
+ROWS = 4
+_X = np.linspace(0.0, 1.0, ROWS)[:, None]
+_U, _P, _W = np.zeros((ROWS, 1)), np.zeros((ROWS, 1, 1)), np.zeros((ROWS, 1, 1))
+SPEC_METHODS = {
+    "f": ("drift", lambda spec: spec.f(0.0, _X, _U, _P, _W), (ROWS, 1)),
+    "g": ("generator", lambda spec: spec.g(0.0, _X, _U, _P, _W), (ROWS, 1)),
+    "sigma": ("diffusion", lambda spec: spec.sigma(0.0, _X, _U), (ROWS, 1, 1)),
+    "phi": ("jump_coeff", lambda spec: spec.phi(0.0, _X, _U, 0), (ROWS, 1)),
+    "h": ("terminal", lambda spec: spec.h(_X), (ROWS, 1)),
+}
+
+
+class TestCoefficientShapes:
+    """The ProblemSpec methods shape each coefficient result or name the field."""
+
+    @pytest.mark.parametrize("method", sorted(SPEC_METHODS))
+    def test_wrong_size_names_the_field_and_both_shapes(self, method):
+        name, call, shape = SPEC_METHODS[method]
+        spec = dataclasses.replace(
+            make_spec(lambda t, x, u: np.ones((x.shape[0], 1, 1))),
+            **{name: lambda *args: np.zeros((ROWS, 2))},
+        )
+        expected = re.escape(f"{name} returned shape (4, 2), expected {shape}")
+        with pytest.raises(ValueError, match=expected):
+            call(spec)
+
+    @pytest.mark.parametrize("method", sorted(SPEC_METHODS))
+    def test_flat_result_for_one_component_is_accepted(self, method):
+        name, call, shape = SPEC_METHODS[method]
+        spec = dataclasses.replace(
+            make_spec(lambda t, x, u: np.ones((x.shape[0], 1, 1))),
+            **{name: lambda *args: np.arange(ROWS)},
+        )
+        out = call(spec)
+        assert out.shape == shape and out.dtype == np.float64
+        assert out.ravel().tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_phi_passes_the_mark_of_atom_k(self):
+        measure = LevyMeasure(marks=[[1.0], [-0.5]], weights=[0.7, 0.6])
+        spec = make_spec(
+            lambda t, x, u: np.ones((x.shape[0], 1, 1)),
+            jump=lambda t, x, u, y: np.full((x.shape[0], 1), y[0]),
+            measure=measure,
+        )
+        assert spec.phi(0.0, _X, _U, 1).ravel().tolist() == [-0.5] * ROWS
+        assert spec.phi_integral(0.0, _X, _U).ravel().tolist() == [0.7 - 0.3] * ROWS

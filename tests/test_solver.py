@@ -33,7 +33,8 @@ from fbsde import (
     step_imex,
 )
 from fbsde import solver as solver_module
-from fbsde.grid import multilinear_interpolate
+from fbsde.catalog import build_problem
+from fbsde.grid import grid_faces, multilinear_interpolate
 from fbsde.solver import _mixed_second_sum, _solve_axis_sweep, _thomas, solve_tridiagonal
 
 
@@ -590,8 +591,6 @@ class TestMaxPrinciple:
         field, diag = self._heat_run()
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             check_max_principle(field, diag, tol=tol)
-        with pytest.raises(ValueError, match="max_principle_tol must be finite and positive"):
-            SolverConfig(grid=field.grid, n_steps=10, max_principle_tol=tol)
 
     def test_rescaled_field_cannot_pass_through_nan(self):
         field, diag = self._heat_run()
@@ -1156,3 +1155,66 @@ class TestSharedLocation:
             paths.euler_increment(field, spec, 0.3, x, np.zeros((30, 2)), 0.01)
         # the nonlocal table of a vanishing shift makes no query
         assert corners.call_count == 1 and bracket.call_count == 1
+
+
+class TestBackwardRows:
+    """(Y, Z, Ztilde, sigma) in one call, to the bits of separate queries."""
+
+    def test_equals_separate_queries(self):
+        field = _jump_field_2d(17)
+        mat = np.array([[1.0, 0.4], [-0.3, 0.8]])
+
+        def sigma(t, x, u):
+            return np.broadcast_to(mat, (x.shape[0], 2, 2)) * (1.0 + u[:, :, None] ** 2)
+
+        field = dataclasses.replace(field, spec=dataclasses.replace(field.spec, diffusion=sigma))
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-6.0, 6.0, (25, 2))
+        for t in (0.3, rng.uniform(0.0, 1.0, 25)):
+            y, z, ztilde, sig = field.backward_rows(t, x)
+            sig_ref = np.asarray(sigma(t, x, field.value(t, x)), dtype=float)
+            z_ref = np.einsum("bmi,bij->bmj", field.gradient(t, x), sig_ref)
+            assert y.tobytes() == field.value(t, x).tobytes()
+            assert sig.tobytes() == sig_ref.tobytes()
+            assert z.tobytes() == z_ref.tobytes()
+            assert ztilde.tobytes() == field.nonlocal_table(t, x).tobytes()
+            assert np.any(ztilde != 0.0)
+
+
+class TestDirichletFaceData:
+    @pytest.mark.parametrize("name", ["heat", "manufactured-nonlocal"])
+    def test_one_call_per_level_and_the_same_face_sup(self, name):
+        built = build_problem(name, {"nodes": 41, "steps": 40})
+        config = built.solver_config
+        faces_fn = mock.Mock(wraps=config.dirichlet_data)
+        counted = dataclasses.replace(config, dirichlet_data=faces_fn)
+        _, diag = solve_final_value(built.spec, counted, built.constants)
+        assert faces_fn.call_count == config.n_steps + 1
+        # the sup over levels of the face data, one call per level at T - k dt
+        horizon = built.spec.horizon
+        dt = horizon / config.n_steps
+        _, face_nodes = grid_faces(config.grid)
+        level_sups = [
+            np.sqrt(np.sum(config.dirichlet_data(horizon - k * dt, face_nodes) ** 2, axis=-1))
+            for k in range(config.n_steps + 1)
+        ]
+        assert diag.boundary_data_sup == max(float(v.max()) for v in level_sups)
+        assert (diag.boundary_data_sup > 0.0) == (name == "manufactured-nonlocal")
+
+
+class TestHugeHorizon:
+    """A sup bound whose exponential overflows is infinite, not an error."""
+
+    def test_overflowing_bound_is_infinite(self):
+        built = build_problem("heat", {"horizon": 1e300, "nodes": 11, "steps": 2})
+        field, diag = solve_final_value(built.spec, built.solver_config, built.constants)
+        result = check_max_principle(field, diag)
+        assert result.bound == math.inf and result.margin == math.inf
+        assert result.passed and result.first_violation_level is None
+
+    def test_zero_data_keeps_a_zero_bound(self):
+        built = build_problem("heat", {"horizon": 1e300, "nodes": 11, "steps": 2})
+        spec = dataclasses.replace(built.spec, terminal=lambda x: np.zeros((x.shape[0], 1)))
+        field, diag = solve_final_value(spec, built.solver_config, built.constants)
+        result = check_max_principle(field, diag)
+        assert result.bound == 0.0 and result.passed
