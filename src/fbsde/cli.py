@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -24,7 +25,7 @@ from .catalog import BuiltProblem, build_problem
 from .errors import ConfigError, FbsdeError
 from .pipeline import Linked, ResidualReport, bsde_residual, link_ensemble
 from .paths import _check_start_point, _time_grid, simulate_ensemble
-from .problem import AssumptionCheck, AssumptionReport, check_ellipticity, check_growth
+from .problem import AssumptionCheck, AssumptionReport, _shaped, check_ellipticity, check_growth
 from .solver import (
     Diagnostics,
     MaxPrincipleResult,
@@ -325,6 +326,15 @@ def _report_dict(
     return report
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def run(config: RunConfig) -> int:
     """Execute the selected stages; exit status 1 if an enabled check fails."""
     config.validate()
@@ -366,7 +376,8 @@ def run(config: RunConfig) -> int:
         config, built, assumptions, diag, max_principle, residuals, checks
     )
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        # strict JSON: a non-finite value that reaches the dump raises
+        json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     return 0 if all(checks.values()) else 1
@@ -398,18 +409,10 @@ def sweep(config: RunConfig) -> int:
 
         if built.oracle is not None:
             nodes_xy = field_obj.grid.nodes()
+            shape = (nodes_xy.shape[0], field_obj.m)
             err = max(
-                float(
-                    np.max(
-                        np.abs(
-                            field_obj.values[lev]
-                            - np.asarray(built.oracle(float(t), nodes_xy)).reshape(
-                                field_obj.values[lev].shape
-                            )
-                        )
-                    )
-                )
-                for lev, t in enumerate(field_obj.times)
+                float(np.abs(u - _shaped("oracle", built.oracle(float(t), nodes_xy), shape)).max())
+                for t, u in zip(field_obj.times, field_obj.values)
             )
         else:
             err = None

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import BlowUpError, DegenerateDiffusionError, LinearSolveError
 from .grid import Grid, cell_corners, grid_faces, grid_nodes
 from .operators import all_finite, assemble_coefficients, eval_nonlocal, shifted_differences
-from .problem import ProblemSpec
+from .problem import ProblemSpec, _shaped
 
 __all__ = [
     "SolverConfig",
@@ -122,31 +123,17 @@ def _axis_slice(total_ndim: int, axis: int, sl: slice | int) -> tuple:
     return tuple(idx)
 
 
-def spatial_gradient(
-    grid: Grid, values: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def spatial_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Per-node gradient of (n_nodes, m) node values, shape (n_nodes, m, n).
 
     Central differences at interior nodes, one-sided second-order
     stencils on the faces; exact for node values of affine functions.
-    ``out``, if given, is a C-contiguous float64 (n_nodes, m, n) array
-    that receives the result and is returned.
     """
     shape = grid.shape
     m = values.shape[1]
     nd = values.reshape(*shape, m)
     total = grid.ndim + 1
-    if out is None:
-        out = np.empty((grid.n_nodes, m, grid.ndim))
-    elif not (
-        out.shape == (grid.n_nodes, m, grid.ndim)
-        and out.dtype == np.float64
-        and out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"out must be a C-contiguous float64 array of shape {(grid.n_nodes, m, grid.ndim)},"
-            f" got {out.dtype} {out.shape}"
-        )
+    out = np.empty((grid.n_nodes, m, grid.ndim))
     by_axis = out.reshape(shape + (m, grid.ndim))  # a view: out is contiguous
     for ax in range(grid.ndim):
         h = grid.spacings[ax]
@@ -305,8 +292,8 @@ def _face_values(
     out = np.zeros((grid.n_nodes, m))
     if config.dirichlet_data is not None:
         mask, pts = grid_faces(grid)
-        vals = np.asarray(config.dirichlet_data(horizon - t_next, pts), dtype=float)
-        out[mask] = vals.reshape(pts.shape[0], m)
+        vals = config.dirichlet_data(horizon - t_next, pts)
+        out[mask] = _shaped("dirichlet_data", vals, (pts.shape[0], m))
     return out
 
 
@@ -407,26 +394,26 @@ def step_imex(
 class SolutionField:
     """Decoupling field snapshots on the grid, indexed by original time.
 
-    ``values[i]`` approximates the field at times[i] and ``gradients[i]``
-    its spatial gradient; the snapshot at the final time reproduces the
-    boundary-prepared terminal data exactly.  Evaluation between
-    snapshots is linear in time and multilinear in space, with queries
-    clamped to the box.  :meth:`value` and :meth:`gradient` take ``t`` as
-    a scalar or one time per point; ``gradient(t, x, with_value=True)``
-    gives both on the same rows and locates the rows once; :meth:`backward_rows`
-    reads (Y, Z, Ztilde) off the field.  A fresh array given to the field is
-    taken over and made read-only; views and read-only arrays are copied.
+    ``values[i]`` approximates the field at times[i], and only the values
+    are stored: :attr:`gradients` is derived from them on first use.  The
+    snapshot at the final time reproduces the boundary-prepared terminal
+    data exactly.  Evaluation between snapshots is linear in time and
+    multilinear in space, with queries clamped to the box.  :meth:`value`
+    and :meth:`gradient` take ``t`` as a scalar or one time per point;
+    ``gradient(t, x, with_value=True)`` gives both on the same rows and
+    locates the rows once; :meth:`backward_rows` reads (Y, Z, Ztilde) off
+    the field.  A fresh array given to the field is taken over and made
+    read-only; views and read-only arrays are copied.
     """
 
     grid: Grid
     times: np.ndarray  # (L,)
     values: np.ndarray  # (L, n_nodes, m)
-    gradients: np.ndarray  # (L, n_nodes, m, n)
     spec: ProblemSpec
     config: SolverConfig
 
     def __post_init__(self):
-        for name in ("times", "values", "gradients"):
+        for name in ("times", "values"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if not all_finite(arr):
                 raise ValueError(f"{name} must be finite")
@@ -443,6 +430,22 @@ class SolutionField:
         step = t[-1] / (t.shape[0] - 1)
         if not (step > 0.0 and np.all(np.abs(np.diff(t) - step) <= 1e-9 * step)):
             raise ValueError("times must be uniform and increasing")
+        expected = (t.shape[0], self.grid.n_nodes, self.spec.m)
+        if self.values.shape != expected:
+            raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """Per-level :func:`spatial_gradient` of ``values``, (L, n_nodes, m, n),
+        filled level by level on first use and kept read-only."""
+        out = np.empty(self.values.shape + (self.grid.ndim,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for level, values in enumerate(self.values):
+                out[level] = spatial_gradient(self.grid, values)
+        if not all_finite(out):
+            raise ValueError("gradients must be finite; the differences of values overflow")
+        out.flags.writeable = False
+        return out
 
     @property
     def m(self) -> int:
@@ -601,8 +604,8 @@ def solve_final_value(
 
     Starts from the cutoff-multiplied terminal data (or raw terminal
     data under prescribed face values), advances ``n_steps`` IMEX steps
-    and re-indexes the levels back to original time.  Any
-    non-finite level aborts with :class:`BlowUpError`.
+    and re-indexes the levels back to original time; the field stores only
+    values.  Any non-finite level aborts with :class:`BlowUpError`.
     """
     grid = config.grid
     T = spec.horizon
@@ -621,14 +624,17 @@ def solve_final_value(
             raise ValueError("Dirichlet data must be finite at every face node")
         u0 = np.where(mask[:, None], faces, h_vals)
 
-    # march level j is stored at original-time level n_steps - j, and its
-    # gradient is computed once, for the step and for the field
+    # march level j is stored at original-time level n_steps - j; its
+    # gradient serves its step and its sup, and is then dropped
     values = np.empty((n_steps + 1, grid.n_nodes, spec.m))
-    gradients = np.empty(values.shape + (grid.ndim,))
+    sup_grad = np.empty(n_steps + 1)
     values[-1] = u = u0
     coarse = False
-    for j in range(n_steps):
-        p = spatial_gradient(grid, u, out=gradients[-1 - j])
+    for j in range(n_steps + 1):
+        p = spatial_gradient(grid, u)
+        sup_grad[-1 - j] = np.sqrt(np.sum(p**2, axis=(-1, -2))).max()
+        if j == n_steps:
+            break
         try:
             u, max_transport = step_imex(u, j * dt, spec, config, p)
         except BlowUpError as exc:
@@ -639,23 +645,13 @@ def solve_final_value(
             # transport-resolution heuristic: coarse N_t is allowed, only flagged
             coarse = dt * max_transport > min(grid.spacings)
         values[-2 - j] = u
-    spatial_gradient(grid, u, out=gradients[0])
     times = np.linspace(0.0, T, n_steps + 1)
 
-    field_obj = SolutionField(
-        grid=grid,
-        times=times,
-        values=values,
-        gradients=gradients,
-        spec=spec,
-        config=config,
-    )
+    field_obj = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
     sup_u = field_obj.sup_norms()
     # every level's face rows hold the face data exactly: the prescribed
     # values, or zeros under the cutoff construction
     boundary_sup = float(np.sqrt(np.sum(values[:, mask] ** 2, axis=-1)).max())
-    # level by level: a whole-array square would copy the gradients
-    sup_grad = np.array([np.sqrt(np.sum(g**2, axis=(-1, -2))).max() for g in gradients])
 
     diag = Diagnostics(
         sup_u=sup_u,

@@ -77,10 +77,7 @@ def _linear_setup():
     times = np.linspace(0.0, 1.0, 17)
     nodes = grid.nodes()
     values = np.broadcast_to(nodes[None], (17, grid.n_nodes, 1)).copy()
-    gradients = np.ones((17, grid.n_nodes, 1, 1))
-    field = SolutionField(
-        grid=grid, times=times, values=values, gradients=gradients, spec=spec, config=config
-    )
+    field = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
     return spec, field
 
 
@@ -113,7 +110,6 @@ def test_criterion_2_max_principle_bound_all_catalog_problems():
         grid=field.grid,
         times=field.times,
         values=10.0 * field.values,
-        gradients=10.0 * field.gradients,
         spec=field.spec,
         config=field.config,
     )
@@ -320,7 +316,6 @@ def test_criterion_8_ito_identity():
         grid=grid,
         times=times,
         values=np.zeros((9, grid.n_nodes, 1)),
-        gradients=np.zeros((9, grid.n_nodes, 1, 1)),
         spec=spec_j,
         config=config,
     )

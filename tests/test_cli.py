@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -510,7 +511,6 @@ def jumpy_2d_setup():
         grid=grid,
         times=np.linspace(0.0, 1.0, 5),
         values=gen.standard_normal((5, grid.n_nodes, 2)),
-        gradients=gen.standard_normal((5, grid.n_nodes, 2, 2)) * 1e-3,
         spec=spec,
         config=config,
     )
@@ -581,6 +581,39 @@ class TestOneSourcePerSetting:
         argv += ["--nodes", "11", "--steps", "2", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert "Traceback" not in capsys.readouterr().err
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["max_principle"]["bound"] == float("inf")
+        report = strict_report(tmp_path / "report.json")
+        # an infinite bound and margin are written as null
+        assert report["max_principle"]["bound"] is None
+        assert report["max_principle"]["margin"] is None
         assert report["checks"]["max_principle_pass"] is True
+
+    def test_single_path_stderr_is_null(self, tmp_path):
+        argv = ["verify", "--problem", "heat", "--nodes", "21", "--steps", "20"]
+        argv += ["--paths", "1", "--dt", "0.05", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = strict_report(tmp_path / "report.json")
+        assert report["residuals"]["stderr"] == [None]
+
+    def test_oracle_of_another_size_named(self, tmp_path, monkeypatch):
+        def bad_oracle_build(name, params):
+            built = build_problem(name, params)
+            return dataclasses.replace(built, oracle=lambda t, x: np.zeros((x.shape[0], 2)))
+
+        monkeypatch.setattr(cli, "build_problem", bad_oracle_build)
+        argv = ["sweep", "--problem", "heat", "--param", "nodes=21", "--param", "steps=10"]
+        config = _config_from_args(_make_parser().parse_args(argv + ["--rungs", "2"]))
+        expected = r"oracle returned shape \(21, 2\), expected \(21, 1\)"
+        with pytest.raises(ValueError, match=expected):
+            cli.sweep(dataclasses.replace(config, out_dir=tmp_path))
+
+
+def strict_report(path: Path) -> dict:
+    """``report.json`` parsed as strict JSON, checked to re-serialize to its own text."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = path.read_text()
+    report = json.loads(text, parse_constant=reject)
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
+    return report

@@ -21,7 +21,6 @@ from fbsde import (
     sample_poisson_measure,
     simulate_ensemble,
     solve_final_value,
-    spatial_gradient,
 )
 from fbsde import paths
 
@@ -68,7 +67,6 @@ def zero_field(spec, lo=-12.0, hi=12.0, nodes=33, levels=5):
         grid=grid,
         times=times,
         values=np.zeros((levels, grid.n_nodes, 1)),
-        gradients=np.zeros((levels, grid.n_nodes, 1, 1)),
         spec=spec,
         config=config,
     )
@@ -248,7 +246,6 @@ class TestSimulateForward:
             grid=grid,
             times=times,
             values=np.zeros((5, grid.n_nodes, 1)),
-            gradients=np.zeros((5, grid.n_nodes, 1, 1)),
             spec=spec,
             config=config,
         )
@@ -322,7 +319,6 @@ class TestTwoDimensionalSimulation:
             grid=grid,
             times=times,
             values=np.zeros((5, grid.n_nodes, 1)),
-            gradients=np.zeros((5, grid.n_nodes, 1, 2)),
             spec=spec,
             config=config,
         )
@@ -539,7 +535,7 @@ def _time_column(t):
 
 
 def sine_field(spec, lo, hi, nodes, levels=9):
-    """exp(-t) sin(x_1) cos(x_2) ... with finite-difference gradients."""
+    """exp(-t) sin(x_1) cos(x_2) ..., gradients derived by finite differences."""
     grid = Grid((lo,) * spec.n, (hi,) * spec.n, (nodes,) * spec.n)
     config = SolverConfig(
         grid=grid, n_steps=levels - 1, dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1))
@@ -548,10 +544,7 @@ def sine_field(spec, lo, hi, nodes, levels=9):
     pts = grid.nodes()
     shape = np.sin(pts[:, 0]) * np.prod(np.cos(pts[:, 1:]), axis=1)
     values = np.exp(-times)[:, None, None] * shape[None, :, None]
-    gradients = np.stack([spatial_gradient(grid, v) for v in values])
-    return SolutionField(
-        grid=grid, times=times, values=values, gradients=gradients, spec=spec, config=config
-    )
+    return SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
 
 
 def high_rate_setup():

@@ -59,7 +59,7 @@ def make_spec(drift=None, generator=None, sigma_val=1.0, jump=None, measure=None
     )
 
 
-def make_field(spec, values_fn, gradients_fn, lo=-12.0, hi=12.0, nodes=97, levels=9):
+def make_field(spec, values_fn, lo=-12.0, hi=12.0, nodes=97, levels=9):
     grid = Grid((lo,), (hi,), (nodes,))
     config = SolverConfig(
         grid=grid,
@@ -69,28 +69,15 @@ def make_field(spec, values_fn, gradients_fn, lo=-12.0, hi=12.0, nodes=97, level
     times = np.linspace(0.0, spec.horizon, levels)
     pts = grid.nodes()
     values = np.stack([values_fn(float(t), pts) for t in times])
-    grads = np.stack([gradients_fn(float(t), pts) for t in times])
-    return SolutionField(
-        grid=grid, times=times, values=values, gradients=grads, spec=spec, config=config
-    )
+    return SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
 
 
 def zero_field(spec, **kw):
-    return make_field(
-        spec,
-        lambda t, x: np.zeros((x.shape[0], 1)),
-        lambda t, x: np.zeros((x.shape[0], 1, 1)),
-        **kw,
-    )
+    return make_field(spec, lambda t, x: np.zeros((x.shape[0], 1)), **kw)
 
 
 def linear_field(spec, **kw):
-    return make_field(
-        spec,
-        lambda t, x: np.asarray(x, dtype=float).copy(),
-        lambda t, x: np.ones((x.shape[0], 1, 1)),
-        **kw,
-    )
+    return make_field(spec, lambda t, x: np.asarray(x, dtype=float).copy(), **kw)
 
 
 def stream_path(field, spec, x0, dt, seed, stream_id):
@@ -212,7 +199,6 @@ class TestBsdeResidual:
         field = make_field(
             spec,
             lambda t, x: np.sin(x) * math.exp(-t),
-            lambda t, x: (np.cos(x) * math.exp(-t))[:, :, None],
         )
         ens = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 40, base_seed=3)
         rep = bsde_residual(link_ensemble(ens, field, spec), spec)
@@ -284,7 +270,6 @@ def order_setup():
     field = make_field(
         spec,
         lambda t, x: np.sin(x) * math.exp(-t),
-        lambda t, x: (np.cos(x) * math.exp(-t))[:, :, None],
         lo=-1.5,
         hi=1.5,
         nodes=49,
@@ -373,7 +358,6 @@ class TestItoResidual:
         field = make_field(
             spec,
             lambda t, x: np.sin(x) * math.exp(-(1.0 - t) / 2.0),
-            lambda t, x: (np.cos(x) * math.exp(-(1.0 - t) / 2.0))[:, :, None],
             levels=41,
             nodes=201,
             lo=-6.0,
@@ -410,7 +394,6 @@ class TestItoResidual:
             grid=grid,
             times=np.linspace(0.0, 1.0, 3),
             values=np.broadcast_to(quad[None, :, None], (3, grid.n_nodes, 1)),
-            gradients=np.zeros((3, grid.n_nodes, 1, 3)),
             spec=spec,
             config=SolverConfig(grid=grid, n_steps=2, cutoff_width=0.4),
         )
@@ -448,12 +431,7 @@ class TestVectorBackwardComponent:
         values = np.broadcast_to(
             np.concatenate([pts, 2.0 * pts], axis=1)[None], (9, grid.n_nodes, 2)
         ).copy()
-        gradients = np.broadcast_to(
-            np.array([[1.0], [2.0]])[None, None], (9, grid.n_nodes, 2, 1)
-        ).copy()
-        field = SolutionField(
-            grid=grid, times=times, values=values, gradients=gradients, spec=spec, config=config
-        )
+        field = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
         ens = simulate_ensemble(field, spec, np.array([0.0]), 1e-3, 100, base_seed=33)
         linked = link_ensemble(ens, field, spec)
         assert linked.z.shape == (100, 1001, 2, 1)
@@ -544,7 +522,6 @@ def u_dependent_shift_linked():
     field = make_field(
         spec,
         lambda t, x: np.sin(x) * math.exp(-t),
-        lambda t, x: (np.cos(x) * math.exp(-t))[:, :, None],
         lo=-4.0,
         hi=4.0,
         nodes=81,
@@ -558,7 +535,6 @@ def no_event_linked():
     field = make_field(
         spec,
         lambda t, x: np.sin(x) * math.exp(-t),
-        lambda t, x: (np.cos(x) * math.exp(-t))[:, :, None],
     )
     ens = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 6, base_seed=2)
     return link_ensemble(ens, field, spec)

@@ -265,28 +265,6 @@ class TestSpatialGradient:
         assert np.allclose(g[:, 0, 0], 1.5, atol=1e-12)
         assert np.allclose(g[:, 0, 1], -0.25, atol=1e-12)
 
-    def test_out_receives_the_gradient(self):
-        grid = Grid((0.0, 0.0), (1.0, 2.0), (5, 9))
-        vals = np.sin(grid.nodes()).reshape(grid.n_nodes, 2)
-        out = np.empty((grid.n_nodes, 2, 2))
-        assert spatial_gradient(grid, vals, out=out) is out
-        assert out.tobytes() == spatial_gradient(grid, vals).tobytes()
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            np.empty(45 * 2 * 2),  # the right size, flat
-            np.empty((2, 45, 2)),  # the right size, components first
-            np.empty((45, 2, 2), dtype=np.float32),
-            np.empty((45, 2, 4))[..., ::2],  # not contiguous
-        ],
-        ids=["flat", "transposed", "float32", "strided"],
-    )
-    def test_out_of_another_layout_rejected(self, bad):
-        grid = Grid((0.0, 0.0), (1.0, 2.0), (5, 9))
-        with pytest.raises(ValueError, match="out must be"):
-            spatial_gradient(grid, np.zeros((grid.n_nodes, 2)), out=bad)
-
 
 class TestCutoff:
     def test_one_on_inner_box_zero_on_faces(self):
@@ -445,6 +423,16 @@ class TestSolveFinalValue:
         with pytest.raises(ValueError, match="Dirichlet data"):
             solve_final_value(diffusion_spec(), config, MaxPrincipleConstants(0, 0, 0))
 
+    def test_dirichlet_data_of_another_size_named(self):
+        config = SolverConfig(
+            grid=Grid((0.0,), (math.pi,), (21,)),
+            n_steps=4,
+            dirichlet_data=lambda t, x: np.zeros((x.shape[0], 2)),
+        )
+        expected = r"dirichlet_data returned shape \(2, 2\), expected \(2, 1\)"
+        with pytest.raises(ValueError, match=expected):
+            solve_final_value(diffusion_spec(), config, MaxPrincipleConstants(0, 0, 0))
+
     def test_diagnostics_sups_match_snapshots(self):
         spec = diffusion_spec()
         grid = Grid((0.0,), (math.pi,), (41,))
@@ -470,7 +458,6 @@ class TestSolutionFieldTimes:
             grid=grid,
             times=times,
             values=np.zeros((times.shape[0], grid.n_nodes, 1)),
-            gradients=np.zeros((times.shape[0], grid.n_nodes, 1, 1)),
             spec=diffusion_spec(),
             config=config,
         )
@@ -511,7 +498,6 @@ class TestNonlocalTable:
             grid=grid,
             times=np.linspace(0.0, 1.0, 3),
             values=np.ones((3, grid.n_nodes, 1)),
-            gradients=np.zeros((3, grid.n_nodes, 1, 1)),
             spec=spec,
             config=SolverConfig(grid=grid, n_steps=2),
         )
@@ -550,7 +536,6 @@ class TestMaxPrinciple:
             grid=field.grid,
             times=field.times,
             values=np.zeros_like(field.values),
-            gradients=np.zeros_like(field.gradients),
             spec=field.spec,
             config=field.config,
         )
@@ -563,7 +548,6 @@ class TestMaxPrinciple:
             grid=field.grid,
             times=field.times,
             values=10.0 * field.values,
-            gradients=10.0 * field.gradients,
             spec=field.spec,
             config=field.config,
         )
@@ -598,7 +582,6 @@ class TestMaxPrinciple:
             grid=field.grid,
             times=field.times,
             values=1e6 * field.values,
-            gradients=1e6 * field.gradients,
             spec=field.spec,
             config=field.config,
         )
@@ -635,7 +618,7 @@ def _spec_2d(horizon=0.5, generator=None, sigma_mat=None, terminal=None):
 
 
 def _random_field_2d(levels=7, horizon=0.75, seed=11):
-    """2-D, two-component field with random node data and gradients."""
+    """2-D, two-component field with random node data."""
     grid = Grid((-1.0, 0.5), (2.0, 2.5), (7, 5))
     rng = np.random.default_rng(seed)
     spec = dataclasses.replace(_spec_2d(horizon=horizon), m=2, generator=_zeros(2))
@@ -643,7 +626,6 @@ def _random_field_2d(levels=7, horizon=0.75, seed=11):
         grid=grid,
         times=np.linspace(0.0, horizon, levels),
         values=rng.standard_normal((levels, grid.n_nodes, 2)),
-        gradients=rng.standard_normal((levels, grid.n_nodes, 2, 2)),
         spec=spec,
         config=SolverConfig(grid=grid, n_steps=levels - 1, cutoff_width=0.5),
     )
@@ -699,7 +681,6 @@ class TestFieldOwnership:
 
         levels, grid = 21, Grid((0.0, 0.0), (1.0, 1.0), (41, 41))
         values = np.ones((levels, grid.n_nodes, 2))
-        gradients = np.ones((levels, grid.n_nodes, 2, 2))
         times = np.linspace(0.0, 1.0, levels)
         spec = dataclasses.replace(_spec_2d(horizon=1.0), m=2, generator=_zeros(2))
         config = SolverConfig(grid=grid, n_steps=levels - 1, cutoff_width=0.25)
@@ -707,15 +688,13 @@ class TestFieldOwnership:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            field = SolutionField(
-                grid=grid, times=times, values=values, gradients=gradients, spec=spec, config=config
-            )
+            field = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < 0.01 * (values.nbytes + gradients.nbytes)
-        assert field.values is values and field.gradients is gradients
-        assert not values.flags.writeable and not gradients.flags.writeable
+        assert peak - before < 0.01 * values.nbytes
+        assert field.values is values
+        assert not values.flags.writeable
 
     def test_a_view_of_a_writeable_base_is_copied(self):
         field = _random_field_2d()
@@ -729,10 +708,38 @@ class TestFieldOwnership:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_named(self, bad):
         field = _random_field_2d()
-        gradients = np.array(field.gradients)
-        gradients[3, 4, 1, 0] = bad
+        values = np.array(field.values)
+        values[3, 4, 1] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            dataclasses.replace(field, values=values)
+
+    def test_overflowing_gradients_named(self):
+        field = _random_field_2d()
+        values = np.array(field.values)
+        values[3, 4, 1] = 1e308  # a face node: its one-sided stencil's 3 u overflows
+        huge = dataclasses.replace(field, values=values)
         with pytest.raises(ValueError, match="gradients must be finite"):
-            dataclasses.replace(field, gradients=gradients)
+            huge.gradients
+
+    @pytest.mark.parametrize(
+        "shape", [(5, 12, 1), (6, 11, 1), (5, 11)], ids=["nodes", "levels", "no-component-axis"]
+    )
+    def test_values_of_another_shape_named(self, shape):
+        built = build_problem("heat", {"nodes": 11, "steps": 4})
+        with pytest.raises(ValueError, match=r"values must have shape \(5, 11, 1\), got "):
+            SolutionField(
+                grid=built.solver_config.grid,
+                times=np.linspace(0.0, built.spec.horizon, 5),
+                values=np.zeros(shape),
+                spec=built.spec,
+                config=built.solver_config,
+            )
+
+    def test_gradients_are_derived_once_and_read_only(self):
+        field = _random_field_2d()
+        assert "gradients" not in vars(field)
+        gradients = field.gradients
+        assert field.gradients is gradients and not gradients.flags.writeable
 
 
 class TestTwoDimensional:
@@ -896,7 +903,6 @@ def _jump_field_2d(nodes):
         grid=grid,
         times=np.linspace(0.0, 1.0, levels),
         values=values,
-        gradients=np.stack([spatial_gradient(grid, v) for v in values]),
         spec=spec,
         config=SolverConfig(grid=grid, n_steps=levels - 1),
     )
@@ -994,16 +1000,19 @@ MARCH_CASES = ["1d", "2d", "3d", "dirichlet"]
 
 
 class TestOneGradientPerLevel:
-    """The march differentiates each level once and stores that gradient."""
+    """The march differentiates each level once; the field derives the same gradients."""
 
     @pytest.mark.parametrize("name", MARCH_CASES)
     def test_stored_gradient_is_the_level_gradient(self, name):
         spec, config = _march_case(name)
-        field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0.0, 1.0, 1.0))
+        field, diag = solve_final_value(spec, config, MaxPrincipleConstants(0.0, 1.0, 1.0))
         assert field.gradients.shape == field.values.shape + (config.grid.ndim,)
         for values, gradient in zip(field.values, field.gradients):
             # bytes: signs of zero included
             assert spatial_gradient(config.grid, values).tobytes() == gradient.tobytes()
+        # the march's per-level sups are those of the derived gradients
+        sups = [np.sqrt(np.sum(g**2, axis=(-1, -2))).max() for g in field.gradients]
+        assert diag.sup_gradient.tobytes() == np.array(sups).tobytes()
 
     @pytest.mark.parametrize("name", MARCH_CASES)
     def test_given_gradient_equals_the_default(self, name):
@@ -1044,13 +1053,17 @@ class TestOneGradientPerLevel:
         solve_final_value(spec, config, constants)  # fills the per-grid caches
         tracemalloc.start()
         try:
-            field, _ = solve_final_value(spec, config, constants)
+            field, diag = solve_final_value(spec, config, constants)
+            check_max_principle(field, diag)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stored = field.values.nbytes + field.gradients.nbytes
-        level = stored // len(field.times)  # one level of values and gradients
-        # a list of levels stacked at the end would add every level's values again
+        # neither the march nor the check derives the field's gradients
+        assert "gradients" not in vars(field)
+        stored = field.values.nbytes
+        # one level of values and of the gradient the march takes from it
+        level = stored // len(field.times) * (1 + grid.ndim)
+        # stored gradients, or levels stacked at the end, would add every level again
         assert peak <= stored + 24 * level, (peak - stored) / level
 
 
