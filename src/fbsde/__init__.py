@@ -17,6 +17,7 @@ from .errors import (
     FbsdeError,
     LinearSolveError,
     NonFiniteShiftError,
+    ShapeError,
 )
 from .grid import Grid, multilinear_interpolate
 from .operators import assemble_coefficients, eval_nonlocal, integrate_over_nu

@@ -257,16 +257,15 @@ def _write_paths_csv(path: Path, linked: Linked) -> None:
         + [(f"y_{c}", _FLOAT) for c in range(m)]
         + [("jumps", _INT)]
     )
-    # jumps[p, j]: jumps of path p in the interval ending at times[j]
-    jumps = np.zeros((n_paths, n_levels), dtype=int)
-    np.add.at(jumps, (ens.events.path, ens.events.interval + 1), 1)
+    interval, off = ens.events.interval, ens.event_offsets
     time_text = _text(ens.times)
-    # one block per path; the path id is the same on every row
+    # one block per path; the path id is the same on every row, and the
+    # jumps column counts the path's own events in the interval ending at each time
     blocks = (
         (_INT % pid, time_text)
         + tuple(ens.states[pid].T)
         + tuple(linked.y[pid].T)
-        + (jumps[pid],)
+        + (np.bincount(interval[off[pid] : off[pid + 1]] + 1, minlength=n_levels),)
         for pid in range(n_paths)
     )
     _write_csv(path, columns, blocks)

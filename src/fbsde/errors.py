@@ -33,3 +33,11 @@ class ConfigError(FbsdeError, ValueError):
 
     Also a ``ValueError``, so callers that catch bad values catch it too.
     """
+
+
+class ShapeError(FbsdeError, ValueError):
+    """A callable returned an array of the wrong size; the message names it.
+
+    A program fault rather than bad configuration, and also a
+    ``ValueError``, like :class:`ConfigError`.
+    """

@@ -9,11 +9,12 @@ backward-equation residual is a terminal telescoping check over the
 whole interval, with the compensated jump sum standing in for the
 integral against the compensated measure.
 
-Linking and the Ito check walk the time grid in level blocks: runs of
-whole levels of at most ``_BLOCK_ROWS`` (path, level) rows, queried in
-one batch with one time per row.  Every row gets the bits of a
-one-level query, and the Ito check's per-path sums are still added
-level by level, so block size changes no result.
+Linking, the Ito check and the class-S norm walk the time grid in level
+blocks: runs of whole levels of at most ``_BLOCK_ROWS`` (path, level)
+rows, queried in one batch with one time per row.  Every row gets the
+bits of a one-level query, the Ito check's per-path sums are still added
+level by level, and the norm's squares are reduced per level, so block
+size changes no result.
 """
 
 from __future__ import annotations
@@ -151,30 +152,32 @@ def estimate_class_s_norm(linked: Linked) -> float:
     sup over time of (E|X|^2 + E|Y|^2) plus the dt-weighted sum of
     E|Z|^2 and the nu-weighted squared table norm.  Reductions over
     paths use exact summation, so the estimate is invariant under path
-    reordering and ensemble splitting.
+    reordering and ensemble splitting.  The squares are formed one
+    level block at a time, so no (P, L) array of them is ever held.
     """
     if not len(linked):
         raise ValueError("ensemble must be non-empty")
-    times = linked.ensemble.times
-    n_paths = len(linked)
+    times, states = linked.ensemble.times, linked.ensemble.states
+    n_paths, n_levels = states.shape[:2]
     weights = linked.field.spec.measure.weights
-
-    x_sq = np.sum(linked.ensemble.states**2, axis=-1)  # (P, L)
-    y_sq = np.sum(linked.y**2, axis=-1)
-    z_sq = np.sum(linked.z**2, axis=(-1, -2))
-    w_sq = np.einsum("pjkm,k->pj", linked.ztilde**2, weights)
-
-    sup_term = max(
-        _fsum_rows(x_sq[:, j]) / n_paths + _fsum_rows(y_sq[:, j]) / n_paths
-        for j in range(times.shape[0])
-    )
     dts = np.diff(times)
-    int_term = math.fsum(
-        float(dts[j])
-        * (_fsum_rows(z_sq[:, j]) / n_paths + _fsum_rows(w_sq[:, j]) / n_paths)
-        for j in range(dts.shape[0])
-    )
-    return sup_term + int_term
+
+    sup_terms, int_terms = [], []
+    for block in _level_blocks(n_paths, n_levels):
+        x_sq = np.sum(states[:, block] ** 2, axis=-1)  # (P, block levels)
+        y_sq = np.sum(linked.y[:, block] ** 2, axis=-1)
+        z_sq = np.sum(linked.z[:, block] ** 2, axis=(-1, -2))
+        w_sq = np.einsum("pjkm,k->pj", linked.ztilde[:, block] ** 2, weights)
+        for jj, j in enumerate(range(block.start, block.stop)):
+            sup_terms.append(
+                _fsum_rows(x_sq[:, jj]) / n_paths + _fsum_rows(y_sq[:, jj]) / n_paths
+            )
+            if j < dts.shape[0]:
+                int_terms.append(
+                    float(dts[j])
+                    * (_fsum_rows(z_sq[:, jj]) / n_paths + _fsum_rows(w_sq[:, jj]) / n_paths)
+                )
+    return max(sup_terms) + math.fsum(int_terms)
 
 
 def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualReport:
@@ -183,7 +186,9 @@ def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualRe
     R = Y_0 - [h(X_T) + sum g dt - sum Z dB - (jump sum - compensator)].
     Paths that left the grid are excluded from the statistics and
     counted in ``excluded_paths``.  ``spec``, if given, must be the
-    field's own.
+    field's own.  The generator values, (P, L - 1, m), are the one array
+    over paths and levels it builds; the class-S norm goes level block
+    by level block.
     """
     if not len(linked):
         raise ValueError("linked ensemble must be non-empty")

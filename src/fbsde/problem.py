@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDiffusionError
+from .errors import DegenerateDiffusionError, ShapeError
 
 __all__ = [
     "LevyMeasure",
@@ -155,7 +155,7 @@ def _shaped(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """``value`` as a float array of ``shape``; a result of another size names ``name``."""
     out = np.asarray(value, dtype=float)
     if out.size != math.prod(shape):
-        raise ValueError(f"{name} returned shape {out.shape}, expected {shape}")
+        raise ShapeError(f"{name} returned shape {out.shape}, expected {shape}")
     return out.reshape(shape)
 
 

@@ -606,6 +606,18 @@ class TestOneSourcePerSetting:
         with pytest.raises(ValueError, match=expected):
             cli.sweep(dataclasses.replace(config, out_dir=tmp_path))
 
+    def test_oracle_of_another_size_exits_1(self, tmp_path, monkeypatch, capsys):
+        def bad_oracle_build(name, params):
+            built = build_problem(name, params)
+            return dataclasses.replace(built, oracle=lambda t, x: np.zeros((x.shape[0], 2)))
+
+        monkeypatch.setattr(cli, "build_problem", bad_oracle_build)
+        argv = ["sweep", "--problem", "heat", "--param", "nodes=21", "--param", "steps=10"]
+        # a fault of the program, not of the configuration: exit 1, not 2
+        assert main(argv + ["--rungs", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: oracle returned shape (21, 2), expected (21, 1)\n", err
+
 
 def strict_report(path: Path) -> dict:
     """``report.json`` parsed as strict JSON, checked to re-serialize to its own text."""

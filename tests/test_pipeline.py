@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from fbsde import (
     Ensemble,
     Grid,
     LevyMeasure,
+    Linked,
     MaxPrincipleConstants,
     ProblemSpec,
     SolutionField,
@@ -840,3 +842,135 @@ class TestLevelBlockMemory:
             ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / 400, n_paths, 7)
             linked = link_ensemble(ens, field, spec)
             assert traced_peak(ito_residuals, linked)[1] <= ito_peak[1], n_paths
+
+    def test_residual_temporaries_do_not_grow_with_the_level_count(self):
+        field, spec = mc_2d_problem()
+        n_paths, extra = 400, []
+        for path_steps in (100, 400):
+            ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / path_steps, n_paths, 7)
+            linked = link_ensemble(ens, field, spec)
+            peak = traced_peak(bsde_residual, linked)[1]
+            # the generator values, (P, L - 1, m), are the one per-level array kept
+            extra.append(peak - n_paths * path_steps * spec.m * 8)
+        # only per-level scalars may grow with the levels: well under a tenth
+        # of a double per added (path, level) row, where squaring whole (P, L)
+        # arrays for the class-S norm adds several doubles per row
+        assert extra[1] - extra[0] < 0.1 * 8 * n_paths * 300, extra
+
+
+def whole_array_class_s_norm(linked):
+    """Reference: ``estimate_class_s_norm`` as it was before it went level
+    block by level block, squaring whole (P, L) arrays; kept verbatim."""
+    if not len(linked):
+        raise ValueError("ensemble must be non-empty")
+    times = linked.ensemble.times
+    n_paths = len(linked)
+    weights = linked.field.spec.measure.weights
+
+    x_sq = np.sum(linked.ensemble.states**2, axis=-1)  # (P, L)
+    y_sq = np.sum(linked.y**2, axis=-1)
+    z_sq = np.sum(linked.z**2, axis=(-1, -2))
+    w_sq = np.einsum("pjkm,k->pj", linked.ztilde**2, weights)
+
+    sup_term = max(
+        pipeline._fsum_rows(x_sq[:, j]) / n_paths + pipeline._fsum_rows(y_sq[:, j]) / n_paths
+        for j in range(times.shape[0])
+    )
+    dts = np.diff(times)
+    int_term = math.fsum(
+        float(dts[j])
+        * (pipeline._fsum_rows(z_sq[:, j]) / n_paths + pipeline._fsum_rows(w_sq[:, j]) / n_paths)
+        for j in range(dts.shape[0])
+    )
+    return sup_term + int_term
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# signed zeros and subnormals, placed among the random entries
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+
+
+@st.composite
+def random_linked(draw):
+    """A ``Linked`` of random arrays (no events), and a ``_BLOCK_ROWS`` value."""
+    n_paths, n_levels = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n, m, n_atoms = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def wide(*shape):
+        # all zeros, which leaves the other terms' rounding bare, or magnitudes
+        # of one scale, whose sums round in every order, up to e^-30 .. e^30
+        spread = draw(st.sampled_from([0.0, 1.0, 30.0, None]))
+        if spread is None:
+            return np.zeros(shape)
+        out = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 2.0, shape)
+        out *= np.exp(rng.uniform(-spread, spread, shape))
+        flat = out.reshape(-1)
+        for i, value in draw(
+            st.lists(st.tuples(st.integers(0, flat.size - 1), st.sampled_from(SPECIAL_FLOATS)))
+        ):
+            flat[i] = value
+        return out
+
+    weights = np.exp(rng.uniform(-5.0, 5.0, n_atoms))
+    measure = LevyMeasure(marks=np.arange(1.0, n_atoms + 1.0)[:, None], weights=weights)
+    events = np.zeros(
+        0,
+        dtype=[("path", np.int64), ("time", float), ("atom", np.int64), ("interval", np.int64),
+               ("x_before", float, (n,)), ("x_after", float, (n,))],
+    ).view(np.recarray)
+    ensemble = Ensemble(
+        times=np.linspace(0.0, math.exp(rng.uniform(-5.0, 5.0)), n_levels),
+        states=wide(n_paths, n_levels, n),
+        brownian_increments=np.zeros((n_paths, n_levels - 1, n)),
+        exited=np.zeros(n_paths, dtype=bool),
+        events=events,
+    )
+    linked = Linked(
+        ensemble=ensemble,
+        field=SimpleNamespace(spec=SimpleNamespace(measure=measure)),
+        y=wide(n_paths, n_levels, m),
+        z=wide(n_paths, n_levels, m, n),
+        ztilde=wide(n_paths, n_levels, n_atoms, m),
+        jump_values=np.zeros((0, m)),
+    )
+    return linked, draw(st.integers(1, n_paths * n_levels + 1))
+
+
+def mc_2d_linked():
+    field, spec = mc_2d_problem()
+    ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / 100, 100, 7)
+    return link_ensemble(ens, field, spec)
+
+
+class TestLevelWiseClassSNorm:
+    """The class-S norm taken level block by level block has the bits of the whole-array one."""
+
+    @given(random_linked())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_whole_array_reference(self, case):
+        linked, block_rows = case
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            got = estimate_class_s_norm(linked)
+        assert same_bits(got, whole_array_class_s_norm(linked))
+
+    @pytest.mark.parametrize(
+        "make_linked",
+        [functools.partial(catalog_linked, name) for name in catalog_names()]
+        + [mc_2d_linked, lambda: ORDER_LINKED],
+        ids=catalog_names() + ["mc-2d", "exiting-paths"],
+    )
+    def test_residual_report_equals_whole_array_reference(self, make_linked):
+        linked = make_linked()
+        with mock.patch.object(pipeline, "estimate_class_s_norm", whole_array_class_s_norm):
+            want = bsde_residual(linked)
+        n_paths, n_levels = linked.ensemble.states.shape[:2]
+        for block_rows in block_rows_cases(n_paths, n_levels) + [1 << 11]:
+            with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+                got = bsde_residual(linked)
+            for name in ("residuals", "rms", "mean", "stderr", "class_s_norm"):
+                assert same_bits(getattr(got, name), getattr(want, name)), (name, block_rows)
