@@ -3,9 +3,9 @@
 The package splits into: problem data and sampled assumption checks
 (:mod:`fbsde.problem`), the nonlocal shifted difference and coefficient
 assembly (:mod:`fbsde.operators`), the IMEX field solver
-(:mod:`fbsde.solver`), forward jump-diffusion simulation
-(:mod:`fbsde.paths`), reconstruction of the backward processes with
-residual diagnostics (:mod:`fbsde.pipeline`), a benchmark catalog
+(:mod:`fbsde.solver`), forward jump-diffusion simulation with
+the backward processes read off the field (:mod:`fbsde.paths`), residual
+diagnostics (:mod:`fbsde.pipeline`), a benchmark catalog
 (:mod:`fbsde.catalog`) and the command-line front end (:mod:`fbsde.cli`).
 """
 
@@ -30,7 +30,6 @@ from .paths import (
     simulate_ensemble,
 )
 from .pipeline import (
-    Linked,
     ResidualReport,
     TestFunction,
     bsde_residual,

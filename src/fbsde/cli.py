@@ -23,8 +23,8 @@ import numpy as np
 
 from .catalog import BuiltProblem, build_problem
 from .errors import ConfigError, FbsdeError
-from .pipeline import Linked, ResidualReport, bsde_residual, link_ensemble
-from .paths import _check_start_point, _time_grid, simulate_ensemble
+from .pipeline import ResidualReport, bsde_residual
+from .paths import Ensemble, _check_start_point, _time_grid, simulate_ensemble
 from .problem import AssumptionCheck, AssumptionReport, _shaped, check_ellipticity, check_growth
 from .solver import (
     Diagnostics,
@@ -247,10 +247,9 @@ def _write_field_csv(path: Path, field_obj: SolutionField) -> None:
     _write_csv(path, columns, blocks)
 
 
-def _write_paths_csv(path: Path, linked: Linked) -> None:
-    ens = linked.ensemble
+def _write_paths_csv(path: Path, ens: Ensemble) -> None:
     n_paths, n_levels, n = ens.states.shape
-    m = linked.y.shape[2]
+    m = ens.y.shape[2]
     columns = (
         [("path", _INT), ("t", _FLOAT)]
         + [(f"x_{i}", _FLOAT) for i in range(n)]
@@ -264,7 +263,7 @@ def _write_paths_csv(path: Path, linked: Linked) -> None:
     blocks = (
         (_INT % pid, time_text)
         + tuple(ens.states[pid].T)
-        + tuple(linked.y[pid].T)
+        + tuple(ens.y[pid].T)
         + (np.bincount(interval[off[pid] : off[pid + 1]] + 1, minlength=n_levels),)
         for pid in range(n_paths)
     )
@@ -365,9 +364,8 @@ def run(config: RunConfig) -> int:
         ensemble = simulate_ensemble(
             field_obj, built.spec, built.x0, _path_dt(config, built), config.paths, config.seed
         )
-        linked = link_ensemble(ensemble, field_obj, built.spec)
-        _write_paths_csv(out_dir / "paths.csv", linked)
-        residuals = bsde_residual(linked, built.spec)
+        _write_paths_csv(out_dir / "paths.csv", ensemble)
+        residuals = bsde_residual(ensemble, built.spec)
         # exits are expected on tight boxes; they are reported, not fatal
         checks["residual_finite"] = bool(np.isfinite(residuals.rms))
 
@@ -419,8 +417,7 @@ def sweep(config: RunConfig) -> int:
         ensemble = simulate_ensemble(
             field_obj, built.spec, built.x0, path_dt, config.paths, config.seed
         )
-        linked = link_ensemble(ensemble, field_obj, built.spec)
-        rms = bsde_residual(linked, built.spec).rms
+        rms = bsde_residual(ensemble, built.spec).rms
 
         err_ratio = (prev_err / err) if (err and prev_err) else None
         rms_ratio = (prev_rms / rms) if (rms and prev_rms) else None

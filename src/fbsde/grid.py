@@ -40,6 +40,10 @@ class Grid:
                 raise ValueError("need at least 3 nodes per axis")
             if not hi > lo:
                 raise ValueError("upper bound must exceed lower bound")
+            if not math.isfinite(hi - lo):
+                raise ValueError(
+                    f"grid width must be finite, got lower={self.lower}, upper={self.upper}"
+                )
 
     @property
     def ndim(self) -> int:

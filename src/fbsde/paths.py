@@ -16,16 +16,23 @@ Every path owns an :class:`RngStream` and consumes it in a fixed order
 per substep), which makes any subset of an ensemble bit-reproducible
 regardless of scheduling or chunking.  An ensemble is one
 :class:`Ensemble` of arrays over the path axis with a flat event table.
+
+The backward triple is read off the field while simulating: round 0 of
+interval j queries ``SolutionField.backward_rows`` at (t_j, X_j) for
+every path, which gives the Euler drift and is also level j of (Y, Z,
+Ztilde); the round after a jump queries the post-jump state, whose Y
+gives the jump of Y.  Only the terminal level takes a query of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .operators import all_finite
 from .problem import LevyMeasure, ProblemSpec
 from .solver import SolutionField, SolverConfig
 
@@ -67,9 +74,13 @@ class JumpPath:
         return self.times.shape[0] - 1
 
 
+_PATH_AXIS_ARRAYS = ("states", "brownian_increments", "exited", "y", "z", "ztilde")
+
+
 @dataclass(frozen=True)
 class Ensemble:
-    """Forward paths on one uniform time grid, as arrays over the path axis.
+    """Forward paths on one uniform time grid and their (Y, Z, Ztilde),
+    as arrays over the path axis.
 
     ``states[p, j]`` is the post-jump value of path p at ``times[j]``;
     ``brownian_increments[p, j]`` is its total Brownian increment over
@@ -78,7 +89,10 @@ class Ensemble:
     array sorted by (path, time), with the columns ``path``, ``time``
     (exact jump time), ``atom``, ``interval`` (the uniform interval
     containing the jump), ``x_before`` and ``x_after`` (the states around
-    it).  All arrays are read-only; ``ens[i]`` is a view of path i.
+    it).  ``y``, ``z`` and ``ztilde`` hold ``field``'s (Y, Z, Ztilde) at
+    (t_j, X^p_j), Ztilde being the per-atom table; ``jump_values[e]`` is
+    the jump u(t, x_after) - u(t, x_before) of Y at event row e.  All
+    arrays are read-only; ``ens[i]`` is a view of path i.
     """
 
     times: np.ndarray  # (L,)
@@ -86,16 +100,21 @@ class Ensemble:
     brownian_increments: np.ndarray  # (P, L-1, n)
     exited: np.ndarray  # (P,) bool
     events: np.recarray  # (E,)
+    field: SolutionField
+    y: np.ndarray  # (P, L, m)
+    z: np.ndarray  # (P, L, m, n)
+    ztilde: np.ndarray  # (P, L, K, m)
+    jump_values: np.ndarray  # (E, m)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.states)):
+        if not all_finite(self.states):
             raise ValueError("path states must be finite")
         path, time = self.events.path, self.events.time
         later = (path[1:] > path[:-1]) | ((path[1:] == path[:-1]) & (time[1:] > time[:-1]))
         if not np.all(later):
             raise ValueError("jump times must be strictly increasing along each path")
-        for arr in (self.times, self.states, self.brownian_increments, self.exited, self.events):
-            arr.flags.writeable = False
+        for name in _PATH_AXIS_ARRAYS + ("times", "events", "jump_values"):
+            getattr(self, name).flags.writeable = False
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -126,36 +145,13 @@ class Ensemble:
     def take(self, index) -> Ensemble:
         """The paths ``index``, in that order, as a new ensemble."""
         index = np.asarray(index, dtype=np.int64)
-        events = self.events[self.event_rows(index)]
+        rows = self.event_rows(index)
+        events = self.events[rows]
         events["path"] = np.repeat(
             np.arange(len(index)), np.diff(self.event_offsets)[index]
         )
-        return Ensemble(
-            times=self.times,
-            states=self.states[index],
-            brownian_increments=self.brownian_increments[index],
-            exited=self.exited[index],
-            events=events,
-        )
-
-    @staticmethod
-    def concat(parts: Sequence[Ensemble]) -> Ensemble:
-        """The paths of ``parts`` one after another, on their shared time grid."""
-        if len(parts) == 1:
-            return parts[0]
-        times = parts[0].times
-        if not all(np.array_equal(p.times, times) for p in parts):
-            raise ValueError("all ensembles must share one time grid")
-        events = np.concatenate([p.events for p in parts]).view(np.recarray)
-        first_path = np.cumsum([0] + [len(p) for p in parts[:-1]])
-        events["path"] += np.repeat(first_path, [len(p.events) for p in parts])
-        return Ensemble(
-            times=times,
-            states=np.concatenate([p.states for p in parts]),
-            brownian_increments=np.concatenate([p.brownian_increments for p in parts]),
-            exited=np.concatenate([p.exited for p in parts]),
-            events=events,
-        )
+        per_path = {name: getattr(self, name)[index] for name in _PATH_AXIS_ARRAYS}
+        return replace(self, events=events, jump_values=self.jump_values[rows], **per_path)
 
 
 def _draw_jump_schedule(
@@ -187,7 +183,7 @@ def sample_poisson_measure(
 
 
 def euler_increment(
-    field: SolutionField,
+    backward: tuple,
     spec: ProblemSpec,
     t,
     x: np.ndarray,
@@ -197,14 +193,13 @@ def euler_increment(
     """One drift+diffusion Euler update over a jump-free substep.
 
     The drift is the coefficient of the decoupled equation: the problem
-    drift evaluated at the field's (Y, Z, Ztilde) rows minus the jump
-    compensator.  ``spec`` must be ``field.spec``.  ``t`` and ``delta`` are
-    scalars or one start time and one substep per row.
+    drift evaluated at the (Y, Z, Ztilde) rows minus the jump compensator.
+    ``backward`` is ``field.backward_rows(t, x)`` of a field of ``spec``:
+    the caller queries the field.  ``t`` and ``delta`` are scalars or one
+    start time and one substep per row.
     """
-    if field.spec is not spec:
-        raise ValueError("field and spec must share the same ProblemSpec")
     x = np.atleast_2d(x)
-    y, z, ztilde, sig = field.backward_rows(t, x)
+    y, z, ztilde, sig = backward
     drift = spec.f(t, x, y, z, ztilde) - spec.phi_integral(t, x, y)
     return x + drift * np.reshape(delta, (-1, 1)) + np.einsum("bij,bj->bi", sig, db)
 
@@ -238,34 +233,66 @@ def _check_start_point(config: SolverConfig, x0) -> np.ndarray:
 
 
 def _draw_streams(
-    streams: Sequence[RngStream], measure: LevyMeasure, horizon: float, n_steps: int, n: int
+    streams: Sequence[RngStream],
+    measure: LevyMeasure,
+    times: np.ndarray,
+    round0_normals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each stream's jump schedule, then one normal vector per substep.
 
-    Jump times and atoms come in (path, time) order; normals are zero-padded.
+    A path's substeps are, in draw order, round 0 of each interval and then
+    one after each of its jumps in that interval.  The round-0 normals are
+    written into ``round0_normals`` (P, N, n); the rest are returned, one
+    per jump.  Returns counts, then the jump times, atoms and after-jump
+    normals in (path, time) order.
     """
-    gens = [s.generator() for s in streams]
-    schedules = [_draw_jump_schedule(measure, horizon, gen) for gen in gens]
-    counts = np.array([len(taus) for taus, _ in schedules], dtype=np.int64)
-    normals = np.zeros((len(streams), n_steps + counts.max(), n))
-    for p, gen in enumerate(gens):
-        normals[p, : n_steps + counts[p]] = gen.standard_normal((n_steps + counts[p], n))
-    taus, atoms = (np.concatenate(column) for column in zip(*schedules))
-    return counts, taus, atoms, normals
+    n_steps, n = round0_normals.shape[1:]
+    counts = np.zeros(len(streams), dtype=np.int64)
+    taus, atoms, after_jump = [], [], [np.empty((0, n))]
+    for p, stream in enumerate(streams):
+        # one generator at a time: a chunk's generators outweigh its other temporaries
+        gen = stream.generator()
+        path_taus, path_atoms = _draw_jump_schedule(measure, float(times[-1]), gen)
+        if not len(path_taus):
+            gen.standard_normal(out=round0_normals[p])
+            continue
+        counts[p] = len(path_taus)
+        taus += path_taus.tolist()
+        atoms += path_atoms.tolist()
+        draws = gen.standard_normal((n_steps + counts[p], n))
+        # the jump of rank i (from 0) in interval j is followed by draw j + i + 1
+        after = np.zeros(draws.shape[0], dtype=bool)
+        after[_jump_intervals(times, path_taus) + np.arange(1, counts[p] + 1)] = True
+        round0_normals[p] = draws[~after]
+        after_jump.append(draws[after])
+    taus = np.array(taus, dtype=float)
+    return counts, taus, np.array(atoms, dtype=np.int64), np.concatenate(after_jump)
+
+
+def _jump_intervals(times: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The interval (t_j, t_{j+1}] holding each jump time in [0, T]; 0 is in the first."""
+    return np.maximum(np.searchsorted(times, taus) - 1, 0)
 
 
 def _simulate_paths(
     field: SolutionField,
-    spec: ProblemSpec,
     x0: np.ndarray,
     times: np.ndarray,
     streams: Sequence[RngStream],
-) -> Ensemble:
+    out: Sequence[np.ndarray],
+) -> tuple[np.recarray, np.ndarray]:
+    """Step the paths of ``streams``, writing their rows of ``out``: the
+    ensemble's arrays over the path axis, in ``_PATH_AXIS_ARRAYS`` order.
+
+    Returns their event table, paths numbered from 0, and its jump values.
+    """
+    states, increments, exited, y, z, ztilde = out
+    spec = field.spec
     n_paths = len(streams)
     n = spec.n
     n_steps = times.shape[0] - 1
-    meas = spec.measure
-    counts, taus, atoms, normals = _draw_streams(streams, meas, spec.horizon, n_steps, n)
+    # the round-0 normals wait in the increments they become
+    counts, taus, atoms, after_jump = _draw_streams(streams, spec.measure, times, increments)
 
     # the event table is complete but for the states around each jump,
     # which are written when the jump happens
@@ -273,34 +300,33 @@ def _simulate_paths(
     dtype += [("x_before", float, (n,)), ("x_after", float, (n,))]
     table = np.zeros(len(taus), dtype=dtype).view(np.recarray)
     table.path = np.repeat(np.arange(n_paths), counts)
-    table.time, table.atom = taus, atoms
-    table.interval = np.clip(np.searchsorted(times, taus, side="left") - 1, 0, n_steps - 1)
+    table.time, table.atom, table.interval = taus, atoms, _jump_intervals(times, taus)
+    jump_values = np.empty((len(taus), spec.m))
     # path p's next event row; its rows end at last_event[p]; row -1 is "none left"
     last_event = np.cumsum(counts)
     next_event = last_event - counts
     event_time = np.append(taus, np.inf)
 
     x_cur = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (n_paths, 1))
-    cursor = np.zeros(n_paths, dtype=np.int64)
-    states = np.empty((n_paths, n_steps + 1, n))
     states[:, 0] = x_cur
-    increments = np.zeros((n_paths, n_steps, n))
-    exited = np.zeros(n_paths, dtype=bool)
 
     for j in range(n_steps):
         # round r moves every path still short of t_{j+1} to its next stop,
         # its next jump in this interval or t_{j+1}, then applies the jumps
         rows = np.arange(n_paths)
         t_start = np.full(n_paths, times[j])
+        backward = field.backward_rows(t_start, x_cur)
+        y[:, j], z[:, j], ztilde[:, j] = backward[:3]
+        normals = increments[:, j].copy()
+        increments[:, j] = 0.0
         while True:
             ev = np.where(next_event[rows] < last_event[rows], next_event[rows], -1)
             # the next jump lies in this interval iff it is no later than t_{j+1}
             jumps = event_time[ev] <= times[j + 1]
             stop = np.where(jumps, event_time[ev], times[j + 1])
             sub = stop - t_start
-            db = np.sqrt(sub)[:, None] * normals[rows, cursor[rows]]
-            cursor[rows] += 1
-            x_cur[rows] = euler_increment(field, spec, t_start, x_cur[rows], db, sub)
+            db = np.sqrt(sub)[:, None] * normals
+            x_cur[rows] = euler_increment(backward, spec, t_start, x_cur[rows], db, sub)
             increments[rows, j] += db
 
             rows, ev, t_start = rows[jumps], ev[jumps], stop[jumps]
@@ -315,14 +341,21 @@ def _simulate_paths(
             table.x_before[ev] = x_before
             table.x_after[ev] = x_cur[rows] = x_before + shift
             next_event[rows] += 1
+            # the next round starts at the post-jump states: its Y is u(t, x_after)
+            backward = field.backward_rows(t_start, x_cur[rows])
+            jump_values[ev] = backward[0] - y_before
+            normals = after_jump[ev]
 
         states[:, j + 1] = x_cur
         exited |= np.any((x_cur < field.grid.lower) | (x_cur > field.grid.upper), axis=1)
 
-    return Ensemble(times, states, increments, exited, table)
+    y[:, -1], z[:, -1], ztilde[:, -1] = field.backward_rows(
+        np.full(n_paths, times[-1]), x_cur
+    )[:3]
+    return table, jump_values
 
 
-_CHUNK_PATHS = 4096  # paths stepped together: bounds one chunk's normals and events
+_CHUNK_PATHS = 4096  # paths stepped together: bounds one chunk's temporaries and events
 
 
 def simulate_ensemble(
@@ -333,24 +366,45 @@ def simulate_ensemble(
     n_paths: int,
     base_seed: int,
 ) -> Ensemble:
-    """Simulate ``n_paths`` paths of the decoupled forward equation.
+    """Simulate ``n_paths`` paths of the decoupled forward equation, with
+    their (Y, Z, Ztilde) read off ``field``.
 
-    Paths are stepped in chunks of at most ``_CHUNK_PATHS``; path i
-    consumes ``RngStream(base_seed, i)``, so the ensemble does not depend
-    on the chunking.  ``dt`` must divide the horizon; ``x0`` must
-    lie in the inner region of the grid; ``spec`` must be ``field.spec``
-    (:func:`euler_increment` checks it).  A path leaving the box is
-    flagged, not fatal.
+    Paths are stepped in chunks of at most ``_CHUNK_PATHS``, each writing
+    its rows of the whole-ensemble arrays; path i consumes
+    ``RngStream(base_seed, i)``, so the ensemble does not depend on the
+    chunking.  ``dt`` must divide the horizon; ``x0`` must lie in the inner
+    region of the grid; ``spec`` must be ``field.spec``.  A path leaving
+    the box is flagged, not fatal.
     """
+    if field.spec is not spec:
+        raise ValueError("field and spec must share the same ProblemSpec")
     if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
         raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x0 = _check_start_point(field.config, x0)
     times = _time_grid(spec.horizon, dt)
-    parts = []
-    for start in range(0, n_paths, _CHUNK_PATHS):
-        ids = range(start, min(start + _CHUNK_PATHS, n_paths))
-        streams = [RngStream(base_seed, p) for p in ids]
-        parts.append(_simulate_paths(field, spec, x0, times, streams))
-    return Ensemble.concat(parts)
+    n_levels, n, m = times.shape[0], spec.n, spec.m
+    arrays = (  # in _PATH_AXIS_ARRAYS order
+        np.empty((n_paths, n_levels, n)),
+        np.empty((n_paths, n_levels - 1, n)),
+        np.zeros(n_paths, dtype=bool),
+        np.empty((n_paths, n_levels, m)),
+        np.empty((n_paths, n_levels, m, n)),
+        np.empty((n_paths, n_levels, len(spec.measure), m)),
+    )
+    tables, jump_values = [], []
+    for lo in range(0, n_paths, _CHUNK_PATHS):
+        rows = slice(lo, min(lo + _CHUNK_PATHS, n_paths))
+        streams = [RngStream(base_seed, p) for p in range(rows.start, rows.stop)]
+        table, values = _simulate_paths(field, x0, times, streams, [a[rows] for a in arrays])
+        table.path += lo
+        tables.append(table)
+        jump_values.append(values)
+    return Ensemble(
+        times=times,
+        events=np.concatenate(tables).view(np.recarray),
+        field=field,
+        jump_values=np.concatenate(jump_values),
+        **dict(zip(_PATH_AXIS_ARRAYS, arrays)),
+    )

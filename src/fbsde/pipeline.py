@@ -1,20 +1,21 @@
-"""Reconstruction of (Y, Z, Ztilde) along paths and residual diagnostics.
+"""Residual diagnostics of a simulated ensemble and its (Y, Z, Ztilde).
 
-The backward pair is read off the decoupling field by
-``SolutionField.backward_rows``: Y is the field at the current state, Z
-the field gradient composed with the diffusion, and Ztilde the per-atom
-shifted-difference table at the pre-jump state.  Every coefficient is
-called through the methods of :class:`ProblemSpec`.  The
-backward-equation residual is a terminal telescoping check over the
-whole interval, with the compensated jump sum standing in for the
-integral against the compensated measure.
+The backward triple is read off the decoupling field while the paths are
+simulated (see :mod:`fbsde.paths`): Y is the field at the current state,
+Z the field gradient composed with the diffusion, and Ztilde the
+per-atom shifted-difference table at the pre-jump state, all from
+``SolutionField.backward_rows``.  Every coefficient is called through
+the methods of :class:`ProblemSpec`.  The backward-equation residual is
+a terminal telescoping check over the whole interval, with the
+compensated jump sum standing in for the integral against the
+compensated measure.
 
-Linking, the Ito check and the class-S norm walk the time grid in level
-blocks: runs of whole levels of at most ``_BLOCK_ROWS`` (path, level)
-rows, queried in one batch with one time per row.  Every row gets the
-bits of a one-level query, the Ito check's per-path sums are still added
-level by level, and the norm's squares are reduced per level, so block
-size changes no result.
+The Ito check and the class-S norm walk the time grid in level blocks:
+runs of whole levels of at most ``_BLOCK_ROWS`` (path, level) rows,
+queried in one batch with one time per row.  Every row gets the bits of
+a one-level query, the Ito check's per-path sums are still added level
+by level, and the norm's squares are reduced per level, so block size
+changes no result.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .problem import ProblemSpec
 from .solver import SolutionField, second_difference
 
 __all__ = [
-    "Linked",
     "ResidualReport",
     "TestFunction",
     "link_ensemble",
@@ -40,41 +40,6 @@ __all__ = [
     "estimate_class_s_norm",
     "field_test_function",
 ]
-
-
-@dataclass(frozen=True)
-class Linked:
-    """(Y, Z, Ztilde) sampled along every path of an ensemble.
-
-    ``y[p, j]`` is exactly the field interpolated at (t_j, X^p_j);
-    ``ztilde[p, j]`` is the per-atom table at the current state (between
-    jumps states and pre-jump states coincide at grid times);
-    ``jump_values[e]`` is the jump u(t, x_after) - u(t, x_before) of Y at event
-    row ``e``: exactly the table entry at the pre-jump state and atom when the
-    ensemble was simulated with this field, which set x_after = x_before + phi.
-    """
-
-    ensemble: Ensemble
-    field: SolutionField
-    y: np.ndarray  # (P, L, m)
-    z: np.ndarray  # (P, L, m, n)
-    ztilde: np.ndarray  # (P, L, K, m)
-    jump_values: np.ndarray  # (E, m)
-
-    def __len__(self) -> int:
-        return len(self.ensemble)
-
-    def take(self, index) -> Linked:
-        """The paths ``index``, in that order, as a new linked ensemble."""
-        index = np.asarray(index, dtype=np.int64)
-        return Linked(
-            ensemble=self.ensemble.take(index),
-            field=self.field,
-            y=self.y[index],
-            z=self.z[index],
-            ztilde=self.ztilde[index],
-            jump_values=self.jump_values[self.ensemble.event_rows(index)],
-        )
 
 
 @dataclass(frozen=True)
@@ -114,31 +79,17 @@ def _level_rows(per_level: np.ndarray, block: slice, n_paths: int) -> np.ndarray
 
 def link_ensemble(
     ensemble: Ensemble, field: SolutionField, spec: ProblemSpec
-) -> Linked:
-    """Link a whole ensemble, one field query per block of whole levels.
+) -> Ensemble:
+    """``ensemble`` itself, which holds its (Y, Z, Ztilde) since it was simulated.
 
-    Each block batches the rows of all paths at its levels, with one
-    time per row; every row's result is that of a query on its own.
+    ``field`` must be the field it was simulated with and ``spec`` that
+    field's spec.
     """
     if field.spec is not spec:
         raise ValueError("path ensemble and field must share the same ProblemSpec")
-    times, states = ensemble.times, ensemble.states
-    n_paths, n_levels = states.shape[:2]
-
-    y = np.empty((n_paths, n_levels, spec.m))
-    z = np.empty((n_paths, n_levels, spec.m, spec.n))
-    ztab = np.empty((n_paths, n_levels, len(spec.measure), spec.m))
-    for block in _level_blocks(n_paths, n_levels):
-        rows = field.backward_rows(_level_rows(times, block, n_paths), _rows(states, block))
-        shape = (n_paths, block.stop - block.start)
-        for out, part in zip((y, z, ztab), rows):  # sigma, the fourth, is not kept
-            out[:, block] = part.reshape(shape + out.shape[2:])
-
-    ev = ensemble.events
-    jump_values = field.value(ev.time, ev.x_after) - field.value(ev.time, ev.x_before)
-    return Linked(
-        ensemble=ensemble, field=field, y=y, z=z, ztilde=ztab, jump_values=jump_values
-    )
+    if field is not ensemble.field:
+        raise ValueError("the ensemble was simulated with another field")
+    return ensemble
 
 
 def _fsum_rows(values: np.ndarray) -> float:
@@ -146,7 +97,7 @@ def _fsum_rows(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
-def estimate_class_s_norm(linked: Linked) -> float:
+def estimate_class_s_norm(ensemble: Ensemble) -> float:
     """Monte Carlo estimate of the solution-class norm.
 
     sup over time of (E|X|^2 + E|Y|^2) plus the dt-weighted sum of
@@ -155,19 +106,19 @@ def estimate_class_s_norm(linked: Linked) -> float:
     reordering and ensemble splitting.  The squares are formed one
     level block at a time, so no (P, L) array of them is ever held.
     """
-    if not len(linked):
+    if not len(ensemble):
         raise ValueError("ensemble must be non-empty")
-    times, states = linked.ensemble.times, linked.ensemble.states
+    times, states = ensemble.times, ensemble.states
     n_paths, n_levels = states.shape[:2]
-    weights = linked.field.spec.measure.weights
+    weights = ensemble.field.spec.measure.weights
     dts = np.diff(times)
 
     sup_terms, int_terms = [], []
     for block in _level_blocks(n_paths, n_levels):
         x_sq = np.sum(states[:, block] ** 2, axis=-1)  # (P, block levels)
-        y_sq = np.sum(linked.y[:, block] ** 2, axis=-1)
-        z_sq = np.sum(linked.z[:, block] ** 2, axis=(-1, -2))
-        w_sq = np.einsum("pjkm,k->pj", linked.ztilde[:, block] ** 2, weights)
+        y_sq = np.sum(ensemble.y[:, block] ** 2, axis=-1)
+        z_sq = np.sum(ensemble.z[:, block] ** 2, axis=(-1, -2))
+        w_sq = np.einsum("pjkm,k->pj", ensemble.ztilde[:, block] ** 2, weights)
         for jj, j in enumerate(range(block.start, block.stop)):
             sup_terms.append(
                 _fsum_rows(x_sq[:, jj]) / n_paths + _fsum_rows(y_sq[:, jj]) / n_paths
@@ -180,7 +131,7 @@ def estimate_class_s_norm(linked: Linked) -> float:
     return max(sup_terms) + math.fsum(int_terms)
 
 
-def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualReport:
+def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> ResidualReport:
     """Terminal telescoping residual of the backward equation per path.
 
     R = Y_0 - [h(X_T) + sum g dt - sum Z dB - (jump sum - compensator)].
@@ -190,14 +141,14 @@ def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualRe
     over paths and levels it builds; the class-S norm goes level block
     by level block.
     """
-    if not len(linked):
-        raise ValueError("linked ensemble must be non-empty")
-    if spec is not None and spec is not linked.field.spec:
+    if not len(ensemble):
+        raise ValueError("ensemble must be non-empty")
+    if spec is not None and spec is not ensemble.field.spec:
         raise ValueError("field and spec must share the same ProblemSpec")
-    spec = linked.field.spec
-    exited = linked.ensemble.exited
-    included = linked.take(np.flatnonzero(~exited)) if exited.any() else linked
-    excluded = len(linked) - len(included)
+    spec = ensemble.field.spec
+    exited = ensemble.exited
+    included = ensemble.take(np.flatnonzero(~exited)) if exited.any() else ensemble
+    excluded = len(ensemble) - len(included)
     if not len(included):
         empty = np.zeros((0, spec.m))
         return ResidualReport(
@@ -207,15 +158,15 @@ def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualRe
             stderr=np.full(spec.m, np.nan),
             class_s_norm=float("nan"),
             excluded_paths=excluded,
-            total_paths=len(linked),
+            total_paths=len(ensemble),
         )
 
-    times, states = included.ensemble.times, included.ensemble.states
+    times, states = included.times, included.states
     n_paths = len(included)
     n_steps = times.shape[0] - 1
     dts = np.diff(times)
     y, z, ztab = included.y, included.z, included.ztilde
-    db = included.ensemble.brownian_increments
+    db = included.brownian_increments
 
     gen = np.empty((n_paths, n_steps, spec.m))
     for j in range(n_steps):
@@ -226,7 +177,7 @@ def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualRe
     brown_term = np.einsum("pjmi,pji->pm", z[:, :n_steps], db)
     comp_term = np.einsum("pjkm,k,j->pm", ztab[:, :n_steps], spec.measure.weights, dts)
     # one block sum per path: np.add.at or np.add.reduceat round differently
-    off = included.ensemble.event_offsets
+    off = included.event_offsets
     jump_term = np.zeros((n_paths, spec.m))
     for p in np.flatnonzero(np.diff(off)):
         jump_term[p] = included.jump_values[off[p] : off[p + 1]].sum(axis=0)
@@ -257,7 +208,7 @@ def bsde_residual(linked: Linked, spec: ProblemSpec | None = None) -> ResidualRe
         stderr=stderr,
         class_s_norm=estimate_class_s_norm(included),
         excluded_paths=excluded,
-        total_paths=len(linked),
+        total_paths=len(ensemble),
     )
 
 
@@ -325,7 +276,7 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
     return TestFunction(value=value, grad=grad, hess=hess, dt=time_deriv)
 
 
-def ito_residuals(linked: Linked, test_fn: Optional[TestFunction] = None) -> np.ndarray:
+def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) -> np.ndarray:
     """Discretized jump Ito identity residual per path.
 
     The increment of the test function along the path is compared with
@@ -333,18 +284,18 @@ def ito_residuals(linked: Linked, test_fn: Optional[TestFunction] = None) -> np.
     compensated jump sum, and the jump compensator integrand
     (difference minus gradient pairing).  Returns one real per path.
     """
-    if not len(linked):
+    if not len(ensemble):
         return np.zeros(0)
-    field = linked.field
+    field = ensemble.field
     spec = field.spec
     meas = spec.measure
     tf = test_fn if test_fn is not None else field_test_function(field)
-    times, states = linked.ensemble.times, linked.ensemble.states
-    n_paths = len(linked)
+    times, states = ensemble.times, ensemble.states
+    n_paths = len(ensemble)
     n_steps = times.shape[0] - 1
     dts = np.diff(times)
-    y, z, ztab = linked.y, linked.z, linked.ztilde
-    db = linked.ensemble.brownian_increments
+    y, z, ztab = ensemble.y, ensemble.z, ensemble.ztilde
+    db = ensemble.brownian_increments
 
     # per-path running sums (time, drift, brownian, hessian, comp, integrand),
     # added level by level with atoms inner: the rounding of a per-level loop
@@ -385,7 +336,7 @@ def ito_residuals(linked: Linked, test_fn: Optional[TestFunction] = None) -> np.
                 sums[5] += terms[5 + 2 * k, :, jj]
     time_term, drift_term, brown_term, hess_term, comp_jump, integrand_term = sums
 
-    events = linked.ensemble.events
+    events = ensemble.events
     after = np.asarray(tf.value(events.time, events.x_after), dtype=float)
     before = np.asarray(tf.value(events.time, events.x_before), dtype=float)
     jump_sum = np.zeros(n_paths)

@@ -368,12 +368,14 @@ def step_imex(
             "non-positive diffusion pivot a_ii; ellipticity fails on the grid"
         )
 
-    expl = -np.einsum("bi,bmi->bm", a1, p)
-    expl -= a0
-    if ndim > 1:
-        expl += _mixed_second_sum(u_now, a2, grid)
-    expl *= dt
-    rhs = u_now + expl
+    # terms that overflow are caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        expl = -np.einsum("bi,bmi->bm", a1, p)
+        expl -= a0
+        if ndim > 1:
+            expl += _mixed_second_sum(u_now, a2, grid)
+        expl *= dt
+        rhs = u_now + expl
 
     bfull = _face_values(config, grid, t + dt, spec.horizon, u_now.shape[1])
 
@@ -462,8 +464,8 @@ class SolutionField:
             where = f" row {int(np.argmax(np.isnan(t)))}" if t.ndim else ""
             raise ValueError(f"query time{where} is NaN")
         s = t / (self.times[1] - self.times[0])
-        i = np.clip(np.floor(s), 0, self.times.shape[0] - 2).astype(np.int64)
-        return i, np.clip(s - i, 0.0, 1.0)
+        i = np.minimum(np.maximum(np.floor(s), 0), self.times.shape[0] - 2).astype(np.int64)
+        return i, np.minimum(np.maximum(s - i, 0.0), 1.0)
 
     def interpolate(
         self, t, points: np.ndarray, data: np.ndarray, first_level: int = 0
@@ -632,7 +634,9 @@ def solve_final_value(
     coarse = False
     for j in range(n_steps + 1):
         p = spatial_gradient(grid, u)
-        sup_grad[-1 - j] = np.sqrt(np.sum(p**2, axis=(-1, -2))).max()
+        # a square that overflows is inf, not a warning: the step's checks raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            sup_grad[-1 - j] = np.sqrt(np.sum(p**2, axis=(-1, -2))).max()
         if j == n_steps:
             break
         try:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from fbsde import (
     SolutionField,
     SolverConfig,
     build_problem,
-    link_ensemble,
     simulate_ensemble,
 )
 from fbsde import cli
@@ -259,6 +259,14 @@ class TestConfigErrors:
                 "grid bounds must be finite",
                 id="half-width-inf",
             ),
+            # finite bounds whose width overflows
+            pytest.param(
+                "verify",
+                ["--problem", "coupled-linear", "--param", "half_width=1e308"],
+                None,
+                "grid width must be finite",
+                id="half-width-1e308",
+            ),
         ],
     )
     def test_exit_2_names_the_input(self, tmp_path, capsys, command, flags, file_text, named):
@@ -469,11 +477,10 @@ def reference_field_csv(path, field_obj):
                 fh.write(",".join(row) + "\n")
 
 
-def reference_paths_csv(path, linked):
+def reference_paths_csv(path, ens):
     """The per-value writer: one ``format(v, ".17g")`` call per cell."""
-    ens = linked.ensemble
     n_paths, n_levels, n = ens.states.shape
-    m = linked.y.shape[2]
+    m = ens.y.shape[2]
     header = ["path", "t"] + [f"x_{i}" for i in range(n)] + [f"y_{c}" for c in range(m)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header + ["jumps"]) + "\n")
@@ -482,13 +489,13 @@ def reference_paths_csv(path, linked):
             for j, t in enumerate(ens.times):
                 row = [str(pid), format(float(t), ".17g")]
                 row += [format(float(v), ".17g") for v in ens.states[pid, j]]
-                row += [format(float(v), ".17g") for v in linked.y[pid, j]]
+                row += [format(float(v), ".17g") for v in ens.y[pid, j]]
                 row.append(str(int(np.sum(events.interval + 1 == j))))
                 fh.write(",".join(row) + "\n")
 
 
 def jumpy_2d_setup():
-    """A 2-D, 2-component random field and a jumpy ensemble linked through it."""
+    """A 2-D, 2-component random field and a jumpy ensemble simulated on it."""
     measure = LevyMeasure(marks=[[0.5], [-0.25]], weights=[2.0, 1.0])
     spec = ProblemSpec(
         n=2,
@@ -514,8 +521,7 @@ def jumpy_2d_setup():
         spec=spec,
         config=config,
     )
-    ens = simulate_ensemble(field_obj, spec, np.zeros(2), 0.125, 6, base_seed=5)
-    return field_obj, link_ensemble(ens, field_obj, spec)
+    return field_obj, simulate_ensemble(field_obj, spec, np.zeros(2), 0.125, 6, base_seed=5)
 
 
 class TestBlockWriters:
@@ -524,11 +530,11 @@ class TestBlockWriters:
     def test_byte_identical_to_the_per_value_writer(self, tmp_path, monkeypatch, block_rows):
         if block_rows is not None:
             monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-        field_obj, linked = jumpy_2d_setup()
+        field_obj, ens = jumpy_2d_setup()
         _write_field_csv(tmp_path / "field.csv", field_obj)
-        _write_paths_csv(tmp_path / "paths.csv", linked)
+        _write_paths_csv(tmp_path / "paths.csv", ens)
         reference_field_csv(tmp_path / "field_ref.csv", field_obj)
-        reference_paths_csv(tmp_path / "paths_ref.csv", linked)
+        reference_paths_csv(tmp_path / "paths_ref.csv", ens)
         field_text = (tmp_path / "field.csv").read_bytes()
         assert field_text == (tmp_path / "field_ref.csv").read_bytes()
         assert field_text.startswith(
@@ -538,7 +544,7 @@ class TestBlockWriters:
         assert paths_text == (tmp_path / "paths_ref.csv").read_bytes()
         jumps = [int(row[-1]) for row in read_csv_rows(tmp_path / "paths.csv")[1:]]
         # every event is counted once, and some interval holds several
-        assert sum(jumps) == len(linked.ensemble.events) and max(jumps) >= 2
+        assert sum(jumps) == len(ens.events) and max(jumps) >= 2
 
     @given(st.lists(st.floats(), min_size=1, max_size=6))
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 0.0])
@@ -617,6 +623,20 @@ class TestOneSourcePerSetting:
         assert main(argv + ["--rungs", "2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: oracle returned shape (21, 2), expected (21, 1)\n", err
+
+
+class TestBlowUpExits1:
+    def test_overflowing_march_exits_1_without_a_warning(self, tmp_path, capsys):
+        argv = ["solve", "--problem", "pure-jump", "--out", str(tmp_path)]
+        argv += ["--param", "nodes=21", "--param", "steps=8", "--param", "rate=1e300"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert err == (
+            "error: solution blew up at time level 2: explicit terms produced non-finite values\n"
+        ), err
 
 
 def strict_report(path: Path) -> dict:

@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsde import (
-    Ensemble,
     Grid,
     LevyMeasure,
     ProblemSpec,
@@ -180,9 +180,9 @@ class TestSimulateForward:
                 continue
             t = float(path.times[j])
             delta = float(path.times[j + 1] - path.times[j])
-            out = euler_increment(
-                field, spec, t, path.states[j][None, :], path.brownian_increments[j][None, :], delta
-            )
+            x = path.states[j][None, :]
+            backward = field.backward_rows(t, x)
+            out = euler_increment(backward, spec, t, x, path.brownian_increments[j][None, :], delta)
             assert np.array_equal(out[0], path.states[j + 1])
             replayed += 1
         assert replayed > 0
@@ -376,12 +376,20 @@ JUMPY_SPEC, JUMPY_FIELD = jumpy_setup()
 EVENT_COLUMNS = ("path", "time", "atom", "interval", "x_before", "x_after")
 
 
-def assert_same_ensemble(a, b):
-    for name in ("times", "states", "brownian_increments", "exited"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+PATH_ARRAYS = ("times", "states", "brownian_increments", "exited")
+BACKWARD_ARRAYS = ("y", "z", "ztilde", "jump_values")
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_ensemble(a, b, arrays=PATH_ARRAYS + BACKWARD_ARRAYS):
+    for name in arrays:
+        assert same_bytes(getattr(a, name), getattr(b, name)), name
     assert a.events.dtype.names == EVENT_COLUMNS
     for name in EVENT_COLUMNS:
-        assert np.array_equal(a.events[name], b.events[name]), name
+        assert same_bytes(a.events[name], b.events[name]), name
 
 
 class TestEnsembleArrays:
@@ -411,16 +419,23 @@ class TestEnsembleArrays:
         with pytest.raises(IndexError):
             ens[6]
 
-    def test_take_and_concat_are_inverse(self):
+    def test_take_selects_paths_and_their_rows(self):
         ens = simulate_ensemble(JUMPY_FIELD, JUMPY_SPEC, np.array([0.0]), 0.125, 7, base_seed=5)
         perm = np.array([4, 0, 6, 2, 1, 5, 3])
         shuffled = ens.take(perm)
         for q, p in enumerate(perm):
             assert np.array_equal(shuffled[q].states, ens[p].states)
+            assert np.array_equal(shuffled.y[q], ens.y[p])
             for name in ("time", "atom", "x_after"):
                 assert np.array_equal(shuffled[q].events[name], ens[p].events[name])
+            rows = slice(shuffled.event_offsets[q], shuffled.event_offsets[q + 1])
+            own = ens.event_rows(np.array([p]))
+            assert np.array_equal(shuffled.jump_values[rows], ens.jump_values[own])
         assert_same_ensemble(shuffled.take(np.argsort(perm)), ens)
-        assert_same_ensemble(Ensemble.concat([ens.take(range(3)), ens.take([3, 4, 5, 6])]), ens)
+        # the first paths are those of an ensemble simulated alone
+        front = simulate_ensemble(JUMPY_FIELD, JUMPY_SPEC, np.array([0.0]), 0.125, 3, base_seed=5)
+        assert_same_ensemble(ens.take(range(3)), front)
+        assert shuffled.field is ens.field
 
     @given(
         st.integers(min_value=1, max_value=7),
@@ -438,7 +453,8 @@ class TestEnsembleArrays:
 
 def reference_simulate(field, spec, x0, dt, n_paths, seed):
     """Reference: the per-path jump loop that the event-synchronous rounds
-    replace, kept verbatim apart from its set-up (one chunk)."""
+    replace, kept verbatim apart from its set-up (one chunk).  Returns the
+    path arrays only, each ``euler_increment`` fed its own field query."""
     times = paths._time_grid(spec.horizon, dt)
     streams = [RngStream(seed, p) for p in range(n_paths)]
     n = spec.n
@@ -484,7 +500,8 @@ def reference_simulate(field, spec, x0, dt, n_paths, seed):
             rows = all_idx[plain]
             xi = normals[rows, cursor[rows]]
             db = np.sqrt(delta) * xi
-            x_cur[rows] = euler_increment(field, spec, t0, x_cur[rows], db, delta)
+            backward = field.backward_rows(t0, x_cur[rows])
+            x_cur[rows] = euler_increment(backward, spec, t0, x_cur[rows], db, delta)
             increments[rows, j] = db
             cursor[rows] += 1
 
@@ -499,7 +516,7 @@ def reference_simulate(field, spec, x0, dt, n_paths, seed):
                 xi = normals[p, cursor[p]]
                 cursor[p] += 1
                 db = np.sqrt(sub) * xi
-                x = euler_increment(field, spec, t_a, x, db[None, :], sub)
+                x = euler_increment(field.backward_rows(t_a, x), spec, t_a, x, db[None, :], sub)
                 db_total += db
                 x_before = x[0].copy()
                 y_before = field.value(tau, x)
@@ -514,7 +531,7 @@ def reference_simulate(field, spec, x0, dt, n_paths, seed):
             xi = normals[p, cursor[p]]
             cursor[p] += 1
             db = np.sqrt(sub) * xi
-            x = euler_increment(field, spec, t_a, x, db[None, :], sub)
+            x = euler_increment(field.backward_rows(t_a, x), spec, t_a, x, db[None, :], sub)
             db_total += db
             x_cur[p] = x[0]
             increments[p, j] = db_total
@@ -526,7 +543,9 @@ def reference_simulate(field, spec, x0, dt, n_paths, seed):
     dtype += [("x_before", float, (n,)), ("x_after", float, (n,))]
     table = np.array(events, dtype=dtype).view(np.recarray)
     table = table[np.argsort(table.path, kind="stable")]
-    return Ensemble(times, states, increments, exited, table)
+    return SimpleNamespace(
+        times=times, states=states, brownian_increments=increments, exited=exited, events=table
+    )
 
 
 def _time_column(t):
@@ -635,7 +654,7 @@ class TestEventSynchronousRounds:
         spec, field, x0 = SETUPS[name]()
         args = (field, spec, x0, DT.get(name, 1.0 / 40.0), 60, 3)
         ens = simulate_ensemble(*args)
-        assert_same_ensemble(ens, reference_simulate(*args))
+        assert_same_ensemble(ens, reference_simulate(*args), PATH_ARRAYS)
         assert len(ens.events) > 0
 
     def test_setups_cover_multi_jump_intervals_and_exits(self):
@@ -672,11 +691,12 @@ class TestEventSynchronousRounds:
         delta = 0.1 * rng.random(n_rows)
         x = rng.uniform(-3.0, 3.0, (n_rows, 2))
         db = rng.standard_normal((n_rows, 2))
-        batch = euler_increment(field, spec, t, x, db, delta)
-        rows = [
-            euler_increment(field, spec, float(t[b]), x[b : b + 1], db[b : b + 1], float(delta[b]))
-            for b in range(n_rows)
-        ]
+        batch = euler_increment(field.backward_rows(t, x), spec, t, x, db, delta)
+        rows = []
+        for b in range(n_rows):
+            tb, xb = float(t[b]), x[b : b + 1]
+            backward = field.backward_rows(tb, xb)
+            rows.append(euler_increment(backward, spec, tb, xb, db[b : b + 1], float(delta[b])))
         assert np.array_equal(batch, np.concatenate(rows))
 
 

@@ -14,7 +14,6 @@ from fbsde import (
     Ensemble,
     Grid,
     LevyMeasure,
-    Linked,
     MaxPrincipleConstants,
     ProblemSpec,
     SolutionField,
@@ -24,7 +23,6 @@ from fbsde import (
     build_problem,
     catalog_names,
     estimate_class_s_norm,
-    euler_increment,
     field_test_function,
     ito_residuals,
     link_ensemble,
@@ -32,8 +30,9 @@ from fbsde import (
     simulate_ensemble,
     solve_final_value,
 )
-from fbsde import pipeline
+from fbsde import paths, pipeline
 from fbsde.solver import second_difference
+from test_paths import DT, SETUPS
 
 
 def _zeros(m):
@@ -157,11 +156,11 @@ class TestLinkProcesses:
         field = linear_field(spec)
         with pytest.raises(ValueError, match="same ProblemSpec"):
             simulate_ensemble(field, other, np.array([0.0]), 0.25, 1, base_seed=0)
-        with pytest.raises(ValueError, match="same ProblemSpec"):
-            euler_increment(field, other, 0.0, np.zeros((1, 1)), np.zeros((1, 1)), 0.25)
-        linked = link_ensemble(
-            simulate_ensemble(field, spec, np.array([0.0]), 0.25, 2, base_seed=0), field, spec
-        )
+        linked = simulate_ensemble(field, spec, np.array([0.0]), 0.25, 2, base_seed=0)
+        # linking checks that the field is the one simulated with
+        with pytest.raises(ValueError, match="another field"):
+            link_ensemble(linked, linear_field(spec), spec)
+        assert link_ensemble(linked, field, spec) is linked
         with pytest.raises(ValueError, match="same ProblemSpec"):
             bsde_residual(linked, other)
         # the field's own spec, given or left out, is the same residual
@@ -254,10 +253,10 @@ class TestClassSNorm:
         order = list(range(30))
         random.Random(4).shuffle(order)
         assert estimate_class_s_norm(linked.take(order)) == base
-        # splitting across two separately simulated ensembles changes nothing
-        front = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 15, base_seed=12)
-        joined = Ensemble.concat([front, ens.take(range(15, 30))])
-        assert estimate_class_s_norm(link_ensemble(joined, field, spec)) == base
+        # splitting across separately simulated chunks changes nothing
+        with mock.patch.object(paths, "_CHUNK_PATHS", 15):
+            joined = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 30, base_seed=12)
+        assert estimate_class_s_norm(joined) == base
 
 
 def order_setup():
@@ -285,9 +284,9 @@ ORDER_LINKED = order_setup()
 
 class TestPathOrder:
     def test_setup_has_jumps_and_exits(self):
-        exited = ORDER_LINKED.ensemble.exited
+        exited = ORDER_LINKED.exited
         assert 0 < exited.sum() < len(exited)
-        assert len(ORDER_LINKED.ensemble.events) > len(exited)
+        assert len(ORDER_LINKED.events) > len(exited)
 
     @given(st.permutations(range(12)))
     @settings(max_examples=25, deadline=None)
@@ -301,7 +300,7 @@ class TestPathOrder:
         assert np.array_equal(rep.stderr, base.stderr)
         assert rep.excluded_paths == base.excluded_paths
         # the included paths' residuals are the same rows, permuted
-        kept = np.flatnonzero(~ORDER_LINKED.ensemble.exited)
+        kept = np.flatnonzero(~ORDER_LINKED.exited)
         rows = {p: r for p, r in zip(kept.tolist(), base.residuals.tolist())}
         expect = [rows[p] for p in order if p in rows]
         assert rep.residuals.tolist() == expect
@@ -444,7 +443,7 @@ class TestVectorBackwardComponent:
 
 def per_event_jump_values(linked):
     """Reference: the old per-event loop, one nonlocal table per event."""
-    events = linked.ensemble.events
+    events = linked.events
     out = np.empty((len(events), linked.field.m))
     for e, (t, k, xb) in enumerate(
         zip(events.time.tolist(), events.atom.tolist(), events.x_before)
@@ -459,11 +458,11 @@ def per_event_ito_residuals(linked, tf):
     field = linked.field
     spec = field.spec
     meas = spec.measure
-    times, states = linked.ensemble.times, linked.ensemble.states
+    times, states = linked.times, linked.states
     n_paths = len(linked)
     dts = np.diff(times)
     y, z, ztab = linked.y, linked.z, linked.ztilde
-    db = linked.ensemble.brownian_increments
+    db = linked.brownian_increments
     terms = np.zeros((6, n_paths))  # time, drift, brownian, hessian, comp, integrand
     for j in range(times.shape[0] - 1):
         t, h_step, xb = float(times[j]), float(dts[j]), states[:, j]
@@ -489,7 +488,7 @@ def per_event_ito_residuals(linked, tf):
             pairing = np.einsum("bi,bi->b", gx, shift)
             terms[4] += meas.weights[k] * dphi * h_step
             terms[5] += meas.weights[k] * (dphi - pairing) * h_step
-    events = linked.ensemble.events
+    events = linked.events
     jump_sum = np.zeros(n_paths)
     for p, t, x_before, x_after in zip(
         events.path.tolist(), events.time.tolist(), events.x_before, events.x_after
@@ -553,7 +552,7 @@ class TestEventRows:
     )
     def test_jump_values_and_ito_residuals_equal_per_event_loops(self, make_linked):
         linked = make_linked()
-        events = linked.ensemble.events
+        events = linked.events
         assert linked.jump_values.shape == (len(events), linked.field.m)
         assert np.array_equal(linked.jump_values, per_event_jump_values(linked))
         for tf in (field_test_function(linked.field), LINEAR_FN):
@@ -561,12 +560,12 @@ class TestEventRows:
 
     def test_setups_cover_jumps_no_jumps_and_exits(self):
         shifted = u_dependent_shift_linked()
-        assert len(shifted.ensemble.events) > len(shifted)
+        assert len(shifted.events) > len(shifted)
         assert np.any(shifted.jump_values != 0.0)
-        assert len(no_event_linked().ensemble.events) == 0
-        assert ORDER_LINKED.ensemble.exited.any() and len(ORDER_LINKED.ensemble.events)
+        assert len(no_event_linked().events) == 0
+        assert ORDER_LINKED.exited.any() and len(ORDER_LINKED.events)
         for name in catalog_names():
-            assert len(catalog_linked(name).ensemble.events) > 0, name
+            assert len(catalog_linked(name).events) > 0, name
 
 
 def all_levels_test_function(field, component=0):
@@ -641,7 +640,7 @@ class TestFieldTestFunctionOnDemand:
         )
         # per-row times reach levels that are not neighbours
         tf = field_test_function(field)
-        states = linked.ensemble.states[:, 7]
+        states = linked.states[:, 7]
         t = np.linspace(0.0, field.spec.horizon, len(states))
         assert np.array_equal(tf.hess(t, states), reference.hess(t, states))
 
@@ -679,19 +678,30 @@ def per_level_link(ensemble, field, spec):
     return y, z, ztab
 
 
-def assert_blocks_equal_per_level_loops(linked, reference_ito):
-    """Relinking ``linked``'s ensemble and its Ito check equal the per-level
-    loops: ``per_level_link``, and ``reference_ito`` from the per-level loop
-    of ``per_event_ito_residuals``."""
-    field = linked.field
-    relinked = link_ensemble(linked.ensemble, field, field.spec)
+def two_query_jump_values(ens):
+    """Reference: the jump values as ``link_ensemble`` computed them, two
+    batched value queries over the whole event table."""
+    ev, field = ens.events, ens.field
+    return field.value(ev.time, ev.x_after) - field.value(ev.time, ev.x_before)
+
+
+def assert_rows_equal_per_level_link(ens):
+    """The simulated (Y, Z, Ztilde) and jump values have the bytes of
+    ``per_level_link`` and of ``two_query_jump_values``."""
+    field = ens.field
     for got, want in zip(
-        (relinked.y, relinked.z, relinked.ztilde),
-        per_level_link(linked.ensemble, field, field.spec),
+        (ens.y, ens.z, ens.ztilde, ens.jump_values),
+        per_level_link(ens, field, field.spec) + (two_query_jump_values(ens),),
     ):
-        assert got.shape == want.shape and np.array_equal(got, want)
-    assert np.array_equal(relinked.jump_values, linked.jump_values)
-    assert np.array_equal(ito_residuals(relinked), reference_ito)
+        assert same_bits(got, want)
+
+
+def assert_blocks_equal_per_level_loops(linked, reference_ito):
+    """The ensemble's rows and its Ito check equal the per-level loops:
+    ``per_level_link``, and ``reference_ito`` from the per-level loop of
+    ``per_event_ito_residuals``."""
+    assert_rows_equal_per_level_link(linked)
+    assert np.array_equal(ito_residuals(linked), reference_ito)
 
 
 def empty_linked():
@@ -720,7 +730,7 @@ class TestLevelBlocks:
         linked = make_linked()
         tf = field_test_function(linked.field)
         reference_ito = per_event_ito_residuals(linked, tf) if len(linked) else np.zeros(0)
-        n_paths, n_levels = linked.ensemble.states.shape[:2]
+        n_paths, n_levels = linked.states.shape[:2]
         cases = block_rows_cases(n_paths, n_levels)
         assert n_paths == 0 or (n_paths * n_levels) % cases[1]
         assert_blocks_equal_per_level_loops(linked, reference_ito)
@@ -744,27 +754,27 @@ class TestLevelBlocks:
     def test_results_do_not_depend_on_block_size(self, block_rows):
         linked = BLOCK_PROPERTY_LINKED
         with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
-            relinked = link_ensemble(linked.ensemble, linked.field, linked.field.spec)
-            ito = ito_residuals(relinked)
-        for name in ("y", "z", "ztilde", "jump_values"):
-            assert np.array_equal(getattr(relinked, name), getattr(linked, name))
+            ito = ito_residuals(linked)
+            norm = estimate_class_s_norm(linked)
         assert np.array_equal(ito, BLOCK_PROPERTY_ITO)
+        assert norm == BLOCK_PROPERTY_NORM
 
     def test_one_gradient_query_per_block(self):
-        linked = coupled_2d_linked()
-        field, ens = linked.field, linked.ensemble
+        # the Ito check's test-function gradient, over the levels before the last
+        ens = coupled_2d_linked()
         n_paths, n_levels = ens.states.shape[:2]
         assert (n_paths, n_levels) == (40, 41)
-        for block_rows, n_blocks in ((1 << 11, 1), (3 * n_paths, 14), (1, n_levels)):
+        for block_rows, n_blocks in ((1 << 11, 1), (3 * n_paths, 14), (1, n_levels - 1)):
             with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows), mock.patch.object(
                 SolutionField, "gradient", autospec=True, side_effect=SolutionField.gradient
             ) as gradient:
-                link_ensemble(ens, field, field.spec)
+                ito_residuals(ens)
             assert gradient.call_count == n_blocks
 
 
 BLOCK_PROPERTY_LINKED = u_dependent_shift_linked()
 BLOCK_PROPERTY_ITO = ito_residuals(BLOCK_PROPERTY_LINKED)
+BLOCK_PROPERTY_NORM = estimate_class_s_norm(BLOCK_PROPERTY_LINKED)
 
 
 def mc_2d_problem():
@@ -824,24 +834,18 @@ def traced_peak(fn, *args):
 class TestLevelBlockMemory:
     def test_block_temporaries_do_not_grow_with_the_level_count(self):
         field, spec = mc_2d_problem()
-        link_extra, ito_peak = [], []
+        ito_peak = []
         for path_steps in (100, 400):
             ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / path_steps, 400, 7)
-            linked, peak = traced_peak(link_ensemble, ens, field, spec)
-            returned = sum(
-                a.nbytes for a in (linked.y, linked.z, linked.ztilde, linked.jump_values)
-            )
-            link_extra.append(peak - returned)
-            ito_peak.append(traced_peak(ito_residuals, linked)[1])
+            ito_peak.append(traced_peak(ito_residuals, ens)[1])
         # holding every level's block temporaries at once would grow them 4x
-        for small, large in (link_extra, ito_peak):
-            assert abs(large - small) <= 0.15 * small, (link_extra, ito_peak)
+        small, large = ito_peak
+        assert abs(large - small) <= 0.15 * small, ito_peak
         # a block of few paths spans many levels; its Hessian tables must not
         # follow (one table for every level of the mc-2d field peaks at 10.9 MB)
         for n_paths in (1, 4):
             ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / 400, n_paths, 7)
-            linked = link_ensemble(ens, field, spec)
-            assert traced_peak(ito_residuals, linked)[1] <= ito_peak[1], n_paths
+            assert traced_peak(ito_residuals, ens)[1] <= ito_peak[1], n_paths
 
     def test_residual_temporaries_do_not_grow_with_the_level_count(self):
         field, spec = mc_2d_problem()
@@ -863,11 +867,11 @@ def whole_array_class_s_norm(linked):
     block by level block, squaring whole (P, L) arrays; kept verbatim."""
     if not len(linked):
         raise ValueError("ensemble must be non-empty")
-    times = linked.ensemble.times
+    times = linked.times
     n_paths = len(linked)
     weights = linked.field.spec.measure.weights
 
-    x_sq = np.sum(linked.ensemble.states**2, axis=-1)  # (P, L)
+    x_sq = np.sum(linked.states**2, axis=-1)  # (P, L)
     y_sq = np.sum(linked.y**2, axis=-1)
     z_sq = np.sum(linked.z**2, axis=(-1, -2))
     w_sq = np.einsum("pjkm,k->pj", linked.ztilde**2, weights)
@@ -896,7 +900,7 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
 
 @st.composite
 def random_linked(draw):
-    """A ``Linked`` of random arrays (no events), and a ``_BLOCK_ROWS`` value."""
+    """An ``Ensemble`` of random arrays (no events), and a ``_BLOCK_ROWS`` value."""
     n_paths, n_levels = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     n, m, n_atoms = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -923,15 +927,12 @@ def random_linked(draw):
         dtype=[("path", np.int64), ("time", float), ("atom", np.int64), ("interval", np.int64),
                ("x_before", float, (n,)), ("x_after", float, (n,))],
     ).view(np.recarray)
-    ensemble = Ensemble(
+    linked = Ensemble(
         times=np.linspace(0.0, math.exp(rng.uniform(-5.0, 5.0)), n_levels),
         states=wide(n_paths, n_levels, n),
         brownian_increments=np.zeros((n_paths, n_levels - 1, n)),
         exited=np.zeros(n_paths, dtype=bool),
         events=events,
-    )
-    linked = Linked(
-        ensemble=ensemble,
         field=SimpleNamespace(spec=SimpleNamespace(measure=measure)),
         y=wide(n_paths, n_levels, m),
         z=wide(n_paths, n_levels, m, n),
@@ -968,9 +969,44 @@ class TestLevelWiseClassSNorm:
         linked = make_linked()
         with mock.patch.object(pipeline, "estimate_class_s_norm", whole_array_class_s_norm):
             want = bsde_residual(linked)
-        n_paths, n_levels = linked.ensemble.states.shape[:2]
+        n_paths, n_levels = linked.states.shape[:2]
         for block_rows in block_rows_cases(n_paths, n_levels) + [1 << 11]:
             with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
                 got = bsde_residual(linked)
             for name in ("residuals", "rms", "mean", "stderr", "class_s_norm"):
                 assert same_bits(getattr(got, name), getattr(want, name)), (name, block_rows)
+
+
+def simulated(name):
+    """An ensemble of a ``test_paths.SETUPS`` entry, of ``mc-2d``, or of the
+    exiting-paths setup."""
+    if name == "mc-2d":
+        return mc_2d_linked()
+    if name == "exiting-paths":
+        return order_setup()
+    spec, field, x0 = SETUPS[name]()
+    return simulate_ensemble(field, spec, x0, DT.get(name, 1.0 / 40.0), 60, 3)
+
+
+class TestRowsReadOffWhileSimulating:
+    """The simulation's (Y, Z, Ztilde) and jump values are the per-level link's, byte for byte."""
+
+    @pytest.mark.parametrize("chunk_paths", [4096, 7])
+    @pytest.mark.parametrize("name", list(SETUPS) + ["mc-2d", "exiting-paths"])
+    def test_rows_equal_per_level_link(self, name, chunk_paths):
+        with mock.patch.object(paths, "_CHUNK_PATHS", chunk_paths):
+            ens = simulated(name)
+        assert len(ens.events) > 0
+        assert_rows_equal_per_level_link(ens)
+
+    def test_chunk_join_holds_no_second_copy(self):
+        built = build_problem("coupled-linear", {"nodes": 41, "steps": 40})
+        field, _ = solve_final_value(built.spec, built.solver_config, built.constants)
+        args = (field, built.spec, built.x0, built.spec.horizon / 200, 800, 7)
+        with mock.patch.object(paths, "_CHUNK_PATHS", 100):
+            ens, peak = traced_peak(simulate_ensemble, *args)
+        arrays = (ens.states, ens.brownian_increments, ens.y, ens.z, ens.ztilde)
+        held = sum(a.nbytes for a in arrays) + ens.events.nbytes + ens.jump_values.nbytes
+        # joining chunks by copying any (P, L, .) array would add at least its bytes
+        assert peak - held < min(a.nbytes for a in arrays), (peak, held)
+

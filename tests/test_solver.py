@@ -1165,8 +1165,10 @@ class TestSharedLocation:
         ) as corners, mock.patch.object(
             SolutionField, "time_bracket", autospec=True, side_effect=SolutionField.time_bracket
         ) as bracket:
-            paths.euler_increment(field, spec, 0.3, x, np.zeros((30, 2)), 0.01)
-        # the nonlocal table of a vanishing shift makes no query
+            backward = field.backward_rows(0.3, x)
+            paths.euler_increment(backward, spec, 0.3, x, np.zeros((30, 2)), 0.01)
+        # the nonlocal table of a vanishing shift makes no query; the Euler
+        # update makes none of its own
         assert corners.call_count == 1 and bracket.call_count == 1
 
 
@@ -1215,6 +1217,16 @@ class TestDirichletFaceData:
         assert (diag.boundary_data_sup > 0.0) == (name == "manufactured-nonlocal")
 
 
+class TestOverflowIsBlowUp:
+    def test_overflowing_march_raises_blow_up_without_a_warning(self):
+        built = build_problem("pure-jump", {"nodes": 21, "steps": 8, "rate": 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as info:
+                solve_final_value(built.spec, built.solver_config, built.constants)
+        assert info.value.level == 2
+
+
 class TestHugeHorizon:
     """A sup bound whose exponential overflows is infinite, not an error."""
 
@@ -1231,3 +1243,75 @@ class TestHugeHorizon:
         field, diag = solve_final_value(spec, built.solver_config, built.constants)
         result = check_max_principle(field, diag)
         assert result.bound == 0.0 and result.passed
+
+
+def clip_time_bracket(field, t):
+    """Reference: ``SolutionField.time_bracket`` as it was, clamping with ``np.clip``."""
+    s = np.asarray(t, dtype=float) / (field.times[1] - field.times[0])
+    i = np.clip(np.floor(s), 0, field.times.shape[0] - 2).astype(np.int64)
+    return i, np.clip(s - i, 0.0, 1.0)
+
+
+def _signed_zero_field_3d():
+    """Random values with many signed zeros on the box [0, pi]^3."""
+    grid = Grid((0.0,) * 3, (math.pi,) * 3, (5, 6, 4))
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((4, grid.n_nodes, 1))
+    values[rng.random(values.shape) < 0.3] = -0.0
+    values[rng.random(values.shape) < 0.1] = 0.0
+    return SolutionField(
+        grid=grid,
+        times=np.linspace(0.0, 0.5, 4),
+        values=values,
+        spec=_heat_spec(3),
+        config=SolverConfig(grid=grid, n_steps=3, cutoff_width=0.4),
+    )
+
+
+def _heat_field():
+    built = build_problem("heat", {"nodes": 21, "steps": 10})
+    return solve_final_value(built.spec, built.solver_config, built.constants)[0]
+
+
+class TestClampingKeepsTheBits:
+    """``time_bracket`` clamps with np.minimum and np.maximum instead of
+    np.clip: a time of -0.0 gets alpha +0.0 instead of -0.0, and no query
+    result changes a bit.  (``cell_corners`` keeps np.clip: its weights
+    keep their signed zeros, see ``TestCellCorners``.)"""
+
+    @pytest.mark.parametrize(
+        "make_field", [_heat_field, _signed_zero_field_3d], ids=["heat", "box-3d"]
+    )
+    def test_queries_equal_the_clip_reference(self, make_field):
+        field = make_field()
+        grid, horizon = field.grid, field.spec.horizon
+        rng = np.random.default_rng(4)
+        special = np.array(
+            [-0.0, 0.0, 5e-324, -5e-324, -1.0, math.pi, 4.0, np.inf, -np.inf, 1e-17]
+        )
+        coords = np.where(
+            rng.random((400, grid.ndim)) < 0.6,
+            rng.choice(special, (400, grid.ndim)),
+            rng.uniform(0.0, math.pi, (400, grid.ndim)),
+        )
+        times = rng.choice(
+            np.array([-0.0, 0.0, 5e-324, horizon, 2.0 * horizon, np.inf, -np.inf, 0.3 * horizon]),
+            400,
+        )
+        queries = {
+            "value": lambda: field.value(times, coords),
+            "value-at-0": lambda: field.value(-0.0, coords),
+            "gradient": lambda: field.gradient(times, coords, with_value=True),
+            "table": lambda: field.nonlocal_table(times, coords),
+        }
+        got = {name: query() for name, query in queries.items()}
+        with mock.patch.object(SolutionField, "time_bracket", clip_time_bracket):
+            want = {name: query() for name, query in queries.items()}
+        for name in queries:
+            # gradient(..., with_value=True) gives (value, gradient)
+            pairs = zip(got[name], want[name]) if name == "gradient" else [(got[name], want[name])]
+            for a, b in pairs:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        # the inputs reach the zeros whose sign differs
+        alpha = field.time_bracket(times)[1]
+        assert alpha.tobytes() != clip_time_bracket(field, times)[1].tobytes()
