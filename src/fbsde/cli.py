@@ -6,14 +6,24 @@ run writes ``report.json`` with the resolved configuration and seeds;
 ``solve`` adds ``field.csv``, ``simulate``/``verify`` add ``paths.csv``
 and ``sweep`` writes ``sweep.csv``.  Floating-point CSV output uses 17
 significant digits so values round-trip losslessly.
+
+``field.csv`` is formatted in a forked helper process while the paths
+are simulated, and the second half of the paths of ``paths.csv`` in
+another while this process formats the first; at most one helper is
+alive at a time, and every helper is reaped before :func:`run` returns
+or raises.  The bytes are those of formatting in one process, which is
+what happens where ``os.fork`` is missing.  A file that cannot be
+written ends the run with an :class:`FbsdeError` naming it (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -201,8 +211,8 @@ def _text(values: np.ndarray) -> np.ndarray:
     return np.array([_FLOAT % v for v in values.tolist()], dtype=object)
 
 
-def _write_csv(path: Path, columns: list[tuple[str, str]], blocks) -> None:
-    """Header, then each block of ``blocks`` formatted with one row template.
+def _write_csv(path: Path, columns: list[tuple[str, str]], blocks, header: bool = True) -> None:
+    """Header (left out if ``header`` is false), then each block formatted with one row template.
 
     ``columns`` pairs each column name with its format; a block holds one
     entry per column: a 1-D array (all of equal length) formatted with the
@@ -210,7 +220,8 @@ def _write_csv(path: Path, columns: list[tuple[str, str]], blocks) -> None:
     every row of the block, which goes into the block's template.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(name for name, _ in columns) + "\n")
+        if header:
+            fh.write(",".join(name for name, _ in columns) + "\n")
         for block in blocks:
             cells = [
                 c.replace("%", "%%") if isinstance(c, str)
@@ -222,6 +233,63 @@ def _write_csv(path: Path, columns: list[tuple[str, str]], blocks) -> None:
             for lo in range(0, len(block[0]), _CSV_BLOCK_ROWS):
                 cols = [c[lo : lo + _CSV_BLOCK_ROWS].tolist() for c in block]
                 fh.writelines(map(row_fmt.__mod__, zip(*cols)))
+
+
+def _reason(exc: BaseException) -> str:
+    """An OS error's reason, or any other error's type and message."""
+    if isinstance(exc, OSError):
+        return exc.strerror or str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An ``OSError`` raised inside as an :class:`FbsdeError` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise FbsdeError(f"{path}: {_reason(exc)}") from None
+
+
+@contextlib.contextmanager
+def _in_child(fn, path: Path, *args):
+    """Run ``fn(path, *args)`` in a forked child while the ``with`` body runs.
+
+    Leaving the body reaps the child, whether the body succeeded or
+    raised; when the body succeeded and the child failed, the exit
+    raises an :class:`FbsdeError` naming ``path`` and the child's error,
+    which the child sends back through a pipe.  Where ``os.fork`` is
+    missing, ``fn`` runs inline before the body.
+    """
+    if not hasattr(os, "fork"):
+        with _writing(path):
+            fn(path, *args)
+        yield
+        return
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child leaves only through os._exit: no cleanup of the parent's runs twice
+        status = 1
+        try:
+            os.close(read_end)
+            fn(path, *args)
+            status = 0
+        except BaseException as exc:
+            os.write(write_end, _reason(exc).encode("utf-8", "replace"))
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        yield
+    finally:
+        with open(read_end, "rb") as pipe:
+            message = pipe.read().decode("utf-8", "replace")
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise FbsdeError(f"{path}: {message or f'writer ended with wait status {status}'}")
 
 
 def _write_field_csv(path: Path, field_obj: SolutionField) -> None:
@@ -248,6 +316,11 @@ def _write_field_csv(path: Path, field_obj: SolutionField) -> None:
 
 
 def _write_paths_csv(path: Path, ens: Ensemble) -> None:
+    """Paths ``[0, P//2)`` formatted here, ``[P//2, P)`` in a child into a part file.
+
+    The part file (``path`` + ``.part``) is appended once both halves are
+    written, and removed on every path out.
+    """
     n_paths, n_levels, n = ens.states.shape
     m = ens.y.shape[2]
     columns = (
@@ -258,16 +331,28 @@ def _write_paths_csv(path: Path, ens: Ensemble) -> None:
     )
     interval, off = ens.events.interval, ens.event_offsets
     time_text = _text(ens.times)
-    # one block per path; the path id is the same on every row, and the
-    # jumps column counts the path's own events in the interval ending at each time
-    blocks = (
-        (_INT % pid, time_text)
-        + tuple(ens.states[pid].T)
-        + tuple(ens.y[pid].T)
-        + (np.bincount(interval[off[pid] : off[pid + 1]] + 1, minlength=n_levels),)
-        for pid in range(n_paths)
-    )
-    _write_csv(path, columns, blocks)
+
+    def blocks(first: int, stop: int):
+        # one block per path; the path id is the same on every row, and the
+        # jumps column counts the path's own events in the interval ending at each time
+        return (
+            (_INT % pid, time_text)
+            + tuple(ens.states[pid].T)
+            + tuple(ens.y[pid].T)
+            + (np.bincount(interval[off[pid] : off[pid + 1]] + 1, minlength=n_levels),)
+            for pid in range(first, stop)
+        )
+
+    half = n_paths // 2
+    part = path.with_name(path.name + ".part")
+    try:
+        with _writing(path):
+            with _in_child(_write_csv, part, columns, blocks(half, n_paths), False):
+                _write_csv(path, columns, blocks(0, half))
+            with open(path, "ab") as out, open(part, "rb") as rest:
+                shutil.copyfileobj(rest, out)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def _report_dict(
@@ -351,19 +436,27 @@ def run(config: RunConfig) -> int:
         checks["assumptions_pass"] = assumptions.passed
 
     needs_solve = bool({"solve", "simulate", "verify"} & set(config.stages))
+    ensemble = None
     if needs_solve:
         field_obj, diag = solve_final_value(
             built.spec, built.solver_config, built.constants
         )
         max_principle = check_max_principle(field_obj, diag)
         checks["max_principle_pass"] = max_principle.passed
+        field_writer = contextlib.nullcontext()
         if "solve" in config.stages:
-            _write_field_csv(out_dir / "field.csv", field_obj)
+            # derived once here, where the simulation needs them too; the child inherits them
+            field_obj.gradients
+            field_writer = _in_child(_write_field_csv, out_dir / "field.csv", field_obj)
+        # field.csv is written while the paths are simulated
+        with field_writer:
+            if "simulate" in config.stages or "verify" in config.stages:
+                ensemble = simulate_ensemble(
+                    field_obj, built.spec, built.x0, _path_dt(config, built),
+                    config.paths, config.seed,
+                )
 
-    if "simulate" in config.stages or "verify" in config.stages:
-        ensemble = simulate_ensemble(
-            field_obj, built.spec, built.x0, _path_dt(config, built), config.paths, config.seed
-        )
+    if ensemble is not None:
         _write_paths_csv(out_dir / "paths.csv", ensemble)
         residuals = bsde_residual(ensemble, built.spec)
         # exits are expected on tight boxes; they are reported, not fatal
@@ -372,7 +465,8 @@ def run(config: RunConfig) -> int:
     report = _report_dict(
         config, built, assumptions, diag, max_principle, residuals, checks
     )
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+    report_path = out_dir / "report.json"
+    with _writing(report_path), open(report_path, "w", encoding="utf-8") as fh:
         # strict JSON: a non-finite value that reaches the dump raises
         json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -439,7 +533,8 @@ def sweep(config: RunConfig) -> int:
         prev_rms = rms
 
     # a row's keys, in insertion order, are the CSV columns
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
+    sweep_path = out_dir / "sweep.csv"
+    with _writing(sweep_path), open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(rows[0]) + "\n")
         for row in rows:
             cells = []

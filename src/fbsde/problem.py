@@ -265,12 +265,16 @@ def check_growth(
         g_val = spec.g(t, xb, ub, pb, wb)
         phi_int = spec.phi_integral(t, xb, ub)
 
-        m_f = np.linalg.norm(f_val) - envelopes.drift_env(s, r) * (1.0 + q)
-        m_g = np.linalg.norm(g_val) - (
-            envelopes.gen_env(s, r) + envelopes.gen_decay(s, q, r)
-        ) * (1.0 + q) ** 2
-        m_phi = np.linalg.norm(phi_int) - envelopes.jump_env(s)
-        worst = max(worst, float(m_f), float(m_g), float(m_phi))
+        # a norm that overflows is an infinite margin, and one left undefined
+        # (inf - inf) counts as infinite: B5 then fails by value, not by a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_f = np.linalg.norm(f_val) - envelopes.drift_env(s, r) * (1.0 + q)
+            m_g = np.linalg.norm(g_val) - (
+                envelopes.gen_env(s, r) + envelopes.gen_decay(s, q, r)
+            ) * (1.0 + q) ** 2
+            m_phi = np.linalg.norm(phi_int) - envelopes.jump_env(s)
+        margins = (float(m_f), float(m_g), float(m_phi))
+        worst = max(worst, *(math.inf if math.isnan(v) else v for v in margins))
     return AssumptionCheck(
         name="B5",
         samples=len(sample_points),

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -34,7 +36,7 @@ from fbsde.cli import (
     main,
     parse_config_file,
 )
-from fbsde.errors import ConfigError, FbsdeError
+from fbsde.errors import BlowUpError, ConfigError, FbsdeError
 
 
 def read_csv_rows(path: Path):
@@ -545,6 +547,15 @@ class TestBlockWriters:
         jumps = [int(row[-1]) for row in read_csv_rows(tmp_path / "paths.csv")[1:]]
         # every event is counted once, and some interval holds several
         assert sum(jumps) == len(ens.events) and max(jumps) >= 2
+        # paths.csv is written in two halves: an empty first half, equal halves, odd halves
+        for k in (1, 2, 5):
+            part = ens.take(range(k))
+            _write_paths_csv(tmp_path / "paths.csv", part)
+            reference_paths_csv(tmp_path / "paths_ref.csv", part)
+            assert (tmp_path / "paths.csv").read_bytes() == (
+                tmp_path / "paths_ref.csv"
+            ).read_bytes(), k
+        assert not list(tmp_path.glob("*.part"))
 
     @given(st.lists(st.floats(), min_size=1, max_size=6))
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 0.0])
@@ -637,6 +648,94 @@ class TestBlowUpExits1:
         assert err == (
             "error: solution blew up at time level 2: explicit terms produced non-finite values\n"
         ), err
+
+
+class TestCheckGrowthOverflow:
+    def test_overflowing_growth_norm_fails_b5_by_value(self, tmp_path, capsys):
+        # the suite turns a RuntimeWarning into an error: the B5 norms must not warn
+        argv = ["verify", "--problem", "pure-jump", "--param", "nodes=21", "--param", "steps=8"]
+        argv += ["--param", "rate=1e300", "--paths", "5", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution blew up at time level 2"), err
+
+
+def verify_small(out_dir: Path) -> list[str]:
+    argv = ["verify", "--problem", "coupled-linear", "--nodes", "21", "--steps", "10"]
+    return argv + ["--paths", "5", "--dt", "0.1", "--seed", "3", "--out", str(out_dir)]
+
+
+def assert_no_leftovers(out_dir: Path) -> None:
+    """Every helper process reaped and no part file left in ``out_dir``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(out_dir.glob("*.part"))
+
+
+class TestWriterProcesses:
+    def test_successful_verify_leaves_no_child_and_no_part_file(self, tmp_path):
+        assert main(verify_small(tmp_path)) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {"field.csv", "paths.csv", "report.json"}
+        assert_no_leftovers(tmp_path)
+
+    @pytest.mark.parametrize("name", ["field.csv", "paths.csv", "report.json"])
+    def test_unwritable_output_exits_1_naming_it(self, tmp_path, capsys, name):
+        (tmp_path / name).mkdir()
+        assert main(verify_small(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / name}: Is a directory\n", err
+        assert_no_leftovers(tmp_path)
+
+    def test_unwritable_sweep_csv_exits_1_naming_it(self, tmp_path, capsys):
+        (tmp_path / "sweep.csv").mkdir()
+        argv = ["sweep", "--problem", "heat", "--param", "nodes=11", "--param", "steps=4"]
+        argv += ["--rungs", "2", "--paths", "2", "--dt", "0.1", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'sweep.csv'}: Is a directory\n", err
+
+    def test_simulation_error_is_kept_while_field_csv_is_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def blow_up(*args, **kwargs):
+            raise BlowUpError("solution blew up at time level 3: test", level=3)
+
+        monkeypatch.setattr(cli, "simulate_ensemble", blow_up)
+        assert main(verify_small(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: solution blew up at time level 3: test\n"
+        assert_no_leftovers(tmp_path)
+
+    def test_child_failure_names_the_file_and_the_error(self, tmp_path, capsys, monkeypatch):
+        def boom(path, field_obj):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "_write_field_csv", boom)
+        assert main(verify_small(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'field.csv'}: ValueError: boom\n", err
+        assert_no_leftovers(tmp_path)
+
+    def test_at_most_one_helper_at_a_time(self, tmp_path, monkeypatch):
+        in_child = cli._in_child
+        alive, most = [0], [0]
+
+        @contextlib.contextmanager
+        def counted(*args):
+            with in_child(*args):
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+                try:
+                    yield
+                finally:
+                    alive[0] -= 1
+
+        monkeypatch.setattr(cli, "_in_child", counted)
+        assert main(verify_small(tmp_path)) == 0
+        assert (alive[0], most[0]) == (0, 1)
+
+    def test_without_fork_the_bytes_are_the_same(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        TestRunCommand().test_verify_csv_bytes_are_pinned(tmp_path)
 
 
 def strict_report(path: Path) -> dict:
