@@ -9,7 +9,9 @@ significant digits so values round-trip losslessly.
 
 ``field.csv`` is formatted in a forked helper process while the paths
 are simulated, and the second half of the paths of ``paths.csv`` in
-another while this process formats the first; at most one helper is
+another while this process formats the first.  The ``field.csv`` helper
+forms each level's gradient as it writes that level, so no process holds
+a gradient table.  At most one helper is
 alive at a time, and every helper is reaped before :func:`run` returns
 or raises.  The bytes are those of formatting in one process, which is
 what happens where ``os.fork`` is missing.  A file that cannot be
@@ -40,6 +42,7 @@ from .solver import (
     Diagnostics,
     MaxPrincipleResult,
     SolutionField,
+    _level_gradient,
     check_max_principle,
     solve_final_value,
 )
@@ -304,15 +307,19 @@ def _write_field_csv(path: Path, field_obj: SolutionField) -> None:
         + [(f"grad_{c}_{i}", _FLOAT) for c, i in grad_ids]
     )
     node_text = tuple(_text(col) for col in nodes.T)
-    # one block per time level; level and t are the same on every row
-    blocks = (
-        (_INT % lev, _FLOAT % t)
-        + node_text
-        + tuple(field_obj.values[lev].T)
-        + tuple(field_obj.gradients[lev][:, c, i] for c, i in grad_ids)
-        for lev, t in enumerate(field_obj.times.tolist())
-    )
-    _write_csv(path, columns, blocks)
+
+    def blocks():
+        # one block per time level; level and t are the same on every row
+        for lev, (t, values) in enumerate(zip(field_obj.times.tolist(), field_obj.values)):
+            grad = _level_gradient(field_obj.grid, values)
+            yield (
+                (_INT % lev, _FLOAT % t)
+                + node_text
+                + tuple(values.T)
+                + tuple(grad[:, c, i] for c, i in grad_ids)
+            )
+
+    _write_csv(path, columns, blocks())
 
 
 def _write_paths_csv(path: Path, ens: Ensemble) -> None:
@@ -445,8 +452,6 @@ def run(config: RunConfig) -> int:
         checks["max_principle_pass"] = max_principle.passed
         field_writer = contextlib.nullcontext()
         if "solve" in config.stages:
-            # derived once here, where the simulation needs them too; the child inherits them
-            field_obj.gradients
             field_writer = _in_child(_write_field_csv, out_dir / "field.csv", field_obj)
         # field.csv is written while the paths are simulated
         with field_writer:

@@ -49,17 +49,21 @@ def shifted_differences(
 ) -> np.ndarray:
     """Table u(x + phi(s, x, u(x), y_k)) - u(x), shape (B, K, m).
 
-    ``evaluate`` maps (B, ndim) points to the (B, m) values of u,
+    ``evaluate`` maps (R, ndim) points to the (R, m) values of u,
     ``points`` are the base points x, ``u_here`` the (B, m) values u(x)
-    and ``s`` original time, scalar or per point.  Shifted points outside
-    the box are clamped to the nearest face, so each entry is bounded by
-    twice the sup norm of u.  A vanishing shift gives an exact zero row.  A
-    non-finite shift raises :class:`NonFiniteShiftError` naming the atom
-    and the time of the first point with one.
+    and ``s`` original time, scalar or per point.  ``evaluate`` is called
+    once, on the shifted points of every atom whose shift does not vanish,
+    stacked atom by atom (R = K' B, each block in the row order of
+    ``points``).  Shifted points outside the box are clamped to the
+    nearest face, so each entry is bounded by twice the sup norm of u.  A
+    vanishing shift gives an exact zero row.  A non-finite shift raises
+    :class:`NonFiniteShiftError` naming the atom and the time of the first
+    point with one.
     """
     meas = spec.measure
     n_pts, ndim = points.shape
-    table = np.empty((n_pts, len(meas), u_here.shape[1]))
+    table = np.zeros((n_pts, len(meas), u_here.shape[1]))
+    moved = []  # (atom, its zero-shift rows, its shifted points) of each atom that moves
     for k in range(len(meas)):
         shift = spec.phi(s, points, u_here, k)
         if not all_finite(shift):
@@ -72,12 +76,14 @@ def shifted_differences(
         zero_rows = shift[:, 0] == 0.0
         for c in range(1, ndim):
             zero_rows &= shift[:, c] == 0.0
-        if np.all(zero_rows):
-            table[:, k, :] = 0.0
-            continue
-        table[:, k, :] = evaluate(points + shift) - u_here
-        # a vanishing shift means u(x + 0) - u(x) = 0 identically
-        table[zero_rows, k, :] = 0.0
+        if not np.all(zero_rows):
+            moved.append((k, zero_rows, points + shift))
+    if moved:
+        shifted = evaluate(np.concatenate([q for _, _, q in moved]))
+        for j, (k, zero_rows, _) in enumerate(moved):
+            np.subtract(shifted[j * n_pts : (j + 1) * n_pts], u_here, out=table[:, k, :])
+            # a vanishing shift means u(x + 0) - u(x) = 0 identically
+            table[zero_rows, k, :] = 0.0
     return table
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -138,24 +138,36 @@ def spatial_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     for ax in range(grid.ndim):
         h = grid.spacings[ax]
         g = by_axis[..., ax]
-        inner = g[_axis_slice(total, ax, slice(1, -1))]
-        np.subtract(
+        _central_difference(
             nd[_axis_slice(total, ax, slice(2, None))],
             nd[_axis_slice(total, ax, slice(None, -2))],
-            out=inner,
+            h,
+            out=g[_axis_slice(total, ax, slice(1, -1))],
         )
-        inner /= 2.0 * h
-        g[_axis_slice(total, ax, 0)] = (
-            -3.0 * nd[_axis_slice(total, ax, 0)]
-            + 4.0 * nd[_axis_slice(total, ax, 1)]
-            - nd[_axis_slice(total, ax, 2)]
-        ) / (2.0 * h)
-        g[_axis_slice(total, ax, -1)] = (
-            3.0 * nd[_axis_slice(total, ax, -1)]
-            - 4.0 * nd[_axis_slice(total, ax, -2)]
-            + nd[_axis_slice(total, ax, -3)]
-        ) / (2.0 * h)
+        node = [nd[_axis_slice(total, ax, k)] for k in (0, 1, 2, -1, -2, -3)]
+        g[_axis_slice(total, ax, 0)] = _forward_difference(*node[:3], h)
+        g[_axis_slice(total, ax, -1)] = _backward_difference(*node[3:], h)
     return out
+
+
+# the first-difference stencils of spatial_gradient, also formed at queried cell corners
+
+
+def _central_difference(up, down, h: float, out=None) -> np.ndarray:
+    """(u(x + h) - u(x - h)) / 2h, into ``out`` if given."""
+    out = np.subtract(up, down, out=out)
+    out /= 2.0 * h
+    return out
+
+
+def _forward_difference(at, next1, next2, h: float) -> np.ndarray:
+    """Second-order one-sided difference at a low face, from u(x), u(x + h), u(x + 2h)."""
+    return (-3.0 * at + 4.0 * next1 - next2) / (2.0 * h)
+
+
+def _backward_difference(at, prev1, prev2, h: float) -> np.ndarray:
+    """Second-order one-sided difference at a high face, from u(x), u(x - h), u(x - 2h)."""
+    return (3.0 * at - 4.0 * prev1 + prev2) / (2.0 * h)
 
 
 def second_difference(nd: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
@@ -234,9 +246,10 @@ def solve_tridiagonal(
     this: interior rows are ``1 + 2 r a_ii`` on the diagonal and
     ``-r a_ii`` off it with ``a_ii > 0``, and face rows are identity
     rows, so every pivot is at least 1.  A zero or non-finite pivot
-    raises :class:`LinearSolveError`.  The arithmetic is that of LAPACK's
-    ``gtsv`` when it makes no row interchange, so such systems solve to
-    the same bits.
+    raises :class:`LinearSolveError`.  The elimination is the one LAPACK's
+    ``gtsv`` makes when it needs no row interchange, but a compiled
+    ``gtsv`` may fuse its multiply-adds, so the two agree to rounding
+    error, not bit for bit.
     """
     line = diag.ndim - 1
     bands = (np.moveaxis(a, line, 0) for a in (lower, diag, upper))
@@ -392,20 +405,59 @@ def step_imex(
     return u_next, float(max(a1.max(), -a1.min()))
 
 
+_OVERFLOW = "gradients must be finite; the differences of values overflow"
+
+
+def _level_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """:func:`spatial_gradient` of one level of a solved field; a gradient
+    that overflows raises ``ValueError``, without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = spatial_gradient(grid, values)
+    if not all_finite(out):
+        raise ValueError(_OVERFLOW)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _stencil(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flat offsets (1 + 2n,) of a node, its neighbours a step down along
+    each axis and a step up along each axis, and the spacings, (n, 1, 1, 1)."""
+    steps = np.array((0,) + tuple(-s for s in grid.strides) + grid.strides)
+    spacings = np.reshape(grid.spacings, (grid.ndim, 1, 1, 1))
+    steps.flags.writeable = spacings.flags.writeable = False
+    return steps, spacings
+
+
+def _blend(corners: np.ndarray, weights: np.ndarray, alpha) -> np.ndarray:
+    """Corner data (2, J, 2^d, B, ...) at two levels, blended in time by
+    ``alpha`` (scalar or (B,)) and then over the corners by ``weights``
+    (2^d, B); the result is (J, B, ...)."""
+    tail = (1,) * (corners.ndim - 4)
+    a = alpha.reshape(alpha.shape + tail)
+    at_t = (1.0 - a) * corners[0]
+    at_t += a * corners[1]
+    out = np.zeros(at_t.shape[:1] + at_t.shape[2:])
+    term = np.empty_like(out)
+    for c, weight in enumerate(weights.reshape(weights.shape + tail)):
+        out += np.multiply(weight, at_t[:, c], out=term)
+    return out
+
+
 @dataclass(frozen=True)
 class SolutionField:
     """Decoupling field snapshots on the grid, indexed by original time.
 
     ``values[i]`` approximates the field at times[i], and only the values
-    are stored: :attr:`gradients` is derived from them on first use.  The
-    snapshot at the final time reproduces the boundary-prepared terminal
-    data exactly.  Evaluation between snapshots is linear in time and
-    multilinear in space, with queries clamped to the box.  :meth:`value`
-    and :meth:`gradient` take ``t`` as a scalar or one time per point;
-    ``gradient(t, x, with_value=True)`` gives both on the same rows and
-    locates the rows once; :meth:`backward_rows` reads (Y, Z, Ztilde) off
-    the field.  A fresh array given to the field is taken over and made
-    read-only; views and read-only arrays are copied.
+    are stored: a gradient query forms the node gradients of the cell
+    corners it reads from their stencil neighbours, so no stage holds a
+    gradient table.  The snapshot at the final time reproduces the
+    boundary-prepared terminal data exactly.  Evaluation between snapshots
+    is linear in time and multilinear in space, with queries clamped to the
+    box.  :meth:`value` and :meth:`gradient` take ``t`` as a scalar or one
+    time per point; ``gradient(t, x, with_value=True)`` gives both on the
+    same rows and locates the rows once; :meth:`backward_rows` reads
+    (Y, Z, Ztilde) off the field.  A fresh array given to the field is
+    taken over and made read-only; views and read-only arrays are copied.
     """
 
     grid: Grid
@@ -436,17 +488,15 @@ class SolutionField:
         if self.values.shape != expected:
             raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
 
-    @cached_property
+    @property
     def gradients(self) -> np.ndarray:
-        """Per-level :func:`spatial_gradient` of ``values``, (L, n_nodes, m, n),
-        filled level by level on first use and kept read-only."""
+        """Per-level :func:`spatial_gradient` of ``values``, (L, n_nodes, m, n).
+
+        Computed afresh on every access and not kept: no query reads it.
+        """
         out = np.empty(self.values.shape + (self.grid.ndim,))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for level, values in enumerate(self.values):
-                out[level] = spatial_gradient(self.grid, values)
-        if not all_finite(out):
-            raise ValueError("gradients must be finite; the differences of values overflow")
-        out.flags.writeable = False
+        for level, values in enumerate(self.values):
+            out[level] = _level_gradient(self.grid, values)
         return out
 
     @property
@@ -476,27 +526,17 @@ class SolutionField:
         that bracket ``t``.  Only the 2^d cell corners of each point are
         blended in time, elementwise the arithmetic of blending whole levels.
         """
-        return self._interpolate_each(t, points, (data,), first_level)[0]
+        return self._interpolate(self.time_bracket(t), points, data, first_level)
 
-    def _interpolate_each(self, t, points, datas, first_level: int = 0) -> list:
-        """:meth:`interpolate` of each of ``datas``, the rows located once."""
+    def _interpolate(self, bracket, points, data, first_level: int = 0) -> np.ndarray:
+        """:meth:`interpolate` at the rows of a :meth:`time_bracket` already taken."""
+        i, alpha = bracket
         flats, weights = cell_corners(self.grid, points)
-        i, alpha = self.time_bracket(t)
-        out = []
-        for data in datas:
-            a = np.reshape(alpha, alpha.shape + (1,) * (data.ndim - 2))
-            expand = (slice(None),) + (None,) * (data.ndim - 2)
-            rows = data.reshape((-1,) + data.shape[2:])  # level i, node k: row i * n_nodes + k
-            row = (i - first_level) * data.shape[1] + flats
-            # np.take copies the gathered rows in one pass; rows[row] copies each on its own
-            corner_values = (1.0 - a) * np.take(rows, row, axis=0) + a * np.take(
-                rows, row + data.shape[1], axis=0
-            )
-            blended = np.zeros(corner_values.shape[1:])
-            for weight, corner in zip(weights, corner_values):
-                blended += weight[expand] * corner
-            out.append(blended)
-        return out
+        row = (i - first_level) * data.shape[1] + flats  # level i, node k: row i * n_nodes + k
+        rows = data.reshape((-1,) + data.shape[2:])
+        # np.take copies the gathered rows in one pass; rows[row] copies each on its own
+        corners = np.take(rows, np.stack((row, row + data.shape[1])), axis=0)
+        return _blend(corners[:, None], weights, alpha)[0]
 
     def value(self, t, points: np.ndarray) -> np.ndarray:
         return self.interpolate(t, points, self.values)
@@ -504,12 +544,65 @@ class SolutionField:
     def gradient(self, t, points: np.ndarray, with_value: bool = False):
         """Spatial gradient at the rows (``t``, ``points``).
 
-        With ``with_value``, returns (value, gradient) and locates the rows
-        once for both; each is the array of its own query, bit for bit.
+        The :func:`spatial_gradient` of each cell corner at both bracketing
+        levels is formed from the corner's stencil neighbours and blended
+        like the values, so the result has the bits of interpolating
+        :attr:`gradients`.  With ``with_value``, returns (value, gradient)
+        from the same gathered corners; each is the array of its own query,
+        bit for bit.  A corner gradient that overflows raises ``ValueError``.
         """
-        if with_value:
-            return tuple(self._interpolate_each(t, points, (self.values, self.gradients)))
-        return self.interpolate(t, points, self.gradients)
+        return self._gradient(self.time_bracket(t), points, with_value)
+
+    def _gradient(self, bracket, points: np.ndarray, with_value: bool):
+        """:meth:`gradient` at the rows of a :meth:`time_bracket` already taken."""
+        i, alpha = bracket
+        flats, weights = cell_corners(self.grid, points)
+        # an overflow is inf, not a warning; a non-finite corner gradient
+        # leaves the blend non-finite, and the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            # value and gradient side by side: one blend for both
+            blended = _blend(self._corner_jets(i, flats), weights, alpha)
+        if not all_finite(blended):
+            raise ValueError(_OVERFLOW)
+        gradient = blended[1:].transpose(1, 2, 0)  # (B, m, n)
+        return (blended[0], gradient) if with_value else gradient
+
+    def _corner_jets(self, i, flats: np.ndarray) -> np.ndarray:
+        """The value and the :func:`spatial_gradient` along each axis,
+        (2, 1 + n, 2^d, B, m), of the corner nodes ``flats`` at levels ``i``
+        and ``i + 1``, each formed from the node's own stencil: the
+        temporaries grow with B only."""
+        grid = self.grid
+        d = grid.ndim
+        steps, spacings = _stencil(grid)
+        # level i, node k: row i * n_nodes + k
+        rows = np.add.outer(steps, flats + i * grid.n_nodes)
+        faces = []
+        if grid.boundary_mask()[flats].any():
+            for ax, (stride, count) in enumerate(zip(grid.strides, grid.shape)):
+                index = flats // stride % count
+                low, high = index == 0, index == count - 1
+                rows[1 + ax][low] += 3 * stride
+                rows[1 + d + ax][high] -= 3 * stride
+                faces.append((low, high))
+        values = self.values.reshape(-1, self.m)
+        nodes = np.empty(rows.shape + (self.m,))
+        jets = np.empty((2, 1 + d) + nodes.shape[1:])
+        # one level at a time into one buffer: fresh memory costs more than a call
+        for level, jet in enumerate(jets):
+            if level:
+                rows += grid.n_nodes
+            # every row is in range; mode="clip" writes to ``out`` without a buffer
+            np.take(values, rows, axis=0, out=nodes, mode="clip")
+            jet[0] = node = nodes[0]
+            # the central difference along every axis at once
+            _central_difference(nodes[1 + d :], nodes[1 : 1 + d], spacings, out=jet[1:])
+            for ax, (low, high) in enumerate(faces):
+                h, g = grid.spacings[ax], jet[1 + ax]
+                down, up = nodes[1 + ax], nodes[1 + d + ax]
+                g[low] = _forward_difference(node[low], up[low], down[low], h)
+                g[high] = _backward_difference(node[high], down[high], up[high], h)
+        return jets
 
     def nonlocal_table(
         self, t, points: np.ndarray, u_here: np.ndarray | None = None
@@ -519,10 +612,21 @@ class SolutionField:
         ``t`` is a scalar or one time per point; ``u_here`` defaults to
         the field's value at ``points``.
         """
+        return self._nonlocal_table(self.time_bracket(t), t, points, u_here)
+
+    def _nonlocal_table(self, bracket, t, points, u_here) -> np.ndarray:
+        """:meth:`nonlocal_table` at the rows of a :meth:`time_bracket` already taken."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if u_here is None:
-            u_here = self.value(t, pts)
-        return shifted_differences(lambda q: self.value(t, q), self.spec, t, pts, u_here)
+            u_here = self._interpolate(bracket, pts, self.values)
+
+        def at_shifted(q):
+            # the shifted points of the moved atoms come stacked, atom by atom
+            reps = q.shape[0] // len(pts)
+            stacked = [np.concatenate([a] * reps) for a in bracket] if bracket[0].ndim else bracket
+            return self._interpolate(stacked, q, self.values)
+
+        return shifted_differences(at_shifted, self.spec, t, pts, u_here)
 
     def backward_rows(self, t, x: np.ndarray):
         """(Y, Z, Ztilde, sigma) at the rows (``t``, ``x``).
@@ -530,10 +634,11 @@ class SolutionField:
         Y = u, Z = grad u sigma(t, x, Y) and Ztilde = u(t, x + phi) - u(t, x)
         per atom, shapes (B, m), (B, m, n) and (B, K, m); sigma is (B, n, n).
         """
-        y, grad = self.gradient(t, x, with_value=True)
+        bracket = self.time_bracket(t)
+        y, grad = self._gradient(bracket, x, with_value=True)
         sig = self.spec.sigma(t, x, y)
         z = np.einsum("bmi,bij->bmj", grad, sig)
-        return y, z, self.nonlocal_table(t, x, u_here=y), sig
+        return y, z, self._nonlocal_table(bracket, t, x, y), sig
 
     def sup_norms(self) -> np.ndarray:
         """Per-level sup over nodes of the euclidean field norm."""

@@ -116,6 +116,17 @@ class TestTridiagonal:
         with pytest.raises(LinearSolveError, match="pivot"):
             solve_tridiagonal(lower, diag, upper, rhs)
 
+    @given(st.integers(min_value=3, max_value=60), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_lapack_gtsv_to_rounding(self, n, seed):
+        lapack = pytest.importorskip("scipy.linalg.lapack")
+        lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(seed), (), n, None)
+        got = solve_tridiagonal(lower, diag, upper, rhs)
+        *_, want, info = lapack.dgtsv(lower[1:], diag, upper[:-1], rhs)
+        assert info == 0
+        # a compiled gtsv may fuse multiply-adds: equal to rounding, not to the bit
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
 
 def _dominant_systems(rng, batch, n, k):
     """Random strictly diagonally dominant systems of shape batch + (n,)."""
@@ -675,6 +686,80 @@ class TestPerRowTimes:
         assert FIELD_2D.time_bracket(0.25) == (2, 0.0)
 
 
+def _random_field(lower, upper, shape, m, levels=6, horizon=0.75, seed=3):
+    """A field of random node data, signed zeros among them, on any grid."""
+    grid = Grid(lower, upper, shape)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((levels, grid.n_nodes, m))
+    values[rng.random(values.shape) < 0.1] = -0.0
+    n = grid.ndim
+    spec = ProblemSpec(
+        n=n,
+        m=m,
+        l=1,
+        horizon=horizon,
+        drift=_zeros(n),
+        generator=_zeros(m),
+        diffusion=lambda t, x, u: np.broadcast_to(np.eye(n), (x.shape[0], n, n)).copy(),
+        jump_coeff=lambda t, x, u, y: np.zeros((x.shape[0], n)),
+        terminal=lambda x: np.zeros((x.shape[0], m)),
+        measure=DUMMY_MEASURE,
+    )
+    return SolutionField(
+        grid=grid,
+        times=np.linspace(0.0, horizon, levels),
+        values=values,
+        spec=spec,
+        config=SolverConfig(grid=grid, n_steps=levels - 1, cutoff_width=0.2),
+    )
+
+
+CORNER_FIELDS = {
+    "1d": _random_field((-1.0,), (2.0,), (5,), 2),
+    "2d": _random_field((-1.0, 0.5), (2.0, 2.5), (7, 4), 2),
+    "3d": _random_field((0.0, -1.0, 0.5), (1.0, 1.0, 2.0), (3, 5, 4), 1),
+}
+
+
+@st.composite
+def _corner_queries(draw):
+    """A field, per-row or scalar times and points: nodes, faces, cells and beyond the box."""
+    field = CORNER_FIELDS[draw(st.sampled_from(sorted(CORNER_FIELDS)))]
+    grid, horizon = field.grid, field.spec.horizon
+    time = st.one_of(
+        st.sampled_from(field.times.tolist()),
+        st.floats(min_value=-0.5 * horizon, max_value=1.5 * horizon, allow_nan=False),
+    )
+    coords = [
+        st.one_of(
+            st.sampled_from([lo, hi] + np.linspace(lo, hi, n).tolist()),
+            st.floats(min_value=lo - 1.0, max_value=hi + 1.0, allow_nan=False),
+        )
+        for lo, hi, n in zip(grid.lower, grid.upper, grid.shape)
+    ]
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    x = np.array([[draw(c) for c in coords] for _ in range(n_rows)])
+    t = draw(time) if draw(st.booleans()) else np.array([draw(time) for _ in range(n_rows)])
+    return field, t, x
+
+
+class TestCornerGradients:
+    """A gradient query forms its corner gradients from the values, to the
+    bits of interpolating the per-level spatial_gradient."""
+
+    @given(_corner_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_interpolating_the_level_gradients(self, query):
+        field, t, x = query
+        levels = np.stack([spatial_gradient(field.grid, v) for v in field.values])
+        want = field.interpolate(t, x, levels)
+        assert field.gradient(t, x).tobytes() == want.tobytes()
+        value, gradient = field.gradient(t, x, with_value=True)
+        assert gradient.tobytes() == want.tobytes()
+        assert value.tobytes() == field.value(t, x).tobytes()
+        assert gradient.shape == (x.shape[0], field.m, field.grid.ndim)
+
+
 class TestFieldOwnership:
     def test_fresh_arrays_are_taken_over_without_a_copy(self):
         import tracemalloc
@@ -720,6 +805,14 @@ class TestFieldOwnership:
         huge = dataclasses.replace(field, values=values)
         with pytest.raises(ValueError, match="gradients must be finite"):
             huge.gradients
+        node = huge.grid.nodes()[4:5]
+        # the rows whose cell corners reach the node at level 3 or 4 raise, with no warning
+        for t in (huge.times[3], 0.5 * (huge.times[2] + huge.times[3])):
+            for with_value in (False, True):
+                with pytest.raises(ValueError, match="gradients must be finite"):
+                    huge.gradient(np.array([0.1, t]), np.vstack([[1.9, 0.6], node]), with_value)
+        # a query that does not reach it is finite
+        assert np.isfinite(huge.gradient(huge.times[3], np.array([[1.9, 0.6]]))).all()
 
     @pytest.mark.parametrize(
         "shape", [(5, 12, 1), (6, 11, 1), (5, 11)], ids=["nodes", "levels", "no-component-axis"]
@@ -735,11 +828,14 @@ class TestFieldOwnership:
                 config=built.solver_config,
             )
 
-    def test_gradients_are_derived_once_and_read_only(self):
+    def test_gradients_are_derived_on_each_access(self):
         field = _random_field_2d()
-        assert "gradients" not in vars(field)
         gradients = field.gradients
-        assert field.gradients is gradients and not gradients.flags.writeable
+        assert "gradients" not in vars(field)
+        again = field.gradients
+        assert again is not gradients and again.tobytes() == gradients.tobytes()
+        for values, gradient in zip(field.values, gradients):
+            assert gradient.tobytes() == spatial_gradient(field.grid, values).tobytes()
 
 
 class TestTwoDimensional:
@@ -1051,15 +1147,16 @@ class TestOneGradientPerLevel:
         config = SolverConfig(grid=grid, n_steps=steps, cutoff_width=0.5)
         constants = MaxPrincipleConstants(0.0, 1.0, 1.0)
         solve_final_value(spec, config, constants)  # fills the per-grid caches
+        # neither the march nor the check derives the field's gradients
+        unread = mock.PropertyMock(side_effect=AssertionError("gradients derived"))
         tracemalloc.start()
         try:
-            field, diag = solve_final_value(spec, config, constants)
-            check_max_principle(field, diag)
+            with mock.patch.object(SolutionField, "gradients", unread):
+                field, diag = solve_final_value(spec, config, constants)
+                check_max_principle(field, diag)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # neither the march nor the check derives the field's gradients
-        assert "gradients" not in vars(field)
         stored = field.values.nbytes
         # one level of values and of the gradient the march takes from it
         level = stored // len(field.times) * (1 + grid.ndim)
@@ -1170,6 +1267,31 @@ class TestSharedLocation:
         # the nonlocal table of a vanishing shift makes no query; the Euler
         # update makes none of its own
         assert corners.call_count == 1 and bracket.call_count == 1
+
+    def test_backward_rows_locates_twice_for_two_moving_atoms(self):
+        field = _jump_field_2d(17)
+        measure = LevyMeasure(marks=[[0.3, 0.0], [0.0, -0.3]], weights=[0.7, 0.7])
+        spec = dataclasses.replace(
+            field.spec,
+            l=2,
+            measure=measure,
+            jump_coeff=lambda t, x, u, y: np.broadcast_to(y, (x.shape[0], 2)).copy(),
+        )
+        field = dataclasses.replace(field, spec=spec)
+        x = np.random.default_rng(3).uniform(-5.0, 5.0, (30, 2))
+        t = np.linspace(0.0, 1.0, 30)
+        with mock.patch.object(
+            solver_module, "cell_corners", wraps=solver_module.cell_corners
+        ) as corners, mock.patch.object(
+            SolutionField, "time_bracket", autospec=True, side_effect=SolutionField.time_bracket
+        ) as bracket:
+            y, _, ztilde, _ = field.backward_rows(t, x)
+        # one location for (Y, Z), one for the shifted points of both atoms,
+        # and one time bracket for all of them
+        assert corners.call_count == 2 and bracket.call_count == 1
+        for k, mark in enumerate(measure.marks):
+            moved = field.value(t, x + mark) - y
+            assert ztilde[:, k].tobytes() == moved.tobytes()
 
 
 class TestBackwardRows:
