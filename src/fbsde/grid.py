@@ -149,6 +149,16 @@ def cell_corners(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return flats, weights
 
 
+def corner_sum(corners: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Corner data (J, 2^d, B, ...) summed over the corners by :func:`cell_corners`
+    weights (2^d, B), in corner order from +0.0; the result is (J, B, ...)."""
+    out = np.zeros(corners.shape[:1] + corners.shape[2:])
+    term = np.empty_like(out)
+    for c, weight in enumerate(weights.reshape(weights.shape + (1,) * (corners.ndim - 3))):
+        out += np.multiply(weight, corners[:, c], out=term)
+    return out
+
+
 def multilinear_interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear (order-1) interpolation with clamping to the box.
 
@@ -158,9 +168,4 @@ def multilinear_interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) 
     """
     flats, weights = cell_corners(grid, points)
     # np.take copies the gathered rows in one pass; values[flats] copies each on its own
-    corner_values = np.take(values, flats, axis=0)  # (2^d, B, ...)
-    expand = (slice(None),) + (None,) * (values.ndim - 1)
-    out = np.zeros(corner_values.shape[1:])
-    for weight, corner in zip(weights, corner_values):
-        out += weight[expand] * corner
-    return out
+    return corner_sum(np.take(values, flats, axis=0)[None], weights)[0]

@@ -154,15 +154,20 @@ class Ensemble:
         return replace(self, events=events, jump_values=self.jump_values[rows], **per_path)
 
 
+def _atom_cdf(measure: LevyMeasure) -> np.ndarray:
+    """Cumulative atom probabilities, the table :func:`_draw_jump_schedule` searches."""
+    return np.cumsum(measure.weights) / measure.total_mass
+
+
 def _draw_jump_schedule(
-    measure: LevyMeasure, horizon: float, gen: np.random.Generator
+    measure: LevyMeasure, cdf: np.ndarray, horizon: float, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jump times and atom indices over [0, horizon], in draw order."""
+    """Jump times and atom indices over [0, horizon], in draw order;
+    ``cdf`` is :func:`_atom_cdf` of ``measure``."""
     count = int(gen.poisson(measure.total_mass * horizon))
     taus = np.sort(gen.random(count) * horizon)
-    cum = np.cumsum(measure.weights) / measure.total_mass
     atoms = np.minimum(
-        np.searchsorted(cum, gen.random(count), side="right"), len(measure) - 1
+        np.searchsorted(cdf, gen.random(count), side="right"), len(measure) - 1
     )
     return taus, atoms.astype(np.int64)
 
@@ -178,7 +183,7 @@ def sample_poisson_measure(
     """
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    taus, atoms = _draw_jump_schedule(measure, horizon, rng.generator())
+    taus, atoms = _draw_jump_schedule(measure, _atom_cdf(measure), horizon, rng.generator())
     return [(float(t), int(k)) for t, k in zip(taus, atoms)]
 
 
@@ -249,10 +254,11 @@ def _draw_streams(
     n_steps, n = round0_normals.shape[1:]
     counts = np.zeros(len(streams), dtype=np.int64)
     taus, atoms, after_jump = [], [], [np.empty((0, n))]
+    cdf = _atom_cdf(measure)
     for p, stream in enumerate(streams):
         # one generator at a time: a chunk's generators outweigh its other temporaries
         gen = stream.generator()
-        path_taus, path_atoms = _draw_jump_schedule(measure, float(times[-1]), gen)
+        path_taus, path_atoms = _draw_jump_schedule(measure, cdf, float(times[-1]), gen)
         if not len(path_taus):
             gen.standard_normal(out=round0_normals[p])
             continue
@@ -306,6 +312,8 @@ def _simulate_paths(
     last_event = np.cumsum(counts)
     next_event = last_event - counts
     event_time = np.append(taus, np.inf)
+    # the columns as plain arrays: a record-array attribute costs a lookup per read
+    event_atom, event_before, event_after = table.atom, table.x_before, table.x_after
 
     x_cur = np.tile(np.asarray(x0, dtype=float).reshape(1, n), (n_paths, 1))
     states[:, 0] = x_cur
@@ -335,11 +343,12 @@ def _simulate_paths(
             x_before = x_cur[rows]
             y_before = field.value(t_start, x_before)
             shift = np.empty_like(x_before)
-            for k in np.unique(table.atom[ev]):
-                at = table.atom[ev] == k
+            ev_atom = event_atom[ev]
+            for k in np.unique(ev_atom):
+                at = ev_atom == k
                 shift[at] = spec.phi(t_start[at], x_before[at], y_before[at], k)
-            table.x_before[ev] = x_before
-            table.x_after[ev] = x_cur[rows] = x_before + shift
+            event_before[ev] = x_before
+            event_after[ev] = x_cur[rows] = x_before + shift
             next_event[rows] += 1
             # the next round starts at the post-jump states: its Y is u(t, x_after)
             backward = field.backward_rows(t_start, x_cur[rows])

@@ -11,11 +11,14 @@ compensated jump sum standing in for the integral against the
 compensated measure.
 
 The Ito check and the class-S norm walk the time grid in level blocks:
-runs of whole levels of at most ``_BLOCK_ROWS`` (path, level) rows,
-queried in one batch with one time per row.  Every row gets the bits of
-a one-level query, the Ito check's per-path sums are still added level
-by level, and the norm's squares are reduced per level, so block size
-changes no result.
+runs of whole levels of at most ``_BLOCK_ROWS`` (path, level) rows, with
+one time per row.  With the field's own test function the Ito check
+reads u, its shifted differences and its event jumps off the ensemble,
+and takes each block's gradient, Hessian and time difference from one
+located stencil pass, :meth:`SolutionField.derivatives`.  Every row gets
+the bits of a one-level query, the Ito check's per-path sums are still
+added level by level, and the norm's squares are reduced per level, so
+block size changes no result.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import multilinear_interpolate
 from .paths import Ensemble
 from .problem import ProblemSpec
-from .solver import SolutionField, second_difference
+from .solver import SolutionField, _check_component
 
 __all__ = [
     "ResidualReport",
@@ -55,8 +57,9 @@ class ResidualReport:
     total_paths: int
 
 
-# (path, level) rows queried together: bounds one level block's temporaries
-_BLOCK_ROWS = 1 << 11
+# (path, level) rows queried together: bounds one level block's temporaries,
+# about 1.5 kB a row in the Ito check's corner pass on a 2-D grid
+_BLOCK_ROWS = 400
 
 
 def _level_blocks(n_paths: int, n_levels: int) -> list[slice]:
@@ -97,28 +100,30 @@ def _fsum_rows(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
-def estimate_class_s_norm(ensemble: Ensemble) -> float:
+def estimate_class_s_norm(ensemble: Ensemble, keep=slice(None)) -> float:
     """Monte Carlo estimate of the solution-class norm.
 
     sup over time of (E|X|^2 + E|Y|^2) plus the dt-weighted sum of
-    E|Z|^2 and the nu-weighted squared table norm.  Reductions over
+    E|Z|^2 and the nu-weighted squared table norm, over the paths
+    ``keep`` (an increasing index array, or all paths).  Reductions over
     paths use exact summation, so the estimate is invariant under path
     reordering and ensemble splitting.  The squares are formed one
     level block at a time, so no (P, L) array of them is ever held.
     """
-    if not len(ensemble):
+    n_paths = np.arange(len(ensemble))[keep].shape[0]
+    if not n_paths:
         raise ValueError("ensemble must be non-empty")
     times, states = ensemble.times, ensemble.states
-    n_paths, n_levels = states.shape[:2]
+    n_levels = states.shape[1]
     weights = ensemble.field.spec.measure.weights
     dts = np.diff(times)
 
     sup_terms, int_terms = [], []
     for block in _level_blocks(n_paths, n_levels):
-        x_sq = np.sum(states[:, block] ** 2, axis=-1)  # (P, block levels)
-        y_sq = np.sum(ensemble.y[:, block] ** 2, axis=-1)
-        z_sq = np.sum(ensemble.z[:, block] ** 2, axis=(-1, -2))
-        w_sq = np.einsum("pjkm,k->pj", ensemble.ztilde[:, block] ** 2, weights)
+        x_sq = np.sum(states[keep, block] ** 2, axis=-1)  # (P, block levels)
+        y_sq = np.sum(ensemble.y[keep, block] ** 2, axis=-1)
+        z_sq = np.sum(ensemble.z[keep, block] ** 2, axis=(-1, -2))
+        w_sq = np.einsum("pjkm,k->pj", ensemble.ztilde[keep, block] ** 2, weights)
         for jj, j in enumerate(range(block.start, block.stop)):
             sup_terms.append(
                 _fsum_rows(x_sq[:, jj]) / n_paths + _fsum_rows(y_sq[:, jj]) / n_paths
@@ -138,8 +143,9 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
     Paths that left the grid are excluded from the statistics and
     counted in ``excluded_paths``.  ``spec``, if given, must be the
     field's own.  The generator values, (P, L - 1, m), are the one array
-    over paths and levels it builds; the class-S norm goes level block
-    by level block.
+    over paths and levels it builds: the kept paths are gathered level by
+    level, never copied whole, and the class-S norm goes level block by
+    level block.
     """
     if not len(ensemble):
         raise ValueError("ensemble must be non-empty")
@@ -147,9 +153,11 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
         raise ValueError("field and spec must share the same ProblemSpec")
     spec = ensemble.field.spec
     exited = ensemble.exited
-    included = ensemble.take(np.flatnonzero(~exited)) if exited.any() else ensemble
-    excluded = len(ensemble) - len(included)
-    if not len(included):
+    keep = np.flatnonzero(~exited) if exited.any() else slice(None)
+    kept = np.arange(len(ensemble))[keep]
+    n_paths = kept.shape[0]
+    excluded = len(ensemble) - n_paths
+    if not n_paths:
         empty = np.zeros((0, spec.m))
         return ResidualReport(
             residuals=empty,
@@ -161,27 +169,27 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
             total_paths=len(ensemble),
         )
 
-    times, states = included.times, included.states
-    n_paths = len(included)
+    times, states = ensemble.times, ensemble.states
     n_steps = times.shape[0] - 1
     dts = np.diff(times)
-    y, z, ztab = included.y, included.z, included.ztilde
-    db = included.brownian_increments
+    y, z, ztab = ensemble.y, ensemble.z, ensemble.ztilde
 
     gen = np.empty((n_paths, n_steps, spec.m))
     for j in range(n_steps):
-        gen[:, j] = spec.g(float(times[j]), states[:, j], y[:, j], z[:, j], ztab[:, j])
+        gen[:, j] = spec.g(float(times[j]), states[keep, j], y[keep, j], z[keep, j], ztab[keep, j])
 
-    h_val = spec.h(states[:, -1])
+    h_val = spec.h(states[keep, -1])
     gen_term = np.einsum("pjm,j->pm", gen, dts)
-    brown_term = np.einsum("pjmi,pji->pm", z[:, :n_steps], db)
-    comp_term = np.einsum("pjkm,k,j->pm", ztab[:, :n_steps], spec.measure.weights, dts)
+    # every path's sums are its own: summed over all paths, then the kept rows
+    brown_term = np.einsum("pjmi,pji->pm", z[:, :n_steps], ensemble.brownian_increments)[keep]
+    comp_term = np.einsum("pjkm,k,j->pm", ztab[:, :n_steps], spec.measure.weights, dts)[keep]
     # one block sum per path: np.add.at or np.add.reduceat round differently
-    off = included.event_offsets
+    off = ensemble.event_offsets
     jump_term = np.zeros((n_paths, spec.m))
-    for p in np.flatnonzero(np.diff(off)):
-        jump_term[p] = included.jump_values[off[p] : off[p + 1]].sum(axis=0)
-    residuals = y[:, 0] - (
+    for r in np.flatnonzero(np.diff(off)[keep]):
+        p = kept[r]
+        jump_term[r] = ensemble.jump_values[off[p] : off[p + 1]].sum(axis=0)
+    residuals = y[keep, 0] - (
         h_val + gen_term - brown_term - (jump_term - comp_term)
     )
 
@@ -206,7 +214,7 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
         rms=rms,
         mean=mean,
         stderr=stderr,
-        class_s_norm=estimate_class_s_norm(included),
+        class_s_norm=estimate_class_s_norm(ensemble, keep),
         excluded_paths=excluded,
         total_paths=len(ensemble),
     )
@@ -214,7 +222,13 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar test function with the derivatives the jump Ito check needs."""
+    """Scalar test function with the derivatives the jump Ito check needs.
+
+    :func:`field_test_function` also records the ``field`` and
+    ``component`` it reads; with the ensemble's own field, the Ito check
+    then reads the values off the ensemble and takes the derivatives from
+    :meth:`SolutionField.derivatives`, and calls none of the four.
+    """
 
     __test__ = False  # not a pytest collection target
 
@@ -222,19 +236,19 @@ class TestFunction:
     grad: Callable  # (t scalar or (B,), x) -> (B, n)
     hess: Callable  # (t scalar or (B,), x) -> (B, n, n)
     dt: Callable  # (t scalar, x) -> (B,)
+    field: Optional[SolutionField] = None
+    component: int = 0
 
 
 def field_test_function(field: SolutionField, component: int = 0) -> TestFunction:
-    """Test function built from one field component.
+    """Test function built from one field component, in [0, m).
 
     Time derivatives use forward differences of consecutive snapshots,
     second space derivatives second-difference stencils (zero on faces);
-    everything is interpolated like the field itself.  Both are computed
-    on demand from the levels that bracket the query time.
+    everything is interpolated like the field itself.  Both come from the
+    cell corners of the query rows at the levels that bracket them.
     """
-    grid = field.grid
-    dt_field = float(field.times[1] - field.times[0])
-    comp_vals = field.values[:, :, component]  # (L, n_nodes)
+    component = _check_component(component, field.m)
 
     def value(t, x):
         return field.value(t, x)[:, component]
@@ -242,38 +256,15 @@ def field_test_function(field: SolutionField, component: int = 0) -> TestFunctio
     def grad(t, x):
         return field.gradient(t, x)[:, component, :]
 
-    def level_hessians(lo, hi):
-        nd = comp_vals[lo:hi].T.reshape(grid.shape + (hi - lo,))
-        levels = np.empty((hi - lo, grid.n_nodes, grid.ndim, grid.ndim))
-        for a in range(grid.ndim):
-            for b in range(a, grid.ndim):
-                d2 = second_difference(nd, grid, a, b).reshape(grid.n_nodes, hi - lo).T
-                levels[:, :, a, b] = levels[:, :, b, a] = d2
-        return levels
-
     def hess(t, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
-        i, _ = field.time_bracket(t)
-        out = np.empty((x.shape[0], grid.ndim, grid.ndim))
-        # rows grouped by bracket level: a group's table of level Hessians holds
-        # two levels, or no more node rows than its query gathers (2^d corners
-        # at two levels per row), however far apart the rows' times are
-        span = max(1, (x.shape[0] << (grid.ndim + 1)) // grid.n_nodes - 1)
-        group = i // span
-        for g in np.unique(group).tolist():
-            rows = group == g
-            lo, hi = int(i[rows].min()), int(i[rows].max()) + 2  # the levels blended
-            out[rows] = field.interpolate(
-                t[rows], x[rows], level_hessians(lo, hi), first_level=lo
-            )
-        return out
+        return field.derivatives(t, x, component)[1]
 
     def time_deriv(t, x):
-        i, _ = field.time_bracket(t)
-        return multilinear_interpolate(grid, (comp_vals[i + 1] - comp_vals[i]) / dt_field, x)
+        return field.derivatives(t, x, component)[2]
 
-    return TestFunction(value=value, grad=grad, hess=hess, dt=time_deriv)
+    return TestFunction(
+        value=value, grad=grad, hess=hess, dt=time_deriv, field=field, component=component
+    )
 
 
 def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) -> np.ndarray:
@@ -283,6 +274,12 @@ def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) ->
     the time-derivative, gradient-drift, Brownian, Hessian terms, the
     compensated jump sum, and the jump compensator integrand
     (difference minus gradient pairing).  Returns one real per path.
+
+    With the field's own test function (the default), the values come off
+    the ensemble, bit for bit what ``value`` gives: the value at
+    (t_j, X_j) is Y, the shifted difference is Ztilde and the event
+    differences are the jump values; each level block's derivatives are
+    one :meth:`SolutionField.derivatives` pass.
     """
     if not len(ensemble):
         return np.zeros(0)
@@ -290,12 +287,17 @@ def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) ->
     spec = field.spec
     meas = spec.measure
     tf = test_fn if test_fn is not None else field_test_function(field)
+    own, c = tf.field is field, tf.component
     times, states = ensemble.times, ensemble.states
     n_paths = len(ensemble)
     n_steps = times.shape[0] - 1
     dts = np.diff(times)
     y, z, ztab = ensemble.y, ensemble.z, ensemble.ztilde
     db = ensemble.brownian_increments
+
+    def call(fn, t, x, *shape):
+        # a test function's result as a float array of rows
+        return np.asarray(fn(t, x), dtype=float).reshape((-1,) + shape)
 
     # per-path running sums (time, drift, brownian, hessian, comp, integrand),
     # added level by level with atoms inner: the rounding of a per-level loop
@@ -309,27 +311,29 @@ def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) ->
         # one row per term: time, drift, brownian, hessian, then comp and
         # integrand of each atom k at 4 + 2k and 5 + 2k
         terms = np.empty((4 + 2 * n_atoms, t.shape[0]))
-        gx = np.asarray(tf.grad(t, xb), dtype=float).reshape(-1, spec.n)
+        if own:
+            gx, hx, dudt = field.derivatives(t, xb, c)
+            terms[0] = dudt * h
+        else:
+            gx, hx = call(tf.grad, t, xb, spec.n), call(tf.hess, t, xb, spec.n, spec.n)
+            base = call(tf.value, t, xb)
         f_raw = spec.f(t, xb, yb, _rows(z, block), _rows(ztab, block))
         terms[1] = np.einsum("bi,bi->b", gx, f_raw) * h
         sig = spec.sigma(t, xb, yb)
         terms[2] = np.einsum("bi,bij,bj->b", gx, sig, _rows(db, block))
-        hx = np.asarray(tf.hess(t, xb), dtype=float).reshape(-1, spec.n, spec.n)
         gram = np.einsum("bik,bjk->bij", sig, sig)
         terms[3] = 0.5 * np.einsum("bij,bij->b", hx, gram) * h
-        base = np.asarray(tf.value(t, xb), dtype=float).reshape(-1)
         for k in range(n_atoms):
             shift = spec.phi(t, xb, yb, k)
-            dphi = np.asarray(tf.value(t, xb + shift), dtype=float).reshape(-1) - base
+            dphi = _rows(ztab[:, :, k, c], block) if own else call(tf.value, t, xb + shift) - base
             pairing = np.einsum("bi,bi->b", gx, shift)
             terms[4 + 2 * k] = meas.weights[k] * dphi * h
             terms[5 + 2 * k] = meas.weights[k] * (dphi - pairing) * h
         terms = terms.reshape(-1, n_paths, block.stop - block.start)
         for jj, j in enumerate(range(block.start, block.stop)):
-            # the test function's time derivative takes one scalar time
-            terms[0, :, jj] = np.asarray(
-                tf.dt(float(times[j]), states[:, j]), dtype=float
-            ).reshape(n_paths) * float(dts[j])
+            if not own:
+                # a test function's time derivative takes one scalar time
+                terms[0, :, jj] = call(tf.dt, float(times[j]), states[:, j]) * float(dts[j])
             sums[:4] += terms[:4, :, jj]
             for k in range(n_atoms):
                 sums[4] += terms[4 + 2 * k, :, jj]
@@ -337,17 +341,18 @@ def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) ->
     time_term, drift_term, brown_term, hess_term, comp_jump, integrand_term = sums
 
     events = ensemble.events
-    after = np.asarray(tf.value(events.time, events.x_after), dtype=float)
-    before = np.asarray(tf.value(events.time, events.x_before), dtype=float)
+    if own:
+        jumps, lhs = ensemble.jump_values[:, c], y[:, -1, c] - y[:, 0, c]
+    else:
+        jumps = call(tf.value, events.time, events.x_after) - call(
+            tf.value, events.time, events.x_before
+        )
+        lhs = call(tf.value, float(times[-1]), states[:, -1]) - call(
+            tf.value, float(times[0]), states[:, 0]
+        )
     jump_sum = np.zeros(n_paths)
     # unbuffered, in event order: the rounding of a per-event running sum
-    np.add.at(jump_sum, events.path, (after - before).reshape(len(events)))
-
-    lhs = np.asarray(
-        tf.value(float(times[-1]), states[:, -1]), dtype=float
-    ).reshape(n_paths) - np.asarray(
-        tf.value(float(times[0]), states[:, 0]), dtype=float
-    ).reshape(n_paths)
+    np.add.at(jump_sum, events.path, jumps)
     return lhs - (
         time_term
         + drift_term

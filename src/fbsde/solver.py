@@ -13,6 +13,7 @@ point query blends only the cell corners of its bracketing levels.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, DegenerateDiffusionError, LinearSolveError
-from .grid import Grid, cell_corners, grid_faces, grid_nodes
+from .grid import Grid, cell_corners, corner_sum, grid_faces, grid_nodes
 from .operators import all_finite, assemble_coefficients, eval_nonlocal, shifted_differences
 from .problem import ProblemSpec, _shaped
 
@@ -182,14 +183,29 @@ def second_difference(nd: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
     out = np.zeros(nd.shape)
     inner = _axis_slice(total, i, slice(1, -1))
     if i == j:
-        out[inner] = (
-            nd[_axis_slice(total, i, slice(2, None))]
-            - 2.0 * nd[inner]
-            + nd[_axis_slice(total, i, slice(None, -2))]
-        ) / grid.spacings[i] ** 2
+        out[inner] = _centred_second_difference(
+            nd[_axis_slice(total, i, slice(2, None))],
+            nd[inner],
+            nd[_axis_slice(total, i, slice(None, -2))],
+            grid.spacings[i] ** 2,
+        )
         return out
     out[_cross_inner(total, i, j)] = _cross_difference(nd, grid, i, j)
     return out
+
+
+# the second-difference stencils of second_difference, also formed at queried cell corners
+
+
+def _centred_second_difference(up, at, down, h2) -> np.ndarray:
+    """(u(x + h) - 2 u(x) + u(x - h)) / h^2, given ``h2`` = h ** 2."""
+    return (up - 2.0 * at + down) / h2
+
+
+def _cross_second_difference(pp, pm, mp, mm, hij) -> np.ndarray:
+    """(u(x + h_i + h_j) - u(x + h_i - h_j) - u(x - h_i + h_j) + u(x - h_i - h_j)) / hij,
+    given ``hij`` = 4 h_i h_j."""
+    return (pp - pm - mp + mm) / hij
 
 
 def _cross_inner(total_ndim: int, i: int, j: int) -> tuple:
@@ -202,12 +218,13 @@ def _cross_inner(total_ndim: int, i: int, j: int) -> tuple:
 def _cross_difference(nd: np.ndarray, grid: Grid, i: int, j: int) -> np.ndarray:
     """The four-point cross stencil (i != j) at the nodes of :func:`_cross_inner`."""
     total = nd.ndim
-    hij = 4.0 * grid.spacings[i] * grid.spacings[j]
-    pp = nd[_axis_slice(total, i, slice(2, None))][_axis_slice(total, j, slice(2, None))]
-    pm = nd[_axis_slice(total, i, slice(2, None))][_axis_slice(total, j, slice(None, -2))]
-    mp = nd[_axis_slice(total, i, slice(None, -2))][_axis_slice(total, j, slice(2, None))]
-    mm = nd[_axis_slice(total, i, slice(None, -2))][_axis_slice(total, j, slice(None, -2))]
-    return (pp - pm - mp + mm) / hij
+    up, down = slice(2, None), slice(None, -2)
+    pp, pm, mp, mm = (
+        nd[_axis_slice(total, i, a)][_axis_slice(total, j, b)]
+        for a in (up, down)
+        for b in (up, down)
+    )
+    return _cross_second_difference(pp, pm, mp, mm, 4.0 * grid.spacings[i] * grid.spacings[j])
 
 
 def _mixed_second_sum(values: np.ndarray, a2: np.ndarray, grid: Grid) -> np.ndarray:
@@ -418,29 +435,41 @@ def _level_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _stencil(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Flat offsets (1 + 2n,) of a node, its neighbours a step down along
-    each axis and a step up along each axis, and the spacings, (n, 1, 1, 1)."""
-    steps = np.array((0,) + tuple(-s for s in grid.strides) + grid.strides)
-    spacings = np.reshape(grid.spacings, (grid.ndim, 1, 1, 1))
-    steps.flags.writeable = spacings.flags.writeable = False
-    return steps, spacings
+@lru_cache(maxsize=128)
+def _stencil(grid: Grid, second: bool) -> tuple[np.ndarray, ...]:
+    """Flat offsets of a node's stencil: the node, its neighbours a step down
+    along each axis, a step up along each axis and, with ``second``, per axis
+    pair a < b its diagonal neighbours up-up, up-down, down-up and down-down
+    (axis a first).  Then the factors, each (count, 1, 1, 1): h per axis,
+    h ** 2 per axis and 4 h_a h_b per pair."""
+    strides, h = grid.strides, grid.spacings
+    pairs = list(itertools.combinations(range(grid.ndim), 2))
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1)) if second else ()
+    diagonal = tuple(u * strides[a] + v * strides[b] for a, b in pairs for u, v in signs)
+    steps = np.array((0,) + tuple(-s for s in strides) + strides + diagonal, dtype=np.int64)
+    factors = (h, [x**2 for x in h], [4.0 * h[a] * h[b] for a, b in pairs])
+    out = (steps,) + tuple(np.reshape(np.array(f, dtype=float), (-1, 1, 1, 1)) for f in factors)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _blend(corners: np.ndarray, weights: np.ndarray, alpha) -> np.ndarray:
     """Corner data (2, J, 2^d, B, ...) at two levels, blended in time by
     ``alpha`` (scalar or (B,)) and then over the corners by ``weights``
     (2^d, B); the result is (J, B, ...)."""
-    tail = (1,) * (corners.ndim - 4)
-    a = alpha.reshape(alpha.shape + tail)
+    a = alpha.reshape(alpha.shape + (1,) * (corners.ndim - 4))
     at_t = (1.0 - a) * corners[0]
     at_t += a * corners[1]
-    out = np.zeros(at_t.shape[:1] + at_t.shape[2:])
-    term = np.empty_like(out)
-    for c, weight in enumerate(weights.reshape(weights.shape + tail)):
-        out += np.multiply(weight, at_t[:, c], out=term)
-    return out
+    return corner_sum(at_t, weights)
+
+
+def _check_component(component, m: int) -> int:
+    """``component`` as an index in [0, m); anything else raises ``ValueError``."""
+    if isinstance(component, numbers.Integral) and not isinstance(component, bool):
+        if 0 <= component < m:
+            return int(component)
+    raise ValueError(f"component must be an integer in [0, {m}), got {component!r}")
 
 
 @dataclass(frozen=True)
@@ -455,8 +484,9 @@ class SolutionField:
     is linear in time and multilinear in space, with queries clamped to the
     box.  :meth:`value` and :meth:`gradient` take ``t`` as a scalar or one
     time per point; ``gradient(t, x, with_value=True)`` gives both on the
-    same rows and locates the rows once; :meth:`backward_rows` reads
-    (Y, Z, Ztilde) off the field.  A fresh array given to the field is
+    same rows and locates the rows once, as :meth:`derivatives` does for one
+    component's gradient, Hessian and time difference; :meth:`backward_rows`
+    reads (Y, Z, Ztilde) off the field.  A fresh array given to the field is
     taken over and made read-only; views and read-only arrays are copied.
     """
 
@@ -555,54 +585,107 @@ class SolutionField:
 
     def _gradient(self, bracket, points: np.ndarray, with_value: bool):
         """:meth:`gradient` at the rows of a :meth:`time_bracket` already taken."""
+        blended = self._blended_jets(bracket, points)[0]
+        gradient = blended[1:].transpose(1, 2, 0)  # (B, m, n)
+        return (blended[0], gradient) if with_value else gradient
+
+    def _blended_jets(self, bracket, points: np.ndarray, second: bool = False):
+        """The rows' :meth:`_corner_jets`, blended, (J, B, m); and with
+        ``second`` the corners' (v[i + 1] - v[i]) / dt, interpolated in space
+        only, (B, m).  A non-finite blended gradient raises ``ValueError``."""
         i, alpha = bracket
         flats, weights = cell_corners(self.grid, points)
         # an overflow is inf, not a warning; a non-finite corner gradient
         # leaves the blend non-finite, and the check below names it
         with np.errstate(over="ignore", invalid="ignore"):
-            # value and gradient side by side: one blend for both
-            blended = _blend(self._corner_jets(i, flats), weights, alpha)
-        if not all_finite(blended):
+            jets = self._corner_jets(i, flats, second)
+            # all jets side by side: one blend for all
+            blended = _blend(jets, weights, alpha)
+        if not all_finite(blended[: 1 + self.grid.ndim]):
             raise ValueError(_OVERFLOW)
-        gradient = blended[1:].transpose(1, 2, 0)  # (B, m, n)
-        return (blended[0], gradient) if with_value else gradient
+        if not second:
+            return blended, None
+        step = (jets[1, :1] - jets[0, :1]) / float(self.times[1] - self.times[0])
+        return blended, corner_sum(step, weights)[0]
 
-    def _corner_jets(self, i, flats: np.ndarray) -> np.ndarray:
+    def _corner_jets(self, i, flats: np.ndarray, second: bool = False) -> np.ndarray:
         """The value and the :func:`spatial_gradient` along each axis,
         (2, 1 + n, 2^d, B, m), of the corner nodes ``flats`` at levels ``i``
         and ``i + 1``, each formed from the node's own stencil: the
-        temporaries grow with B only."""
+        temporaries grow with B only.  With ``second``, the jets go on with
+        the :func:`second_difference` along each axis, then of each axis
+        pair a < b, from the diagonal neighbours too."""
         grid = self.grid
         d = grid.ndim
-        steps, spacings = _stencil(grid)
+        steps, spacings, squares, cross = _stencil(grid, second)
         # level i, node k: row i * n_nodes + k
         rows = np.add.outer(steps, flats + i * grid.n_nodes)
+        # the corners on a face, located once by position among the 2^d B corners
+        by_corner = rows.reshape(len(steps), -1)
+        touching = np.flatnonzero(grid.boundary_mask()[flats])
         faces = []
-        if grid.boundary_mask()[flats].any():
+        if touching.size:
+            at = flats.reshape(-1)[touching]
             for ax, (stride, count) in enumerate(zip(grid.strides, grid.shape)):
-                index = flats // stride % count
-                low, high = index == 0, index == count - 1
-                rows[1 + ax][low] += 3 * stride
-                rows[1 + d + ax][high] -= 3 * stride
-                faces.append((low, high))
+                index = at // stride % count
+                low, high = touching[index == 0], touching[index == count - 1]
+                by_corner[1 + ax, low] += 3 * stride
+                by_corner[1 + d + ax, high] -= 3 * stride
+                # the second differences along ax: its own, then those of its pairs
+                pairs = enumerate(itertools.combinations(range(d), 2))
+                zeroed = [1 + d + ax] + [1 + 2 * d + p for p, ab in pairs if ax in ab]
+                faces.append((low, high, zeroed if second else []))
         values = self.values.reshape(-1, self.m)
         nodes = np.empty(rows.shape + (self.m,))
-        jets = np.empty((2, 1 + d) + nodes.shape[1:])
+        n_jets = 1 + 2 * d + len(cross) if second else 1 + d
+        jets = np.empty((2, n_jets) + nodes.shape[1:])
+        by_node = nodes.reshape(len(steps), -1, self.m)
         # one level at a time into one buffer: fresh memory costs more than a call
         for level, jet in enumerate(jets):
             if level:
                 rows += grid.n_nodes
-            # every row is in range; mode="clip" writes to ``out`` without a buffer
+            # every row a gradient reads is in range; mode="clip" writes to ``out``
+            # without a buffer, and keeps a face corner's diagonals in range
             np.take(values, rows, axis=0, out=nodes, mode="clip")
-            jet[0] = node = nodes[0]
-            # the central difference along every axis at once
-            _central_difference(nodes[1 + d :], nodes[1 : 1 + d], spacings, out=jet[1:])
-            for ax, (low, high) in enumerate(faces):
-                h, g = grid.spacings[ax], jet[1 + ax]
-                down, up = nodes[1 + ax], nodes[1 + d + ax]
+            jet[0] = nodes[0]
+            down, up = nodes[1 : 1 + d], nodes[1 + d : 1 + 2 * d]
+            # each stencil along every axis, or axis pair, at once
+            _central_difference(up, down, spacings, out=jet[1 : 1 + d])
+            if second:
+                jet[1 + d : 1 + 2 * d] = _centred_second_difference(up, nodes[0], down, squares)
+                diagonal = nodes[1 + 2 * d :]
+                jet[1 + 2 * d :] = _cross_second_difference(*(diagonal[q::4] for q in range(4)), cross)
+            for ax, (low, high, zeroed) in enumerate(faces):
+                by_jet, node = jet.reshape(n_jets, -1, self.m), by_node[0]
+                h, g = grid.spacings[ax], by_jet[1 + ax]
+                down, up = by_node[1 + ax], by_node[1 + d + ax]
                 g[low] = _forward_difference(node[low], up[low], down[low], h)
                 g[high] = _backward_difference(node[high], down[high], up[high], h)
+                # no second-difference stencil along ax fits on its faces
+                for row in zeroed:
+                    by_jet[row, low] = by_jet[row, high] = 0.0
         return jets
+
+    def derivatives(self, t, points: np.ndarray, component: int = 0):
+        """Gradient (B, n), Hessian (B, n, n) and forward time difference (B,)
+        of field component ``component`` at the rows (``t``, ``points``), from
+        one location of the rows and one gather of each cell corner with its
+        axis and diagonal neighbours.  The gradient is :meth:`gradient`'s;
+        the Hessian blends each corner's :func:`second_difference` (zero on
+        faces) like it; (v[i + 1] - v[i]) / dt at the corners is interpolated
+        in space only.
+        """
+        component = _check_component(component, self.m)
+        d = self.grid.ndim
+        blended, dudt = self._blended_jets(self.time_bracket(t), points, second=True)
+        gradient = blended[1 : 1 + d].transpose(1, 2, 0)[:, component]
+        # a contiguous (B, n, n) Hessian: einsum's rounding depends on the layout
+        hessian = np.empty(gradient.shape + (d,))
+        for ax in range(d):
+            hessian[:, ax, ax] = blended[1 + d + ax, :, component]
+        for p, (a, b) in enumerate(itertools.combinations(range(d), 2)):
+            hessian[:, a, b] = hessian[:, b, a] = blended[1 + 2 * d + p, :, component]
+        return gradient, hessian, dudt[:, component]
 
     def nonlocal_table(
         self, t, points: np.ndarray, u_here: np.ndarray | None = None

@@ -462,7 +462,8 @@ def reference_simulate(field, spec, x0, dt, n_paths, seed):
     meas = spec.measure
 
     gens = [s.generator() for s in streams]
-    schedules = [paths._draw_jump_schedule(meas, spec.horizon, gen) for gen in gens]
+    cdf = paths._atom_cdf(meas)
+    schedules = [paths._draw_jump_schedule(meas, cdf, spec.horizon, gen) for gen in gens]
     max_jumps = max((len(s[0]) for s in schedules), default=0)
     normals = np.zeros((n_paths, n_steps + max_jumps, n))
     for p, gen in enumerate(gens):

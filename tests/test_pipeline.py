@@ -30,9 +30,9 @@ from fbsde import (
     simulate_ensemble,
     solve_final_value,
 )
-from fbsde import paths, pipeline
+from fbsde import paths, pipeline, solver
 from fbsde.solver import second_difference
-from test_paths import DT, SETUPS
+from test_paths import DT, SETUPS, exiting_setup
 
 
 def _zeros(m):
@@ -307,6 +307,14 @@ class TestPathOrder:
         assert estimate_class_s_norm(shuffled) == estimate_class_s_norm(ORDER_LINKED)
 
 
+def one_kept_linked():
+    """The exiting setup with one path kept among the exited ones."""
+    spec, field = exiting_setup()
+    ens = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 60, 3)
+    kept, exited = np.flatnonzero(~ens.exited), np.flatnonzero(ens.exited)
+    return ens.take(np.sort(np.concatenate([kept[:1], exited])))
+
+
 LINEAR_FN = TestFunction(
     value=lambda t, x: x[:, 0],
     grad=lambda t, x: np.ones_like(x),
@@ -370,6 +378,13 @@ class TestItoResidual:
         # the field solves the reversed diffusion equation, so residuals are
         # discretization-sized, not O(1)
         assert np.abs(res).mean() <= 0.05
+
+    @pytest.mark.parametrize("component", [1, -1])
+    def test_field_test_function_component_outside_range_named(self, component):
+        field = ORDER_LINKED.field
+        assert field.m == 1
+        with pytest.raises(ValueError, match=rf"component must be an integer in \[0, 1\), got {component}"):
+            field_test_function(field, component)
 
     def test_field_test_function_hessian_exact_on_quadratic(self):
         # u = x^T Q x / 2 + b.x on a 3-D grid: every second-difference stencil,
@@ -759,18 +774,22 @@ class TestLevelBlocks:
         assert np.array_equal(ito, BLOCK_PROPERTY_ITO)
         assert norm == BLOCK_PROPERTY_NORM
 
-    def test_one_gradient_query_per_block(self):
-        # the Ito check's test-function gradient, over the levels before the last
+    def test_one_located_pass_per_block(self):
+        # the own test function's check locates each level block's rows once
+        # and reads every value off the ensemble: no value or gradient query
         ens = coupled_2d_linked()
         n_paths, n_levels = ens.states.shape[:2]
         assert (n_paths, n_levels) == (40, 41)
         for block_rows, n_blocks in ((1 << 11, 1), (3 * n_paths, 14), (1, n_levels - 1)):
             with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows), mock.patch.object(
-                SolutionField, "gradient", autospec=True, side_effect=SolutionField.gradient
-            ) as gradient:
+                solver, "cell_corners", wraps=solver.cell_corners
+            ) as corners, mock.patch.object(
+                SolutionField, "value", side_effect=AssertionError("value query")
+            ), mock.patch.object(
+                SolutionField, "gradient", side_effect=AssertionError("gradient query")
+            ):
                 ito_residuals(ens)
-            assert gradient.call_count == n_blocks
-
+            assert corners.call_count == n_blocks
 
 BLOCK_PROPERTY_LINKED = u_dependent_shift_linked()
 BLOCK_PROPERTY_ITO = ito_residuals(BLOCK_PROPERTY_LINKED)
@@ -866,6 +885,27 @@ class TestLevelBlockMemory:
         table_growth = (401 - 51) * grid.n_nodes * spec.m * grid.ndim * 8
         assert peaks[401] - peaks[51] < 0.05 * table_growth, peaks
 
+    def test_ito_check_peak_is_one_level_block(self):
+        # one 400-path level is one block of the corner pass, with no Hessian
+        # table; 2000-row blocks with per-query tables peaked at 3.0 MB
+        field, spec = mc_2d_problem()
+        peaks = []
+        for path_steps in (100, 400):
+            ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / path_steps, 400, 7)
+            peaks.append(traced_peak(ito_residuals, ens)[1])
+        assert max(peaks) < 1_000_000, peaks
+        assert peaks[1] - peaks[0] < 0.1 * peaks[0], peaks
+
+    def test_excluded_paths_are_not_copied(self):
+        # 4000 paths x 100 levels, 1177 of them exited: a copy of the kept
+        # paths' arrays took 11.4 MB of a 14.4 MB peak
+        spec, field = exiting_setup()
+        ens = simulate_ensemble(field, spec, np.array([0.0]), 0.01, 4000, 3)
+        assert int(ens.exited.sum()) == 1177
+        report, peak = traced_peak(bsde_residual, ens)
+        assert peak <= 3.5e6, peak
+        assert_report_equals_kept_paths(report, ens)
+
     def test_residual_temporaries_do_not_grow_with_the_level_count(self):
         field, spec = mc_2d_problem()
         n_paths, extra = 400, []
@@ -906,6 +946,20 @@ def whole_array_class_s_norm(linked):
         for j in range(dts.shape[0])
     )
     return sup_term + int_term
+
+
+def assert_report_equals_kept_paths(report, ens):
+    """``report`` is ``bsde_residual`` of the paths of ``ens`` that stayed in
+    the box, copied out with ``take``, bit for bit."""
+    want = bsde_residual(ens.take(np.flatnonzero(~ens.exited)))
+    for name in ("residuals", "rms", "mean", "stderr", "class_s_norm"):
+        assert same_bits(getattr(report, name), getattr(want, name)), name
+    assert (report.excluded_paths, report.total_paths) == (int(ens.exited.sum()), len(ens))
+
+
+def whole_array_class_s_norm_of(linked, keep=slice(None)):
+    """``whole_array_class_s_norm`` of the paths ``keep``, copied out with ``take``."""
+    return whole_array_class_s_norm(linked.take(np.arange(len(linked))[keep]))
 
 
 def same_bits(a, b):
@@ -967,6 +1021,19 @@ def mc_2d_linked():
     return link_ensemble(ens, field, spec)
 
 
+class TestExcludedPaths:
+    @pytest.mark.parametrize(
+        "make_linked",
+        [lambda: ORDER_LINKED, one_kept_linked]
+        + [functools.partial(catalog_linked, name) for name in ("heat", "manufactured-nonlocal")],
+        ids=["exiting-paths", "one-kept", "heat", "manufactured-nonlocal"],
+    )
+    def test_report_equals_the_kept_paths_copied_out(self, make_linked):
+        ens = make_linked()
+        assert ens.exited.any()
+        assert_report_equals_kept_paths(bsde_residual(ens), ens)
+
+
 class TestLevelWiseClassSNorm:
     """The class-S norm taken level block by level block has the bits of the whole-array one."""
 
@@ -986,7 +1053,7 @@ class TestLevelWiseClassSNorm:
     )
     def test_residual_report_equals_whole_array_reference(self, make_linked):
         linked = make_linked()
-        with mock.patch.object(pipeline, "estimate_class_s_norm", whole_array_class_s_norm):
+        with mock.patch.object(pipeline, "estimate_class_s_norm", whole_array_class_s_norm_of):
             want = bsde_residual(linked)
         n_paths, n_levels = linked.states.shape[:2]
         for block_rows in block_rows_cases(n_paths, n_levels) + [1 << 11]:

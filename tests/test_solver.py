@@ -35,7 +35,14 @@ from fbsde import (
 from fbsde import solver as solver_module
 from fbsde.catalog import build_problem
 from fbsde.grid import grid_faces, multilinear_interpolate
-from fbsde.solver import _mixed_second_sum, _solve_axis_sweep, _thomas, solve_tridiagonal
+from fbsde.pipeline import TestFunction
+from fbsde.solver import (
+    _mixed_second_sum,
+    _solve_axis_sweep,
+    _thomas,
+    second_difference,
+    solve_tridiagonal,
+)
 
 
 def _zeros(m):
@@ -758,6 +765,87 @@ class TestCornerGradients:
         assert gradient.tobytes() == want.tobytes()
         assert value.tobytes() == field.value(t, x).tobytes()
         assert gradient.shape == (x.shape[0], field.m, field.grid.ndim)
+
+
+def old_field_test_function(field: SolutionField, component: int = 0) -> TestFunction:
+    """Reference: ``field_test_function`` with its per-query Hessian tables and
+    its scalar-time time derivative, kept verbatim."""
+    grid = field.grid
+    dt_field = float(field.times[1] - field.times[0])
+    comp_vals = field.values[:, :, component]  # (L, n_nodes)
+
+    def value(t, x):
+        return field.value(t, x)[:, component]
+
+    def grad(t, x):
+        return field.gradient(t, x)[:, component, :]
+
+    def level_hessians(lo, hi):
+        nd = comp_vals[lo:hi].T.reshape(grid.shape + (hi - lo,))
+        levels = np.empty((hi - lo, grid.n_nodes, grid.ndim, grid.ndim))
+        for a in range(grid.ndim):
+            for b in range(a, grid.ndim):
+                d2 = second_difference(nd, grid, a, b).reshape(grid.n_nodes, hi - lo).T
+                levels[:, :, a, b] = levels[:, :, b, a] = d2
+        return levels
+
+    def hess(t, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:1])
+        i, _ = field.time_bracket(t)
+        out = np.empty((x.shape[0], grid.ndim, grid.ndim))
+        # rows grouped by bracket level: a group's table of level Hessians holds
+        # two levels, or no more node rows than its query gathers (2^d corners
+        # at two levels per row), however far apart the rows' times are
+        span = max(1, (x.shape[0] << (grid.ndim + 1)) // grid.n_nodes - 1)
+        group = i // span
+        for g in np.unique(group).tolist():
+            rows = group == g
+            lo, hi = int(i[rows].min()), int(i[rows].max()) + 2  # the levels blended
+            out[rows] = field.interpolate(
+                t[rows], x[rows], level_hessians(lo, hi), first_level=lo
+            )
+        return out
+
+    def time_deriv(t, x):
+        i, _ = field.time_bracket(t)
+        return multilinear_interpolate(grid, (comp_vals[i + 1] - comp_vals[i]) / dt_field, x)
+
+    return TestFunction(value=value, grad=grad, hess=hess, dt=time_deriv)
+
+
+class TestCornerPassDerivatives:
+    """One located stencil pass gives the old test function's gradient,
+    Hessian and time difference, bit for bit."""
+
+    @given(_corner_queries(), st.integers(min_value=0, max_value=1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_old_field_test_function(self, query, component):
+        field, t, x = query
+        component = min(component, field.m - 1)
+        old = old_field_test_function(field, component)
+        gradient, hessian, dudt = field.derivatives(t, x, component)
+        assert gradient.tobytes() == old.grad(t, x).tobytes()
+        # the layout the Ito check's einsums see: a strided gradient view, as
+        # the old grad gave, and a contiguous Hessian
+        assert gradient.strides == old.grad(t, x).strides
+        assert hessian.flags.c_contiguous
+        assert hessian.tobytes() == old.hess(t, x).tobytes()
+        # the old time derivative takes one scalar time
+        times = np.broadcast_to(t, x.shape[:1])
+        want = [old.dt(float(tb), x[b : b + 1]) for b, tb in enumerate(times.tolist())]
+        assert dudt.tobytes() == np.concatenate(want).tobytes()
+        assert (gradient.shape, hessian.shape, dudt.shape) == (
+            x.shape,
+            x.shape + x.shape[1:],
+            x.shape[:1],
+        )
+
+    @pytest.mark.parametrize("component", [2, -1, 1.0, True])
+    def test_component_outside_the_field_named(self, component):
+        field = CORNER_FIELDS["2d"]
+        with pytest.raises(ValueError, match=r"component must be an integer in \[0, 2\)"):
+            field.derivatives(0.5, np.zeros((1, 2)), component)
 
 
 class TestFieldOwnership:
