@@ -653,8 +653,8 @@ class SolutionField:
             _central_difference(up, down, spacings, out=jet[1 : 1 + d])
             if second:
                 jet[1 + d : 1 + 2 * d] = _centred_second_difference(up, nodes[0], down, squares)
-                diagonal = nodes[1 + 2 * d :]
-                jet[1 + 2 * d :] = _cross_second_difference(*(diagonal[q::4] for q in range(4)), cross)
+                pp, pm, mp, mm = (nodes[1 + 2 * d + q :: 4] for q in range(4))
+                jet[1 + 2 * d :] = _cross_second_difference(pp, pm, mp, mm, cross)
             for ax, (low, high, zeroed) in enumerate(faces):
                 by_jet, node = jet.reshape(n_jets, -1, self.m), by_node[0]
                 h, g = grid.spacings[ax], by_jet[1 + ax]

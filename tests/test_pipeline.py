@@ -383,7 +383,8 @@ class TestItoResidual:
     def test_field_test_function_component_outside_range_named(self, component):
         field = ORDER_LINKED.field
         assert field.m == 1
-        with pytest.raises(ValueError, match=rf"component must be an integer in \[0, 1\), got {component}"):
+        message = rf"component must be an integer in \[0, 1\), got {component}"
+        with pytest.raises(ValueError, match=message):
             field_test_function(field, component)
 
     def test_field_test_function_hessian_exact_on_quadratic(self):
@@ -790,6 +791,7 @@ class TestLevelBlocks:
             ):
                 ito_residuals(ens)
             assert corners.call_count == n_blocks
+
 
 BLOCK_PROPERTY_LINKED = u_dependent_shift_linked()
 BLOCK_PROPERTY_ITO = ito_residuals(BLOCK_PROPERTY_LINKED)
