@@ -344,7 +344,8 @@ def _simulate_paths(
             y_before = field.value(t_start, x_before)
             shift = np.empty_like(x_before)
             ev_atom = event_atom[ev]
-            for k in np.unique(ev_atom):
+            # ascending atoms without np.unique, which imports numpy.ma on first use
+            for k in np.flatnonzero(np.bincount(ev_atom)):
                 at = ev_atom == k
                 shift[at] = spec.phi(t_start[at], x_before[at], y_before[at], k)
             event_before[ev] = x_before

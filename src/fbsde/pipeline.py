@@ -1,31 +1,26 @@
 """Residual diagnostics of a simulated ensemble and its (Y, Z, Ztilde).
 
 The backward triple is read off the decoupling field while the paths are
-simulated (see :mod:`fbsde.paths`): Y is the field at the current state,
-Z the field gradient composed with the diffusion, and Ztilde the
-per-atom shifted-difference table at the pre-jump state, all from
-``SolutionField.backward_rows``.  Every coefficient is called through
-the methods of :class:`ProblemSpec`.  The backward-equation residual is
-a terminal telescoping check over the whole interval, with the
-compensated jump sum standing in for the integral against the
-compensated measure.
+simulated (see :mod:`fbsde.paths`), through ``SolutionField.backward_rows``;
+coefficients are called through :class:`ProblemSpec`.  The backward
+residual telescopes over the whole interval, with the compensated jump
+sum standing in for the integral against the compensated measure.
 
-The Ito check and the class-S norm walk the time grid in level blocks:
-runs of whole levels of at most ``_BLOCK_ROWS`` (path, level) rows, with
-one time per row.  With the field's own test function the Ito check
-reads u, its shifted differences and its event jumps off the ensemble,
-and takes each block's gradient, Hessian and time difference from one
-located stencil pass, :meth:`SolutionField.derivatives`.  Every row gets
-the bits of a one-level query, the Ito check's per-path sums are still
-added level by level, and the norm's squares are reduced per level, so
-block size changes no result.
+Both checks add each path's sums level by level, atoms inner, and its
+jumps in event order, so a path's result depends on its own rows only.
+The Ito check and the class-S norm walk the grid in level blocks of at
+most ``_BLOCK_ROWS`` (path, level) rows; with the field's own test
+function the Ito check reads u and its jumps off the ensemble and takes
+each block's derivatives from one stencil pass.  Block size changes no
+result.  Every reduction over paths has the bits of ``math.fsum``,
+vectorized by error-free extraction (:func:`_pass_sums`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -62,10 +57,13 @@ class ResidualReport:
 _BLOCK_ROWS = 400
 
 
-def _level_blocks(n_paths: int, n_levels: int) -> list[slice]:
-    """Runs of whole levels of at most ``_BLOCK_ROWS`` rows, at least one level each."""
+def _level_blocks(n_paths: int, n_levels: int) -> Iterator[slice]:
+    """Runs of whole levels of at most ``_BLOCK_ROWS`` rows, at least one level each.
+
+    Made one at a time, so that no object per level is held.
+    """
     step = max(1, _BLOCK_ROWS // max(n_paths, 1))
-    return [slice(lo, min(lo + step, n_levels)) for lo in range(0, n_levels, step)]
+    return (slice(lo, min(lo + step, n_levels)) for lo in range(0, n_levels, step))
 
 
 def _rows(a: np.ndarray, block: slice) -> np.ndarray:
@@ -95,9 +93,61 @@ def link_ensemble(
     return ensemble
 
 
-def _fsum_rows(values: np.ndarray) -> float:
-    # order-insensitive reduction over the path axis
-    return math.fsum(values.tolist())
+# extraction passes before a row goes to math.fsum: each pass takes about
+# 53 - log2(P) bits off every entry, so a few cover rows whose entries span
+# a few hundred binary orders of magnitude
+_EXACT_PASSES = 10
+
+
+def _pass_sums(rows: np.ndarray) -> list[list[float]]:
+    """For each row of ``rows`` (C, P), a few doubles whose exact sum is the row's.
+
+    Error-free extraction, ExtractVector of Rump, Ogita and Oishi
+    ("Accurate floating-point summation part I", SIAM J. Sci. Comput. 31,
+    2008): with sigma = 2^(e + ceil(log2(P + 2))) and 2^e > max|p|, the
+    parts q = (sigma + p) - sigma are exact, so is their sum in any order,
+    and so is the remainder p - q; the passes repeat until it is zero.
+    A row that is not finite, that is near overflow or that is not done
+    after ``_EXACT_PASSES`` passes is its own list of values.  The lists
+    of two chunks of a finite row, joined, are a list of the whole row.
+    """
+    extra = (rows.shape[1] + 1).bit_length()  # ceil(log2(P + 2))
+    p, big = rows, np.abs(rows).max(axis=1, initial=0.0)
+    # 2 sigma must stay finite; inf and nan go to fsum, which passes them through
+    direct = ~(big < 2.0 ** (1022 - extra))
+    if direct.any():
+        p = np.where(direct[:, None], 0.0, rows)
+        big[direct] = 0.0
+    parts = []
+    while big.any():
+        if len(parts) == _EXACT_PASSES:
+            direct |= big > 0.0
+            break
+        sigma = np.ldexp(1.0, np.frexp(big)[1] + extra)[:, None]
+        q = (sigma + p) - sigma
+        p = p - q
+        parts.append(q.sum(axis=1))
+        big = np.abs(p).max(axis=1)
+    out = np.stack(parts, axis=1).tolist() if parts else [[] for _ in range(p.shape[0])]
+    for r in np.flatnonzero(direct):
+        out[r] = rows[r].tolist()
+    return out
+
+
+def _exact_sums(rows: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of ``rows`` (C, P), bit for bit: the
+    correctly rounded sum, whatever the order of the entries."""
+    return [math.fsum(parts) for parts in _pass_sums(rows)]
+
+
+def _path_jump_sums(ensemble: Ensemble, jumps: np.ndarray) -> np.ndarray:
+    """Each path's sum of ``jumps``, one entry (or row) per event row.
+
+    Unbuffered, in event order: the rounding of a per-event running sum.
+    """
+    out = np.zeros((len(ensemble),) + jumps.shape[1:])
+    np.add.at(out, ensemble.events.path, jumps)
+    return out
 
 
 def estimate_class_s_norm(ensemble: Ensemble, keep=slice(None)) -> float:
@@ -116,24 +166,27 @@ def estimate_class_s_norm(ensemble: Ensemble, keep=slice(None)) -> float:
     times, states = ensemble.times, ensemble.states
     n_levels = states.shape[1]
     weights = ensemble.field.spec.measure.weights
-    dts = np.diff(times)
 
-    sup_terms, int_terms = [], []
+    # the sup kept running, as max() takes it in level order, and one
+    # double per level for the integral, so that nothing else grows with L
+    sup, int_terms = None, np.empty(n_levels - 1)
     for block in _level_blocks(n_paths, n_levels):
-        x_sq = np.sum(states[keep, block] ** 2, axis=-1)  # (P, block levels)
-        y_sq = np.sum(ensemble.y[keep, block] ** 2, axis=-1)
-        z_sq = np.sum(ensemble.z[keep, block] ** 2, axis=(-1, -2))
-        w_sq = np.einsum("pjkm,k->pj", ensemble.ztilde[keep, block] ** 2, weights)
+        n_block = block.stop - block.start
+        # one row of paths per (square, level): the (P, block levels) squares transposed
+        squares = np.empty((4, n_block, n_paths))
+        squares[0] = np.sum(states[keep, block] ** 2, axis=-1).T
+        squares[1] = np.sum(ensemble.y[keep, block] ** 2, axis=-1).T
+        squares[2] = np.sum(ensemble.z[keep, block] ** 2, axis=(-1, -2)).T
+        squares[3] = np.einsum("pjkm,k->pj", ensemble.ztilde[keep, block] ** 2, weights).T
+        sums = _exact_sums(squares.reshape(4 * n_block, n_paths))
         for jj, j in enumerate(range(block.start, block.stop)):
-            sup_terms.append(
-                _fsum_rows(x_sq[:, jj]) / n_paths + _fsum_rows(y_sq[:, jj]) / n_paths
-            )
-            if j < dts.shape[0]:
-                int_terms.append(
-                    float(dts[j])
-                    * (_fsum_rows(z_sq[:, jj]) / n_paths + _fsum_rows(w_sq[:, jj]) / n_paths)
-                )
-    return max(sup_terms) + math.fsum(int_terms)
+            x_sum, y_sum, z_sum, w_sum = sums[jj::n_block]
+            term = x_sum / n_paths + y_sum / n_paths
+            sup = term if sup is None or term > sup else sup
+            if j < n_levels - 1:
+                dt = float(times[j + 1] - times[j])
+                int_terms[j] = dt * (z_sum / n_paths + w_sum / n_paths)
+    return sup + _exact_sums(int_terms[None])[0]
 
 
 def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> ResidualReport:
@@ -142,10 +195,12 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
     R = Y_0 - [h(X_T) + sum g dt - sum Z dB - (jump sum - compensator)].
     Paths that left the grid are excluded from the statistics and
     counted in ``excluded_paths``.  ``spec``, if given, must be the
-    field's own.  The generator values, (P, L - 1, m), are the one array
-    over paths and levels it builds: the kept paths are gathered level by
-    level, never copied whole, and the class-S norm goes level block by
-    level block.
+    field's own.  Each path's sums are added level by level, atoms
+    inner, as the Ito check adds its terms, and its jump sum in event
+    order, so its residual depends on its own rows only, not on the
+    layout or chunking of the ensemble.  The kept paths are gathered one
+    level at a time, never copied whole, and no array over paths and
+    levels is built.  Every reduction over paths is an exact sum.
     """
     if not len(ensemble):
         raise ValueError("ensemble must be non-empty")
@@ -154,9 +209,8 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
     spec = ensemble.field.spec
     exited = ensemble.exited
     keep = np.flatnonzero(~exited) if exited.any() else slice(None)
-    kept = np.arange(len(ensemble))[keep]
-    n_paths = kept.shape[0]
-    excluded = len(ensemble) - n_paths
+    excluded = int(exited.sum())
+    n_paths = len(ensemble) - excluded
     if not n_paths:
         empty = np.zeros((0, spec.m))
         return ResidualReport(
@@ -170,41 +224,27 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
         )
 
     times, states = ensemble.times, ensemble.states
-    n_steps = times.shape[0] - 1
-    dts = np.diff(times)
     y, z, ztab = ensemble.y, ensemble.z, ensemble.ztilde
+    increments = ensemble.brownian_increments
+    weights = spec.measure.weights
 
-    gen = np.empty((n_paths, n_steps, spec.m))
-    for j in range(n_steps):
-        gen[:, j] = spec.g(float(times[j]), states[keep, j], y[keep, j], z[keep, j], ztab[keep, j])
-
-    h_val = spec.h(states[keep, -1])
-    gen_term = np.einsum("pjm,j->pm", gen, dts)
-    # every path's sums are its own: summed over all paths, then the kept rows
-    brown_term = np.einsum("pjmi,pji->pm", z[:, :n_steps], ensemble.brownian_increments)[keep]
-    comp_term = np.einsum("pjkm,k,j->pm", ztab[:, :n_steps], spec.measure.weights, dts)[keep]
-    # one block sum per path: np.add.at or np.add.reduceat round differently
-    off = ensemble.event_offsets
-    jump_term = np.zeros((n_paths, spec.m))
-    for r in np.flatnonzero(np.diff(off)[keep]):
-        p = kept[r]
-        jump_term[r] = ensemble.jump_values[off[p] : off[p + 1]].sum(axis=0)
+    gen_term, brown_term, comp_term = np.zeros((3, n_paths, spec.m))
+    for j in range(times.shape[0] - 1):
+        h, z_j, ztab_j = times[j + 1] - times[j], z[keep, j], ztab[keep, j]
+        gen_term += spec.g(float(times[j]), states[keep, j], y[keep, j], z_j, ztab_j) * h
+        brown_term += np.einsum("pmi,pi->pm", z_j, increments[keep, j])
+        for k in range(len(weights)):
+            comp_term += weights[k] * ztab_j[:, k] * h
+    jump_term = _path_jump_sums(ensemble, ensemble.jump_values)[keep]
     residuals = y[keep, 0] - (
-        h_val + gen_term - brown_term - (jump_term - comp_term)
+        spec.h(states[keep, -1]) + gen_term - brown_term - (jump_term - comp_term)
     )
 
-    sq = np.sum(residuals**2, axis=-1)
-    rms = math.sqrt(_fsum_rows(sq) / n_paths)
-    mean = np.array(
-        [_fsum_rows(residuals[:, c]) / n_paths for c in range(spec.m)]
-    )
+    sums = _exact_sums(np.vstack([np.sum(residuals**2, axis=-1), residuals.T]))
+    rms = math.sqrt(sums[0] / n_paths)
+    mean = np.array(sums[1:]) / n_paths
     if n_paths > 1:
-        var = np.array(
-            [
-                _fsum_rows((residuals[:, c] - mean[c]) ** 2) / (n_paths - 1)
-                for c in range(spec.m)
-            ]
-        )
+        var = np.array(_exact_sums((residuals.T - mean[:, None]) ** 2)) / (n_paths - 1)
         stderr = np.sqrt(var / n_paths)
     else:
         stderr = np.full(spec.m, np.nan)
@@ -299,17 +339,16 @@ def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) ->
         # a test function's result as a float array of rows
         return np.asarray(fn(t, x), dtype=float).reshape((-1,) + shape)
 
-    # per-path running sums (time, drift, brownian, hessian, comp, integrand),
-    # added level by level with atoms inner: the rounding of a per-level loop
-    sums = np.zeros((6, n_paths))
     n_atoms = len(meas)
-    for block in _level_blocks(n_paths, n_steps):
+
+    def block_terms(block):
+        # one row per term: time, drift, brownian, hessian, then comp and
+        # integrand of each atom k at 4 + 2k and 5 + 2k, over (path, level);
+        # the block's other temporaries go on return, before the next block
         t = _level_rows(times, block, n_paths)
         h = _level_rows(dts, block, n_paths)
         xb = _rows(states, block)
         yb = _rows(y, block)
-        # one row per term: time, drift, brownian, hessian, then comp and
-        # integrand of each atom k at 4 + 2k and 5 + 2k
         terms = np.empty((4 + 2 * n_atoms, t.shape[0]))
         if own:
             gx, hx, dudt = field.derivatives(t, xb, c)
@@ -329,7 +368,13 @@ def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) ->
             pairing = np.einsum("bi,bi->b", gx, shift)
             terms[4 + 2 * k] = meas.weights[k] * dphi * h
             terms[5 + 2 * k] = meas.weights[k] * (dphi - pairing) * h
-        terms = terms.reshape(-1, n_paths, block.stop - block.start)
+        return terms.reshape(-1, n_paths, block.stop - block.start)
+
+    # per-path running sums (time, drift, brownian, hessian, comp, integrand),
+    # added level by level with atoms inner: the rounding of a per-level loop
+    sums = np.zeros((6, n_paths))
+    for block in _level_blocks(n_paths, n_steps):
+        terms = block_terms(block)
         for jj, j in enumerate(range(block.start, block.stop)):
             if not own:
                 # a test function's time derivative takes one scalar time
@@ -350,9 +395,7 @@ def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) ->
         lhs = call(tf.value, float(times[-1]), states[:, -1]) - call(
             tf.value, float(times[0]), states[:, 0]
         )
-    jump_sum = np.zeros(n_paths)
-    # unbuffered, in event order: the rounding of a per-event running sum
-    np.add.at(jump_sum, events.path, jumps)
+    jump_sum = _path_jump_sums(ensemble, jumps)
     return lhs - (
         time_term
         + drift_term

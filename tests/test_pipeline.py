@@ -758,7 +758,7 @@ class TestLevelBlocks:
     def test_blocks_are_runs_of_whole_levels(self, n_paths, n_levels):
         for block_rows in block_rows_cases(n_paths, n_levels) + [1 << 11]:
             with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
-                blocks = pipeline._level_blocks(n_paths, n_levels)
+                blocks = list(pipeline._level_blocks(n_paths, n_levels))
             levels = [j for b in blocks for j in range(b.start, b.stop)]
             assert levels == list(range(n_levels)) and all(b.stop > b.start for b in blocks)
             # at most _BLOCK_ROWS rows, unless one level alone holds more
@@ -909,23 +909,27 @@ class TestLevelBlockMemory:
         assert_report_equals_kept_paths(report, ens)
 
     def test_residual_temporaries_do_not_grow_with_the_level_count(self):
+        # the residual's sums go level by level and its class-S norm level
+        # block by level block, so its peak above the held ensemble is one
+        # level's rows; the generator values over all levels, (P, L - 1, m),
+        # grew it 3.1x from 100 to 400 levels
         field, spec = mc_2d_problem()
-        n_paths, extra = 400, []
+        peaks = []
         for path_steps in (100, 400):
-            ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / path_steps, n_paths, 7)
-            linked = link_ensemble(ens, field, spec)
-            peak = traced_peak(bsde_residual, linked)[1]
-            # the generator values, (P, L - 1, m), are the one per-level array kept
-            extra.append(peak - n_paths * path_steps * spec.m * 8)
-        # only per-level scalars may grow with the levels: well under a tenth
-        # of a double per added (path, level) row, where squaring whole (P, L)
-        # arrays for the class-S norm adds several doubles per row
-        assert extra[1] - extra[0] < 0.1 * 8 * n_paths * 300, extra
+            ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / path_steps, 400, 7)
+            peaks.append(traced_peak(bsde_residual, ens)[1])
+        assert peaks[1] - peaks[0] < 0.1 * peaks[0], peaks
+
+
+def fsum_column(values):
+    """The exact sum over paths as it was before the vectorized passes."""
+    return math.fsum(values.tolist())
 
 
 def whole_array_class_s_norm(linked):
     """Reference: ``estimate_class_s_norm`` as it was before it went level
-    block by level block, squaring whole (P, L) arrays; kept verbatim."""
+    block by level block, squaring whole (P, L) arrays and summing each
+    column with ``math.fsum``; kept verbatim."""
     if not len(linked):
         raise ValueError("ensemble must be non-empty")
     times = linked.times
@@ -938,13 +942,13 @@ def whole_array_class_s_norm(linked):
     w_sq = np.einsum("pjkm,k->pj", linked.ztilde**2, weights)
 
     sup_term = max(
-        pipeline._fsum_rows(x_sq[:, j]) / n_paths + pipeline._fsum_rows(y_sq[:, j]) / n_paths
+        fsum_column(x_sq[:, j]) / n_paths + fsum_column(y_sq[:, j]) / n_paths
         for j in range(times.shape[0])
     )
     dts = np.diff(times)
     int_term = math.fsum(
         float(dts[j])
-        * (pipeline._fsum_rows(z_sq[:, j]) / n_paths + pipeline._fsum_rows(w_sq[:, j]) / n_paths)
+        * (fsum_column(z_sq[:, j]) / n_paths + fsum_column(w_sq[:, j]) / n_paths)
         for j in range(dts.shape[0])
     )
     return sup_term + int_term
@@ -1098,3 +1102,113 @@ class TestRowsReadOffWhileSimulating:
         # joining chunks by copying any (P, L, .) array would add at least its bytes
         assert peak - held < min(a.nbytes for a in arrays), (peak, held)
 
+
+def fsum_outcome(fn):
+    """The bytes of ``fn()``'s floats, or the type of the error it raises."""
+    try:
+        return np.array(fn(), dtype=float).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+# what fsum passes through or raises on: infinities, nan, finite values whose
+# sums overflow, and the largest exponents that still go through the passes
+EDGE_FLOATS = SPECIAL_FLOATS + [
+    math.inf, -math.inf, math.nan, 1.7976931348623157e308, -1e308, 2.0**1000, -(2.0**1010)
+]
+
+
+@st.composite
+def float_rows(draw, edges=EDGE_FLOATS, top=1022):
+    """Rows (C, P) of one scale or of many, with exact cancellations and ``edges``."""
+    n_rows, n = draw(st.integers(1, 4)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.empty((n_rows, n))
+    for row in rows:
+        center = draw(st.integers(-1074, top))
+        spread = draw(st.sampled_from([0, 5, 60, 2100]))
+        exps = np.clip(center + rng.integers(-spread, spread + 1, n), -1074, top)
+        row[:] = rng.choice([-1.0, 1.0], n) * np.ldexp(rng.uniform(1.0, 2.0, n), exps)
+        if draw(st.booleans()):  # pairs that cancel exactly
+            row[n // 2 : 2 * (n // 2)] = -row[: n // 2]
+        for i, value in draw(st.lists(st.tuples(st.integers(0, 39), st.sampled_from(edges)))):
+            if i < n:
+                row[i] = value
+    return rows
+
+
+class TestExactSums:
+    """The vectorized exact sums have the bits of ``math.fsum`` per row."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [[], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324, -5e-324], [1e-310, 5e-324],
+         [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0], [1e308, 1e308],
+         [1e308, -1e308, 1e308], [2.0**1000] * 7, [1.0, 2.0**-1074, -1.0]],
+    )
+    def test_edge_rows_equal_fsum(self, row):
+        values = np.array([row], dtype=float).reshape(1, -1)
+        want = fsum_outcome(lambda: [math.fsum(row)])
+        assert fsum_outcome(lambda: pipeline._exact_sums(values)) == want
+
+    @given(float_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_rows_equal_fsum(self, rows):
+        want = [fsum_outcome(lambda: [math.fsum(row.tolist())]) for row in rows]
+        got = [fsum_outcome(lambda: pipeline._exact_sums(row[None])) for row in rows]
+        assert got == want
+        if not any(isinstance(w, type) for w in want):
+            assert fsum_outcome(lambda: pipeline._exact_sums(rows)) == b"".join(want)
+
+    @given(float_rows(edges=SPECIAL_FLOATS, top=1000), st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_pass_sums_of_two_chunks_merge(self, rows, split):
+        split = min(split, rows.shape[1])
+        first, second = (pipeline._pass_sums(part) for part in (rows[:, :split], rows[:, split:]))
+        for row, a, b in zip(rows, first, second):
+            assert same_bits(math.fsum(a + b), math.fsum(row.tolist()))
+
+
+def coupled_linear_ensemble(n_paths):
+    built = build_problem("coupled-linear", {"nodes": 41, "steps": 40})
+    field, _ = solve_final_value(built.spec, built.solver_config, built.constants)
+    return simulate_ensemble(field, built.spec, built.x0, built.spec.horizon / 50, n_paths, 3)
+
+
+REPORT_FIELDS = ("residuals", "rms", "mean", "stderr", "class_s_norm")
+
+
+class TestResidualLevelByLevel:
+    """Each path's residual depends on its own rows only."""
+
+    @pytest.mark.parametrize("name", ["coupled-linear", "exiting-paths", "mc-2d"])
+    def test_residuals_do_not_depend_on_the_chunking(self, name):
+        whole = bsde_residual(simulated(name))
+        with mock.patch.object(paths, "_CHUNK_PATHS", 7):
+            ens = simulated(name)
+        chunked = bsde_residual(ens)
+        for field in REPORT_FIELDS:
+            assert same_bits(getattr(chunked, field), getattr(whole, field)), field
+        # the residuals of paths taken in chunks are the whole ensemble's rows
+        kept = np.flatnonzero(~ens.exited)
+        chunks = [kept[lo : lo + 7] for lo in range(0, len(kept), 7)]
+        parts = [bsde_residual(ens.take(chunk)).residuals for chunk in chunks]
+        assert same_bits(np.concatenate(parts), whole.residuals)
+
+    def test_reversed_paths_keep_the_reductions(self):
+        ens = coupled_linear_ensemble(500)
+        base = bsde_residual(ens)
+        rev = bsde_residual(ens.take(np.arange(len(ens))[::-1]))
+        for field in REPORT_FIELDS[1:]:
+            assert same_bits(getattr(rev, field), getattr(base, field)), field
+        assert same_bits(rev.residuals, base.residuals[::-1])
+
+    def test_path_jump_sums_are_the_per_path_event_sums(self):
+        ens = coupled_linear_ensemble(60)
+        got = pipeline._path_jump_sums(ens, ens.jump_values)
+        off = ens.event_offsets
+        for p in range(len(ens)):
+            want = np.zeros(ens.jump_values.shape[1])
+            for row in ens.jump_values[off[p] : off[p + 1]]:
+                want = want + row
+            assert same_bits(got[p], want), p
