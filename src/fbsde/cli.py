@@ -7,13 +7,17 @@ run writes ``report.json`` with the resolved configuration and seeds;
 and ``sweep`` writes ``sweep.csv``.  Floating-point CSV output uses 17
 significant digits so values round-trip losslessly.
 
-``field.csv`` is formatted in a forked helper process while the paths
-are simulated, and the second half of the paths of ``paths.csv`` in
-another while this process formats the first.  The ``field.csv`` helper
-forms each level's gradient as it writes that level, so no process holds
-a gradient table.  At most one helper is
-alive at a time, and every helper is reaped before :func:`run` returns
-or raises.  The bytes are those of formatting in one process, which is
+The paths are walked in chunks (``paths._CHUNK_PATHS``): each finished
+level of a chunk goes into the residual sums, then its rows of
+``paths.csv`` are appended and it is dropped, so a run holds one chunk's
+states, Y and increments, no Z or Ztilde over levels, and reports the
+bits of ``bsde_residual(simulate_ensemble(...))``.  ``field.csv`` is
+formatted in a forked helper process while the first chunk is simulated,
+and the second half of each chunk's paths in another while this process
+formats the first.  The ``field.csv`` helper forms each level's gradient
+as it writes that level, so no process holds a gradient table.  At most
+one helper is alive at a time, and every helper is reaped before
+:func:`run` returns or raises.  The bytes are those of formatting in one process, which is
 what happens where ``os.fork`` is missing.  A file that cannot be
 written ends the run with an :class:`FbsdeError` naming it (exit 1).
 """
@@ -35,8 +39,9 @@ import numpy as np
 
 from .catalog import BuiltProblem, build_problem
 from .errors import ConfigError, FbsdeError
-from .pipeline import ResidualReport, bsde_residual
-from .paths import Ensemble, _check_start_point, _time_grid, simulate_ensemble
+from .pipeline import ResidualReport, _ResidualSums
+from .paths import RngStream, _check_start_point, _path_arrays, _path_chunks, _simulate_paths
+from .paths import _time_grid
 from .problem import AssumptionCheck, AssumptionReport, _shaped, check_ellipticity, check_growth
 from .solver import (
     Diagnostics,
@@ -214,15 +219,18 @@ def _text(values: np.ndarray) -> np.ndarray:
     return np.array([_FLOAT % v for v in values.tolist()], dtype=object)
 
 
-def _write_csv(path: Path, columns: list[tuple[str, str]], blocks, header: bool = True) -> None:
-    """Header (left out if ``header`` is false), then each block formatted with one row template.
+def _write_csv(
+    path: Path, columns: list[tuple[str, str]], blocks, header: bool = True, mode: str = "w"
+) -> None:
+    """Header (left out if ``header`` is false), then each block formatted with one row template;
+    ``mode`` is ``open``'s.
 
     ``columns`` pairs each column name with its format; a block holds one
     entry per column: a 1-D array (all of equal length) formatted with the
     column's format, an object array of ready text, or a ``str`` shared by
     every row of the block, which goes into the block's template.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, mode, encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(",".join(name for name, _ in columns) + "\n")
         for block in blocks:
@@ -322,32 +330,32 @@ def _write_field_csv(path: Path, field_obj: SolutionField) -> None:
     _write_csv(path, columns, blocks())
 
 
-def _write_paths_csv(path: Path, ens: Ensemble) -> None:
-    """Paths ``[0, P//2)`` formatted here, ``[P//2, P)`` in a child into a part file.
+def _write_paths_csv(path: Path, times, states, y, events, first: int = 0) -> None:
+    """Rows of paths ``first``, ``first + 1``, ...; appended without the header unless first is 0.
 
-    The part file (``path`` + ``.part``) is appended once both halves are
-    written, and removed on every path out.
+    Paths ``[0, P//2)`` formatted here, ``[P//2, P)`` in a child into a part file
+    (``path`` + ``.part``), appended once both halves are written and removed on every path out.
     """
-    n_paths, n_levels, n = ens.states.shape
-    m = ens.y.shape[2]
+    n_paths, n_levels, n = states.shape
+    m = y.shape[2]
     columns = (
         [("path", _INT), ("t", _FLOAT)]
         + [(f"x_{i}", _FLOAT) for i in range(n)]
         + [(f"y_{c}", _FLOAT) for c in range(m)]
         + [("jumps", _INT)]
     )
-    interval, off = ens.events.interval, ens.event_offsets
-    time_text = _text(ens.times)
+    interval, off = events.interval, np.searchsorted(events.path, np.arange(n_paths + 1))
+    time_text = _text(times)
 
-    def blocks(first: int, stop: int):
+    def blocks(lo: int, hi: int):
         # one block per path; the path id is the same on every row, and the
         # jumps column counts the path's own events in the interval ending at each time
         return (
-            (_INT % pid, time_text)
-            + tuple(ens.states[pid].T)
-            + tuple(ens.y[pid].T)
-            + (np.bincount(interval[off[pid] : off[pid + 1]] + 1, minlength=n_levels),)
-            for pid in range(first, stop)
+            (_INT % (first + p), time_text)
+            + tuple(states[p].T)
+            + tuple(y[p].T)
+            + (np.bincount(interval[off[p] : off[p + 1]] + 1, minlength=n_levels),)
+            for p in range(lo, hi)
         )
 
     half = n_paths // 2
@@ -355,11 +363,33 @@ def _write_paths_csv(path: Path, ens: Ensemble) -> None:
     try:
         with _writing(path):
             with _in_child(_write_csv, part, columns, blocks(half, n_paths), False):
-                _write_csv(path, columns, blocks(0, half))
+                _write_csv(path, columns, blocks(0, half), not first, "a" if first else "w")
             with open(path, "ab") as out, open(part, "rb") as rest:
                 shutil.copyfileobj(rest, out)
     finally:
         part.unlink(missing_ok=True)
+
+
+def _walk_paths(field_obj, x0, dt, n_paths, seed, paths_csv=None, first_chunk=None):
+    """The residual report of ``n_paths`` paths (path i consumes ``RngStream(seed, i)``),
+    simulated chunk by chunk; each chunk's rows are appended to ``paths_csv``, if given,
+    and then dropped.  ``first_chunk`` is a context around the stepping of the first chunk.
+    """
+    spec = field_obj.spec
+    times = _time_grid(spec.horizon, dt)
+    sums = _ResidualSums(field_obj, times, n_paths)
+    for chunk in _path_chunks(n_paths):
+        states, increments, exited, y = arrays = _path_arrays(len(chunk), len(times), spec)
+        streams = [RngStream(seed, p) for p in chunk]
+        with first_chunk or contextlib.nullcontext():
+            events, jumps = _simulate_paths(field_obj, x0, times, streams, arrays, sums.level)
+        first_chunk = None
+        sums.close(y[:, 0], states[:, -1], events, jumps, exited, states)
+        if paths_csv is not None:
+            _write_paths_csv(paths_csv, times, states, y, events, chunk.start)
+        # the chunk goes before the next one is allocated
+        del states, increments, exited, y, arrays, events, jumps
+    return sums.report()
 
 
 def _report_dict(
@@ -443,7 +473,6 @@ def run(config: RunConfig) -> int:
         checks["assumptions_pass"] = assumptions.passed
 
     needs_solve = bool({"solve", "simulate", "verify"} & set(config.stages))
-    ensemble = None
     if needs_solve:
         field_obj, diag = solve_final_value(
             built.spec, built.solver_config, built.constants
@@ -453,19 +482,17 @@ def run(config: RunConfig) -> int:
         field_writer = contextlib.nullcontext()
         if "solve" in config.stages:
             field_writer = _in_child(_write_field_csv, out_dir / "field.csv", field_obj)
-        # field.csv is written while the paths are simulated
-        with field_writer:
-            if "simulate" in config.stages or "verify" in config.stages:
-                ensemble = simulate_ensemble(
-                    field_obj, built.spec, built.x0, _path_dt(config, built),
-                    config.paths, config.seed,
-                )
-
-    if ensemble is not None:
-        _write_paths_csv(out_dir / "paths.csv", ensemble)
-        residuals = bsde_residual(ensemble, built.spec)
-        # exits are expected on tight boxes; they are reported, not fatal
-        checks["residual_finite"] = bool(np.isfinite(residuals.rms))
+        if "simulate" in config.stages or "verify" in config.stages:
+            # field.csv is written while the first chunk of paths is simulated
+            residuals = _walk_paths(
+                field_obj, built.x0, _path_dt(config, built), config.paths, config.seed,
+                out_dir / "paths.csv", field_writer,
+            )
+            # exits are expected on tight boxes; they are reported, not fatal
+            checks["residual_finite"] = bool(np.isfinite(residuals.rms))
+        else:
+            with field_writer:
+                pass
 
     report = _report_dict(
         config, built, assumptions, diag, max_principle, residuals, checks
@@ -513,10 +540,7 @@ def sweep(config: RunConfig) -> int:
         else:
             err = None
 
-        ensemble = simulate_ensemble(
-            field_obj, built.spec, built.x0, path_dt, config.paths, config.seed
-        )
-        rms = bsde_residual(ensemble, built.spec).rms
+        rms = _walk_paths(field_obj, built.x0, path_dt, config.paths, config.seed).rms
 
         err_ratio = (prev_err / err) if (err and prev_err) else None
         rms_ratio = (prev_rms / rms) if (rms and prev_rms) else None
@@ -660,6 +684,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except FbsdeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
 
 

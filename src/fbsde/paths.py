@@ -22,13 +22,16 @@ interval j queries ``SolutionField.backward_rows`` at (t_j, X_j) for
 every path, which gives the Euler drift and is also level j of (Y, Z,
 Ztilde); the round after a jump queries the post-jump state, whose Y
 gives the jump of Y.  Only the terminal level takes a query of its own.
+Each finished level, Z and Ztilde included, goes to a visitor, which
+stores it in the ensemble or, on the command line, adds it to the
+residual sums, so no Z or Ztilde over levels is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -212,10 +215,16 @@ def euler_increment(
 def _time_grid(horizon: float, dt: float) -> np.ndarray:
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round(horizon / dt))
+    steps = horizon / dt
+    if not steps < 2.0**62:  # numpy holds fewer items, and an infinite quotient is no count
+        raise ValueError(f"dt {dt} makes {steps:.3g} time steps, too many to hold")
+    n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(horizon, 1.0):
         raise ValueError(f"dt {dt} must divide the horizon {horizon}")
-    return np.linspace(0.0, horizon, n_steps + 1)
+    try:
+        return np.linspace(0.0, horizon, n_steps + 1)
+    except MemoryError:
+        raise ValueError(f"dt {dt} makes {n_steps} time steps, too many to hold") from None
 
 
 def _check_start_point(config: SolverConfig, x0) -> np.ndarray:
@@ -286,13 +295,14 @@ def _simulate_paths(
     times: np.ndarray,
     streams: Sequence[RngStream],
     out: Sequence[np.ndarray],
+    visit: Callable,
 ) -> tuple[np.recarray, np.ndarray]:
-    """Step the paths of ``streams``, writing their rows of ``out``: the
-    ensemble's arrays over the path axis, in ``_PATH_AXIS_ARRAYS`` order.
+    """Step the paths of ``streams``, writing their rows of ``out``, the :func:`_path_arrays`;
+    ``visit(j, X_j, Y_j, Z_j, Ztilde_j, dB_j)`` gets each finished level (dB_L None).
 
     Returns their event table, paths numbered from 0, and its jump values.
     """
-    states, increments, exited, y, z, ztilde = out
+    states, increments, exited, y = out
     spec = field.spec
     n_paths = len(streams)
     n = spec.n
@@ -324,7 +334,7 @@ def _simulate_paths(
         rows = np.arange(n_paths)
         t_start = np.full(n_paths, times[j])
         backward = field.backward_rows(t_start, x_cur)
-        y[:, j], z[:, j], ztilde[:, j] = backward[:3]
+        y[:, j], level = backward[0], backward[1:3]
         normals = increments[:, j].copy()
         increments[:, j] = 0.0
         while True:
@@ -358,14 +368,28 @@ def _simulate_paths(
 
         states[:, j + 1] = x_cur
         exited |= np.any((x_cur < field.grid.lower) | (x_cur > field.grid.upper), axis=1)
+        visit(j, states[:, j], y[:, j], *level, increments[:, j])
 
-    y[:, -1], z[:, -1], ztilde[:, -1] = field.backward_rows(
-        np.full(n_paths, times[-1]), x_cur
-    )[:3]
+    if not all_finite(states):
+        raise ValueError("path states must be finite")
+    y[:, -1], *level = field.backward_rows(np.full(n_paths, times[-1]), x_cur)[:3]
+    visit(n_steps, states[:, -1], y[:, -1], *level, None)
     return table, jump_values
 
 
 _CHUNK_PATHS = 4096  # paths stepped together: bounds one chunk's temporaries and events
+
+
+def _path_chunks(n_paths: int) -> Iterator[range]:
+    """The paths in runs of at most ``_CHUNK_PATHS``, made one at a time."""
+    return (range(lo, min(lo + _CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, _CHUNK_PATHS))
+
+
+def _path_arrays(n_paths: int, n_levels: int, spec: ProblemSpec) -> tuple[np.ndarray, ...]:
+    """Empty states (P, L, n), increments (P, L-1, n), exited (P,) and y (P, L, m)."""
+    n, m = spec.n, spec.m
+    states, increments = np.empty((n_paths, n_levels, n)), np.empty((n_paths, n_levels - 1, n))
+    return states, increments, np.zeros(n_paths, dtype=bool), np.empty((n_paths, n_levels, m))
 
 
 def simulate_ensemble(
@@ -394,21 +418,24 @@ def simulate_ensemble(
         raise ValueError("n_paths must be >= 1")
     x0 = _check_start_point(field.config, x0)
     times = _time_grid(spec.horizon, dt)
-    n_levels, n, m = times.shape[0], spec.n, spec.m
-    arrays = (  # in _PATH_AXIS_ARRAYS order
-        np.empty((n_paths, n_levels, n)),
-        np.empty((n_paths, n_levels - 1, n)),
-        np.zeros(n_paths, dtype=bool),
-        np.empty((n_paths, n_levels, m)),
-        np.empty((n_paths, n_levels, m, n)),
-        np.empty((n_paths, n_levels, len(spec.measure), m)),
+    n_levels = times.shape[0]
+    arrays = _path_arrays(n_paths, n_levels, spec) + (  # in _PATH_AXIS_ARRAYS order
+        np.empty((n_paths, n_levels, spec.m, spec.n)),
+        np.empty((n_paths, n_levels, len(spec.measure), spec.m)),
     )
+    z, ztilde = arrays[4:]
     tables, jump_values = [], []
-    for lo in range(0, n_paths, _CHUNK_PATHS):
-        rows = slice(lo, min(lo + _CHUNK_PATHS, n_paths))
-        streams = [RngStream(base_seed, p) for p in range(rows.start, rows.stop)]
-        table, values = _simulate_paths(field, x0, times, streams, [a[rows] for a in arrays])
-        table.path += lo
+    for chunk in _path_chunks(n_paths):
+        rows = slice(chunk.start, chunk.stop)
+
+        def store(j, x, y, z_j, ztilde_j, db):
+            z[rows, j], ztilde[rows, j] = z_j, ztilde_j
+
+        streams = [RngStream(base_seed, p) for p in chunk]
+        table, values = _simulate_paths(
+            field, x0, times, streams, [a[rows] for a in arrays[:4]], store
+        )
+        table.path += chunk.start
         tables.append(table)
         jump_values.append(values)
     return Ensemble(

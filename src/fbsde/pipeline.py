@@ -8,12 +8,14 @@ sum standing in for the integral against the compensated measure.
 
 Both checks add each path's sums level by level, atoms inner, and its
 jumps in event order, so a path's result depends on its own rows only.
-The Ito check and the class-S norm walk the grid in level blocks of at
-most ``_BLOCK_ROWS`` (path, level) rows; with the field's own test
-function the Ito check reads u and its jumps off the ensemble and takes
-each block's derivatives from one stencil pass.  Block size changes no
-result.  Every reduction over paths has the bits of ``math.fsum``,
-vectorized by error-free extraction (:func:`_pass_sums`).
+The backward residual's sums live in :class:`_ResidualSums`, fed one
+level of a chunk of paths at a time, from a held ensemble or from the
+command line's walk, which holds no Z or Ztilde over levels.  The Ito
+check walks the grid in level blocks of at most ``_BLOCK_ROWS`` (path,
+level) rows; with the field's own test function it reads u and its jumps
+off the ensemble and takes each block's derivatives from one stencil
+pass.  Block size changes no result.  Every reduction over paths has the
+bits of ``math.fsum``, vectorized by error-free extraction (:func:`_pass_sums`).
 """
 
 from __future__ import annotations
@@ -140,14 +142,33 @@ def _exact_sums(rows: np.ndarray) -> list[float]:
     return [math.fsum(parts) for parts in _pass_sums(rows)]
 
 
-def _path_jump_sums(ensemble: Ensemble, jumps: np.ndarray) -> np.ndarray:
-    """Each path's sum of ``jumps``, one entry (or row) per event row.
+def _path_jump_sums(path: np.ndarray, jumps: np.ndarray, n_paths: int) -> np.ndarray:
+    """Each of ``n_paths`` paths' sum of ``jumps``, one entry (or row) per event row of ``path``.
 
     Unbuffered, in event order: the rounding of a per-event running sum.
     """
-    out = np.zeros((len(ensemble),) + jumps.shape[1:])
-    np.add.at(out, ensemble.events.path, jumps)
+    out = np.zeros((n_paths,) + jumps.shape[1:])
+    np.add.at(out, path, jumps)
     return out
+
+
+def _squares(x, y, z, ztab, weights) -> np.ndarray:
+    """The class-S squares of one level's rows, (4, P): |X|^2, |Y|^2, |Z|^2, nu |Ztilde|^2."""
+    z2, w2 = np.sum(z**2, axis=(-1, -2)), np.einsum("pkm,k->p", ztab**2, weights)
+    return np.stack([np.sum(x**2, axis=-1), np.sum(y**2, axis=-1), z2, w2])
+
+
+def _class_s_norm(times: np.ndarray, level_sums, n_paths: int) -> float:
+    """The class-S norm from each level's four exact path sums of :func:`_squares`, in level
+    order: the sup kept running, as max() takes it, and one double per level for the integral."""
+    sup, int_terms = None, np.empty(times.shape[0] - 1)
+    for j, (x_sum, y_sum, z_sum, w_sum) in enumerate(level_sums):
+        term = x_sum / n_paths + y_sum / n_paths
+        sup = term if sup is None or term > sup else sup
+        if j < times.shape[0] - 1:
+            dt = float(times[j + 1] - times[j])
+            int_terms[j] = dt * (z_sum / n_paths + w_sum / n_paths)
+    return sup + _exact_sums(int_terms[None])[0]
 
 
 def estimate_class_s_norm(ensemble: Ensemble, keep=slice(None)) -> float:
@@ -158,35 +179,109 @@ def estimate_class_s_norm(ensemble: Ensemble, keep=slice(None)) -> float:
     ``keep`` (an increasing index array, or all paths).  Reductions over
     paths use exact summation, so the estimate is invariant under path
     reordering and ensemble splitting.  The squares are formed one
-    level block at a time, so no (P, L) array of them is ever held.
+    level at a time, so no (P, L) array of them is ever held.
     """
     n_paths = np.arange(len(ensemble))[keep].shape[0]
     if not n_paths:
         raise ValueError("ensemble must be non-empty")
-    times, states = ensemble.times, ensemble.states
-    n_levels = states.shape[1]
+    rows = (ensemble.states, ensemble.y, ensemble.z, ensemble.ztilde)
     weights = ensemble.field.spec.measure.weights
+    level_sums = (
+        _exact_sums(_squares(*(a[keep, j] for a in rows), weights))
+        for j in range(ensemble.times.shape[0])
+    )
+    return _class_s_norm(ensemble.times, level_sums, n_paths)
 
-    # the sup kept running, as max() takes it in level order, and one
-    # double per level for the integral, so that nothing else grows with L
-    sup, int_terms = None, np.empty(n_levels - 1)
-    for block in _level_blocks(n_paths, n_levels):
-        n_block = block.stop - block.start
-        # one row of paths per (square, level): the (P, block levels) squares transposed
-        squares = np.empty((4, n_block, n_paths))
-        squares[0] = np.sum(states[keep, block] ** 2, axis=-1).T
-        squares[1] = np.sum(ensemble.y[keep, block] ** 2, axis=-1).T
-        squares[2] = np.sum(ensemble.z[keep, block] ** 2, axis=(-1, -2)).T
-        squares[3] = np.einsum("pjkm,k->pj", ensemble.ztilde[keep, block] ** 2, weights).T
-        sums = _exact_sums(squares.reshape(4 * n_block, n_paths))
-        for jj, j in enumerate(range(block.start, block.stop)):
-            x_sum, y_sum, z_sum, w_sum = sums[jj::n_block]
-            term = x_sum / n_paths + y_sum / n_paths
-            sup = term if sup is None or term > sup else sup
-            if j < n_levels - 1:
-                dt = float(times[j + 1] - times[j])
-                int_terms[j] = dt * (z_sum / n_paths + w_sum / n_paths)
-    return sup + _exact_sums(int_terms[None])[0]
+
+class _ResidualSums:
+    """The backward residual's sums, fed one level of a chunk of paths at a time.
+
+    Per path: the generator, Brownian and compensator sums.  Per level: the
+    exact parts (:func:`_pass_sums`) of the class-S squares of all paths so
+    far, from which a closing chunk takes its exited paths' squares off
+    again, with Z and Ztilde read off the field anew: every result has the
+    bits of taking the kept paths alone, whatever the chunking.
+    """
+
+    def __init__(self, field: SolutionField, times: np.ndarray, n_paths: int):
+        self.field, self.times, self.kept, self.total = field, times, 0, 0
+        # up front: a path count too large to hold fails before any stepping
+        self.residuals = np.empty((n_paths, field.spec.m))
+        # per level once fed: the parts (4, k), and the nan and inf counts (4, 2)
+        self.parts, self.nonfinite = {}, {}
+
+    def level(self, j, x, y, z, ztab, db, sign: int = 1) -> None:
+        """Level j of a chunk's rows (``db`` None at the last); ``sign`` -1 takes squares off."""
+        squares = _squares(x, y, z, ztab, self.field.spec.measure.weights)
+        bad = ~np.isfinite(squares)
+        if bad.any():  # fsum's verdict on them, nan or inf, goes by their counts
+            counts = sign * np.stack([np.isnan(squares), np.isinf(squares)], -1).sum(axis=1)
+            self.nonfinite[j] = self.nonfinite.get(j, 0) + counts
+            squares[bad] = 0.0
+        # the parts so far go through the passes with the new rows: a few doubles a level
+        parts = _pass_sums(np.hstack([self.parts.get(j, np.zeros((4, 0))), sign * squares]))
+        self.parts[j] = np.zeros((4, max(map(len, parts))))
+        for row, values in zip(self.parts[j], parts):
+            row[: len(values)] = values
+        if db is not None:
+            self.add_terms(j, x, y, z, ztab, db)
+
+    def add_terms(self, j, x, y, z, ztab, db) -> None:
+        spec, times = self.field.spec, self.times
+        if j == 0:  # a new chunk
+            self.terms = np.zeros((3, x.shape[0], spec.m))
+        h = times[j + 1] - times[j]
+        gen, brown, comp = self.terms
+        gen += spec.g(float(times[j]), x, y, z, ztab) * h
+        brown += np.einsum("pmi,pi->pm", z, db)
+        for k, weight in enumerate(spec.measure.weights):
+            comp += weight * ztab[:, k] * h
+
+    def close(self, y0, x_last, events, jump_values, exited, states=None) -> None:
+        """End a chunk; with its ``states``, its exited paths' squares go off."""
+        spec, keep = self.field.spec, ~exited
+        gen, brown, comp = self.terms[:, keep]
+        jumps = _path_jump_sums(events.path, jump_values, exited.shape[0])[keep]
+        res = y0[keep] - (spec.h(x_last[keep]) + gen - brown - (jumps - comp))
+        self.residuals[self.kept : self.kept + res.shape[0]] = res
+        self.kept, self.total = self.kept + res.shape[0], self.total + exited.shape[0]
+        if states is None or keep.all():
+            return
+        gone = states[exited]
+        n_gone = gone.shape[0]
+        for block in _level_blocks(n_gone, self.times.shape[0]):
+            # the rows level by level, as the walk queried them
+            x = gone[:, block].swapaxes(0, 1).reshape(-1, spec.n)
+            rows = self.field.backward_rows(np.repeat(self.times[block], n_gone), x)[:3]
+            for jj, j in enumerate(range(block.start, block.stop)):
+                at = slice(jj * n_gone, (jj + 1) * n_gone)
+                self.level(j, x[at], *(r[at] for r in rows), None, sign=-1)
+
+    def report(self, class_s_norm: Optional[float] = None) -> ResidualReport:
+        """The kept paths' report, with the walk's own class-S norm unless given."""
+        n_paths, nan = self.kept, np.full(self.field.spec.m, np.nan)
+        residuals, excluded, total = self.residuals[:n_paths], self.total - n_paths, self.total
+        if not n_paths:
+            return ResidualReport(residuals, math.nan, nan, nan.copy(), math.nan, excluded, total)
+        sums = _exact_sums(np.vstack([np.sum(residuals**2, axis=-1), residuals.T]))
+        mean = np.array(sums[1:]) / n_paths
+        stderr = nan
+        if n_paths > 1:
+            var = np.array(_exact_sums((residuals.T - mean[:, None]) ** 2)) / (n_paths - 1)
+            stderr = np.sqrt(var / n_paths)
+        if class_s_norm is None:
+            level_sums = (
+                [
+                    math.nan if n_nan else math.inf if n_inf else math.fsum(parts.tolist())
+                    for parts, (n_nan, n_inf) in zip(
+                        self.parts[j], self.nonfinite.get(j, np.zeros((4, 2)))
+                    )
+                ]
+                for j in range(self.times.shape[0])
+            )
+            class_s_norm = _class_s_norm(self.times, level_sums, n_paths)
+        rms = math.sqrt(sums[0] / n_paths)
+        return ResidualReport(residuals, rms, mean, stderr, class_s_norm, excluded, total)
 
 
 def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> ResidualReport:
@@ -195,69 +290,25 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
     R = Y_0 - [h(X_T) + sum g dt - sum Z dB - (jump sum - compensator)].
     Paths that left the grid are excluded from the statistics and
     counted in ``excluded_paths``.  ``spec``, if given, must be the
-    field's own.  Each path's sums are added level by level, atoms
-    inner, as the Ito check adds its terms, and its jump sum in event
-    order, so its residual depends on its own rows only, not on the
-    layout or chunking of the ensemble.  The kept paths are gathered one
-    level at a time, never copied whole, and no array over paths and
-    levels is built.  Every reduction over paths is an exact sum.
+    field's own.  The levels go through the sums of the command line's
+    streamed walk, as one chunk, so a path's residual depends on its own
+    rows only, not on the layout or chunking of the ensemble, and no array
+    over paths and levels is built.  Every reduction over paths is exact.
     """
     if not len(ensemble):
         raise ValueError("ensemble must be non-empty")
     if spec is not None and spec is not ensemble.field.spec:
         raise ValueError("field and spec must share the same ProblemSpec")
-    spec = ensemble.field.spec
-    exited = ensemble.exited
-    keep = np.flatnonzero(~exited) if exited.any() else slice(None)
-    excluded = int(exited.sum())
-    n_paths = len(ensemble) - excluded
-    if not n_paths:
-        empty = np.zeros((0, spec.m))
-        return ResidualReport(
-            residuals=empty,
-            rms=float("nan"),
-            mean=np.full(spec.m, np.nan),
-            stderr=np.full(spec.m, np.nan),
-            class_s_norm=float("nan"),
-            excluded_paths=excluded,
-            total_paths=len(ensemble),
-        )
-
-    times, states = ensemble.times, ensemble.states
-    y, z, ztab = ensemble.y, ensemble.z, ensemble.ztilde
-    increments = ensemble.brownian_increments
-    weights = spec.measure.weights
-
-    gen_term, brown_term, comp_term = np.zeros((3, n_paths, spec.m))
+    times, states, y, exited = ensemble.times, ensemble.states, ensemble.y, ensemble.exited
+    sums = _ResidualSums(ensemble.field, times, len(ensemble))
+    rows = (states, y, ensemble.z, ensemble.ztilde, ensemble.brownian_increments)
     for j in range(times.shape[0] - 1):
-        h, z_j, ztab_j = times[j + 1] - times[j], z[keep, j], ztab[keep, j]
-        gen_term += spec.g(float(times[j]), states[keep, j], y[keep, j], z_j, ztab_j) * h
-        brown_term += np.einsum("pmi,pi->pm", z_j, increments[keep, j])
-        for k in range(len(weights)):
-            comp_term += weights[k] * ztab_j[:, k] * h
-    jump_term = _path_jump_sums(ensemble, ensemble.jump_values)[keep]
-    residuals = y[keep, 0] - (
-        spec.h(states[keep, -1]) + gen_term - brown_term - (jump_term - comp_term)
-    )
-
-    sums = _exact_sums(np.vstack([np.sum(residuals**2, axis=-1), residuals.T]))
-    rms = math.sqrt(sums[0] / n_paths)
-    mean = np.array(sums[1:]) / n_paths
-    if n_paths > 1:
-        var = np.array(_exact_sums((residuals.T - mean[:, None]) ** 2)) / (n_paths - 1)
-        stderr = np.sqrt(var / n_paths)
-    else:
-        stderr = np.full(spec.m, np.nan)
-
-    return ResidualReport(
-        residuals=residuals,
-        rms=rms,
-        mean=mean,
-        stderr=stderr,
-        class_s_norm=estimate_class_s_norm(ensemble, keep),
-        excluded_paths=excluded,
-        total_paths=len(ensemble),
-    )
+        sums.add_terms(j, *(a[:, j] for a in rows))
+    sums.close(y[:, 0], states[:, -1], ensemble.events, ensemble.jump_values, exited)
+    if not sums.kept:
+        return sums.report()
+    keep = np.flatnonzero(~exited) if exited.any() else slice(None)
+    return sums.report(estimate_class_s_norm(ensemble, keep))
 
 
 @dataclass(frozen=True)
@@ -395,7 +446,7 @@ def ito_residuals(ensemble: Ensemble, test_fn: Optional[TestFunction] = None) ->
         lhs = call(tf.value, float(times[-1]), states[:, -1]) - call(
             tf.value, float(times[0]), states[:, 0]
         )
-    jump_sum = _path_jump_sums(ensemble, jumps)
+    jump_sum = _path_jump_sums(events.path, jumps, n_paths)
     return lhs - (
         time_term
         + drift_term

@@ -547,22 +547,19 @@ class SolutionField:
         i = np.minimum(np.maximum(np.floor(s), 0), self.times.shape[0] - 2).astype(np.int64)
         return i, np.minimum(np.maximum(s - i, 0.0), 1.0)
 
-    def interpolate(
-        self, t, points: np.ndarray, data: np.ndarray, first_level: int = 0
-    ) -> np.ndarray:
+    def interpolate(self, t, points: np.ndarray, data: np.ndarray) -> np.ndarray:
         """Per-level node data (L, n_nodes, ...) at time ``t`` (scalar or (B,)).
 
-        ``data[l]`` is level ``first_level + l``: it need only hold the levels
-        that bracket ``t``.  Only the 2^d cell corners of each point are
-        blended in time, elementwise the arithmetic of blending whole levels.
+        Only the 2^d cell corners of each point are blended in time,
+        elementwise the arithmetic of blending whole levels.
         """
-        return self._interpolate(self.time_bracket(t), points, data, first_level)
+        return self._interpolate(self.time_bracket(t), points, data)
 
-    def _interpolate(self, bracket, points, data, first_level: int = 0) -> np.ndarray:
+    def _interpolate(self, bracket, points, data) -> np.ndarray:
         """:meth:`interpolate` at the rows of a :meth:`time_bracket` already taken."""
         i, alpha = bracket
         flats, weights = cell_corners(self.grid, points)
-        row = (i - first_level) * data.shape[1] + flats  # level i, node k: row i * n_nodes + k
+        row = i * data.shape[1] + flats  # level i, node k: row i * n_nodes + k
         rows = data.reshape((-1,) + data.shape[2:])
         # np.take copies the gathered rows in one pass; rows[row] copies each on its own
         corners = np.take(rows, np.stack((row, row + data.shape[1])), axis=0)

@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,10 +20,13 @@ from fbsde import (
     ProblemSpec,
     SolutionField,
     SolverConfig,
+    bsde_residual,
     build_problem,
+    catalog_names,
     simulate_ensemble,
+    solve_final_value,
 )
-from fbsde import cli
+from fbsde import cli, paths, pipeline
 from fbsde.cli import (
     _FILE_KEYS,
     _FLOAT,
@@ -534,7 +539,7 @@ class TestBlockWriters:
             monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
         field_obj, ens = jumpy_2d_setup()
         _write_field_csv(tmp_path / "field.csv", field_obj)
-        _write_paths_csv(tmp_path / "paths.csv", ens)
+        _write_paths_csv(tmp_path / "paths.csv", ens.times, ens.states, ens.y, ens.events)
         reference_field_csv(tmp_path / "field_ref.csv", field_obj)
         reference_paths_csv(tmp_path / "paths_ref.csv", ens)
         field_text = (tmp_path / "field.csv").read_bytes()
@@ -550,7 +555,7 @@ class TestBlockWriters:
         # paths.csv is written in two halves: an empty first half, equal halves, odd halves
         for k in (1, 2, 5):
             part = ens.take(range(k))
-            _write_paths_csv(tmp_path / "paths.csv", part)
+            _write_paths_csv(tmp_path / "paths.csv", part.times, part.states, part.y, part.events)
             reference_paths_csv(tmp_path / "paths_ref.csv", part)
             assert (tmp_path / "paths.csv").read_bytes() == (
                 tmp_path / "paths_ref.csv"
@@ -700,7 +705,7 @@ class TestWriterProcesses:
         def blow_up(*args, **kwargs):
             raise BlowUpError("solution blew up at time level 3: test", level=3)
 
-        monkeypatch.setattr(cli, "simulate_ensemble", blow_up)
+        monkeypatch.setattr(cli, "_simulate_paths", blow_up)
         assert main(verify_small(tmp_path)) == 1
         assert capsys.readouterr().err == "error: solution blew up at time level 3: test\n"
         assert_no_leftovers(tmp_path)
@@ -748,3 +753,117 @@ def strict_report(path: Path) -> dict:
     report = json.loads(text, parse_constant=reject)
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
     return report
+
+
+class TestTooLargeToHold:
+    def argv(self, out_dir: Path) -> list[str]:
+        argv = ["verify", "--problem", "heat", "--nodes", "21", "--steps", "10"]
+        return argv + ["--out", str(out_dir)]
+
+    @pytest.mark.parametrize("dt, steps", [("1e-12", "1000000000000"), ("1e-300", "1e+300")])
+    def test_dt_with_too_many_levels_exits_2_naming_dt(self, tmp_path, capsys, dt, steps):
+        assert main(self.argv(tmp_path) + ["--dt", dt]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: dt {float(dt)} makes {steps} time steps, too many to hold\n", err
+
+    def test_too_many_paths_exit_1_in_one_line(self, tmp_path, capsys):
+        # the per-path residuals are allocated before any path is stepped
+        assert main(self.argv(tmp_path) + ["--paths", "1000000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert_no_leftovers(tmp_path)
+
+
+def library_residuals(name: str, n_paths: int, dt: float, seed: int) -> dict:
+    """The ``residuals`` block of ``bsde_residual(simulate_ensemble(...))``, as
+    ``report.json`` writes it."""
+    built = build_problem(name, {"nodes": 41, "steps": 40})
+    field_obj, _ = solve_final_value(built.spec, built.solver_config, built.constants)
+    ens = simulate_ensemble(field_obj, built.spec, built.x0, dt, n_paths, seed)
+    report = bsde_residual(ens)
+    block = cli._report_dict(
+        RunConfig(problem=name), build_problem(name), None, None, None, report, {}
+    )["residuals"]
+    return cli._finite_or_null(block)
+
+
+class TestStreamedWalk:
+    """``fbsde verify`` walks the paths chunk by chunk and holds no Z or Ztilde
+    over levels, with the library pipeline's bits."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_report_and_paths_csv_equal_the_library(self, tmp_path, monkeypatch, name):
+        want = library_residuals(name, 60, 0.02, 3)
+        if name in ("heat", "manufactured-nonlocal"):
+            assert want["excluded_paths"] > 0
+        texts = []
+        # the default, then 9 chunks, the last one partial
+        for chunk_paths in (paths._CHUNK_PATHS, 7):
+            monkeypatch.setattr(paths, "_CHUNK_PATHS", chunk_paths)
+            out = tmp_path / str(chunk_paths)
+            argv = ["verify", "--problem", name, "--nodes", "41", "--steps", "40"]
+            argv += ["--paths", "60", "--dt", "0.02", "--seed", "3", "--out", str(out)]
+            assert main(argv) == 0
+            got = strict_report(out / "report.json")["residuals"]
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+            texts.append((out / "paths.csv").read_bytes())
+            assert_no_leftovers(out)
+        assert texts[0] == texts[1]
+
+    def test_later_chunk_write_failure_leaves_no_part_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(paths, "_CHUNK_PATHS", 2)
+        write_csv = cli._write_csv
+
+        def full_when_appending(path, columns, blocks, header=True, mode="w"):
+            # the second chunk's first half fails while its helper writes the second
+            if mode == "a":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_csv(path, columns, blocks, header, mode)
+
+        monkeypatch.setattr(cli, "_write_csv", full_when_appending)
+        assert main(verify_small(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'paths.csv'}: No space left on device\n", err
+        assert_no_leftovers(tmp_path)
+
+    def test_at_most_one_helper_at_a_time_over_three_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(paths, "_CHUNK_PATHS", 2)
+        TestWriterProcesses().test_at_most_one_helper_at_a_time(tmp_path, monkeypatch)
+
+    def test_peak_does_not_grow_with_the_chunk_count(self, tmp_path, monkeypatch):
+        # a short horizon keeps the jumps few, whose count per chunk varies
+        chunk_paths, horizon, dt = 1000, 0.1, 0.001
+        monkeypatch.setattr(paths, "_CHUNK_PATHS", chunk_paths)
+        level = pipeline._ResidualSums.level
+
+        def per_level_only(self, j, x, y, z, ztab, db):
+            # Z (P, m, n) and Ztilde (P, K, m) of one level, not views of more
+            assert z.shape[0] == ztab.shape[0] == x.shape[0] <= chunk_paths
+            assert z.ndim == ztab.ndim == 3 and z.base is None and ztab.base is None
+            level(self, j, x, y, z, ztab, db)
+
+        monkeypatch.setattr(pipeline._ResidualSums, "level", per_level_only)
+        peaks = []
+        # the first run, not measured, makes what a run makes once per process
+        for n_paths in (chunk_paths, chunk_paths, 4 * chunk_paths):
+            config = RunConfig(
+                problem="coupled-linear", params={"horizon": horizon},
+                stages=cli._COMMAND_STAGES["verify"], nodes=21, steps=10, paths=n_paths,
+                dt=dt, seed=3, out_dir=tmp_path / str(len(peaks)),
+            )
+            tracemalloc.start()
+            try:
+                assert cli.run(config) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks = peaks[1:]
+        n_levels, m = round(horizon / dt) + 1, 1
+        # past one chunk, only per-path (P, m) sums grow: the generator,
+        # Brownian and compensator sums and the residual (and the class-S
+        # parts, a few doubles per level, all made by the end of the first chunk)
+        assert peaks[1] - peaks[0] <= 4 * 8 * m * 4 * chunk_paths, peaks
+        # one chunk's states, Y and increments are held, and not its Z
+        held = 8 * chunk_paths * (3 * n_levels - 1)
+        assert peaks[0] - held < 8 * chunk_paths * n_levels, (peaks, held)

@@ -1205,7 +1205,7 @@ class TestResidualLevelByLevel:
 
     def test_path_jump_sums_are_the_per_path_event_sums(self):
         ens = coupled_linear_ensemble(60)
-        got = pipeline._path_jump_sums(ens, ens.jump_values)
+        got = pipeline._path_jump_sums(ens.events.path, ens.jump_values, len(ens))
         off = ens.event_offsets
         for p in range(len(ens)):
             want = np.zeros(ens.jump_values.shape[1])

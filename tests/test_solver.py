@@ -802,9 +802,10 @@ def old_field_test_function(field: SolutionField, component: int = 0) -> TestFun
         for g in np.unique(group).tolist():
             rows = group == g
             lo, hi = int(i[rows].min()), int(i[rows].max()) + 2  # the levels blended
-            out[rows] = field.interpolate(
-                t[rows], x[rows], level_hessians(lo, hi), first_level=lo
-            )
+            levels = level_hessians(lo, hi)
+            # levels below lo are never read: unused zero rows put level i at row i
+            unread = np.zeros((lo,) + levels.shape[1:])
+            out[rows] = field.interpolate(t[rows], x[rows], np.concatenate((unread, levels)))
         return out
 
     def time_deriv(t, x):
