@@ -17,9 +17,10 @@ and the second half of each chunk's paths in another while this process
 formats the first.  The ``field.csv`` helper forms each level's gradient
 as it writes that level, so no process holds a gradient table.  At most
 one helper is alive at a time, and every helper is reaped before
-:func:`run` returns or raises.  The bytes are those of formatting in one process, which is
-what happens where ``os.fork`` is missing.  A file that cannot be
-written ends the run with an :class:`FbsdeError` naming it (exit 1).
+:func:`run` returns or raises.  The bytes are those of formatting in
+one process, which is what happens where ``os.fork`` is missing.  A file
+that cannot be written ends the run with an :class:`FbsdeError` naming
+it (exit 1).
 """
 
 from __future__ import annotations

@@ -270,18 +270,19 @@ class _ResidualSums:
             var = np.array(_exact_sums((residuals.T - mean[:, None]) ** 2)) / (n_paths - 1)
             stderr = np.sqrt(var / n_paths)
         if class_s_norm is None:
-            level_sums = (
-                [
-                    math.nan if n_nan else math.inf if n_inf else math.fsum(parts.tolist())
-                    for parts, (n_nan, n_inf) in zip(
-                        self.parts[j], self.nonfinite.get(j, np.zeros((4, 2)))
-                    )
-                ]
-                for j in range(self.times.shape[0])
-            )
-            class_s_norm = _class_s_norm(self.times, level_sums, n_paths)
+            class_s_norm = self.class_s_norm(n_paths)
         rms = math.sqrt(sums[0] / n_paths)
         return ResidualReport(residuals, rms, mean, stderr, class_s_norm, excluded, total)
+
+    def class_s_norm(self, n_paths: int) -> float:
+        """The class-S norm of the ``n_paths`` paths fed and not taken off; a
+        nan or inf square makes its level's sum nan or inf, as in fsum."""
+        def level_sums(j):
+            counts = self.nonfinite.get(j, np.zeros((4, 2)))
+            return [math.nan if n_nan else math.inf if n_inf else math.fsum(parts.tolist())
+                    for parts, (n_nan, n_inf) in zip(self.parts[j], counts)]
+
+        return _class_s_norm(self.times, map(level_sums, range(self.times.shape[0])), n_paths)
 
 
 def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> ResidualReport:

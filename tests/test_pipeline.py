@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fbsde import (
@@ -1067,6 +1068,40 @@ class TestLevelWiseClassSNorm:
                 got = bsde_residual(linked)
             for name in ("residuals", "rms", "mean", "stderr", "class_s_norm"):
                 assert same_bits(getattr(got, name), getattr(want, name)), (name, block_rows)
+
+
+class TestStreamedClassSSums:
+    """The walk's class-S sums: the parts of all paths so far, chunk by chunk,
+    with each chunk's exited paths' rows taken off again, have the bits of
+    the kept paths alone, nan and inf squares included."""
+
+    @given(random_linked(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_taken_off_equal_the_kept_paths(self, case, data):
+        linked, _ = case
+        n_paths, n_levels = linked.states.shape[:2]
+        exited = np.array(data.draw(st.lists(st.booleans(), min_size=n_paths, max_size=n_paths)))
+        keep = np.flatnonzero(~exited)
+        assume(keep.size)
+        y, ztilde = linked.y.copy(), linked.ztilde.copy()
+        special = st.sampled_from([math.inf, -math.inf, math.nan])
+        cells = st.tuples(st.integers(0, n_paths - 1), st.integers(0, n_levels - 1), special)
+        for p, j, value in data.draw(st.lists(cells, max_size=3)):
+            (y[p, j] if data.draw(st.booleans()) else ztilde[p, j])[0] = value
+        linked = dataclasses.replace(linked, y=y, ztilde=ztilde)
+        measure = linked.field.spec.measure
+        field = SimpleNamespace(spec=SimpleNamespace(measure=measure, m=y.shape[2]))
+        sums = pipeline._ResidualSums(field, linked.times, n_paths)
+        rows = (linked.states, y, linked.z, ztilde)
+        split = data.draw(st.integers(0, n_paths))
+        for chunk in (np.arange(split), np.arange(split, n_paths)):
+            for j in range(n_levels):
+                sums.level(j, *(a[chunk, j] for a in rows), None)
+            gone = chunk[exited[chunk]]
+            for j in range(n_levels):
+                sums.level(j, *(a[gone, j] for a in rows), None, sign=-1)
+        got = sums.class_s_norm(keep.size)
+        assert same_bits(got, estimate_class_s_norm(linked, keep))
 
 
 def simulated(name):
