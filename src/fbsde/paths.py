@@ -235,6 +235,8 @@ def _check_start_point(config: SolverConfig, x0) -> np.ndarray:
         raise ValueError(f"x0 must have {grid.ndim} coordinate(s), got {x0.size}")
     x0 = x0.reshape(grid.ndim)
     for ax in range(grid.ndim):
+        if not np.isfinite(x0[ax]):
+            raise ValueError(f"x0 coordinate {ax} must be finite, got {x0[ax]}")
         if not grid.lower[ax] <= x0[ax] <= grid.upper[ax]:
             raise ValueError("x0 must lie inside the grid box")
     if config.dirichlet_data is None:

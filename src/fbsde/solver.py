@@ -72,8 +72,8 @@ class SolverConfig:
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.cutoff_width <= 0.0:
-            raise ValueError("cutoff width must be positive")
+        if not 0.0 < self.cutoff_width < math.inf:  # NaN fails here too
+            raise ValueError(f"cutoff width must be finite and positive, got {self.cutoff_width}")
         if self.linear_solver != "auto":
             raise ValueError(f"linear_solver must be 'auto', got {self.linear_solver!r}")
         for lo, hi in zip(self.grid.lower, self.grid.upper):

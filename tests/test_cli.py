@@ -292,6 +292,20 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("solve", ["--cutoff-width=nan"], "cutoff width must be finite and positive, got nan"),
+            ("solve", ["--cutoff-width=inf"], "cutoff width must be finite and positive, got inf"),
+            ("simulate", ["--x0", "nan"], "x0 coordinate 0 must be finite, got nan"),
+            ("verify", ["--x0=-inf"], "x0 coordinate 0 must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_width_or_start_is_named(self, tmp_path, capsys, command, flags, message):
+        code = main([command, "--problem", "heat", "--out", str(tmp_path / "out")] + flags)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
         "command, flag, where",
         [
             ("solve", "--config", "missing"),

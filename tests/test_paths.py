@@ -1,9 +1,7 @@
 import functools
 import math
-import os
-import subprocess
+import re
 import sys
-import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -13,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fbsde
 from fbsde import (
     Grid,
     LevyMeasure,
@@ -242,6 +239,13 @@ class TestSimulateForward:
         field = zero_field(spec, lo=-3.0, hi=3.0)
         with pytest.raises(ValueError, match="inside"):
             simulate_ensemble(field, spec, np.array([5.0]), 0.1, 1, base_seed=0)
+
+    @pytest.mark.parametrize("coord", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_is_named(self, coord):
+        config = SolverConfig(grid=Grid((-3.0, -3.0), (3.0, 3.0), (9, 9)), n_steps=4)
+        message = f"x0 coordinate 1 must be finite, got {coord}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            paths._check_start_point(config, [0.0, coord])
 
     def test_x0_in_cutoff_annulus_rejected(self):
         spec = make_spec()
@@ -710,10 +714,10 @@ class TestEventSynchronousRounds:
 VECTOR_MARK_SETUP = vector_mark_setup()
 
 
-def test_stepping_with_jumps_does_not_import_numpy_ma():
+def test_stepping_with_jumps_does_not_import_numpy_ma(fresh_python):
     # np.unique imports numpy.ma on first use: 0.74 MB of peak RSS and about
     # 10 ms in a fresh process, for the atoms of a round's jumps
-    script = textwrap.dedent(
+    done = fresh_python(
         """
         import sys
         from fbsde import build_problem, simulate_ensemble, solve_final_value
@@ -723,10 +727,5 @@ def test_stepping_with_jumps_does_not_import_numpy_ma():
         ens = simulate_ensemble(field, built.spec, built.x0, 0.05, 50, 7)
         print(len(ens.events) > 0, "numpy.ma" in sys.modules)
         """
-    )
-    src = str(Path(fbsde.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "True False", done.stdout + done.stderr

@@ -1,9 +1,7 @@
 import dataclasses
 import math
-import os
-import subprocess
+import re
 import sys
-import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fbsde
 from fbsde import (
     BlowUpError,
     DegenerateDiffusionError,
@@ -185,10 +182,10 @@ class TestAxisSweep:
         np.testing.assert_allclose(got, np.linalg.solve(mat, rhs), rtol=0, atol=1e-12)
 
 
-def test_line_solvers_do_not_import_scipy():
-    # importing the package loads every module, and 1-D and 2-D solves run
-    # the numpy axis loop; scipy is only a test dependency
-    script = textwrap.dedent(
+def test_line_solvers_do_not_import_scipy(fresh_python):
+    # 1-D and 2-D solves run the numpy axis loop; scipy is only a test
+    # dependency (test_package.py checks that importing every layer skips it)
+    done = fresh_python(
         """
         import sys
         import numpy as np
@@ -213,11 +210,6 @@ def test_line_solvers_do_not_import_scipy():
         print("scipy" in sys.modules)
         """
     )
-    src = str(Path(fbsde.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    )
     assert done.stdout.strip() == "False", done.stdout + done.stderr
 
 
@@ -226,6 +218,13 @@ class TestSolverConfigModes:
         grid = Grid((0.0,), (3.0,), (9,))
         with pytest.raises(ValueError, match="'sparse'"):
             SolverConfig(grid=grid, n_steps=4, cutoff_width=0.5, linear_solver="sparse")
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf])
+    def test_cutoff_width_must_be_finite_and_positive(self, bad):
+        grid = Grid((0.0,), (3.0,), (9,))
+        message = f"cutoff width must be finite and positive, got {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SolverConfig(grid=grid, n_steps=4, cutoff_width=bad)
 
 
 class TestMixedSecondSum:
