@@ -9,9 +9,11 @@ significant digits so values round-trip losslessly.
 
 The paths are walked in chunks (``paths._CHUNK_PATHS``): each finished
 level of a chunk goes into the residual sums, then its rows of
-``paths.csv`` are appended and it is dropped, so a run holds one chunk's
-states, Y and increments, no Z or Ztilde over levels, and reports the
-bits of ``bsde_residual(simulate_ensemble(...))``.  ``field.csv`` is
+``paths.csv`` are appended and it is dropped.  A run holds one chunk's
+states and Y (a ``sweep`` rung its states alone, the states holding the
+round-0 normals until each level is stepped), no increments and no Z or
+Ztilde over levels, and reports the bits of
+``bsde_residual(simulate_ensemble(...))``.  ``field.csv`` is
 formatted in a forked helper process while the first chunk is simulated,
 and the second half of each chunk's paths in another while this process
 formats the first.  The ``field.csv`` helper forms each level's gradient
@@ -374,22 +376,24 @@ def _write_paths_csv(path: Path, times, states, y, events, first: int = 0) -> No
 def _walk_paths(field_obj, x0, dt, n_paths, seed, paths_csv=None, first_chunk=None):
     """The residual report of ``n_paths`` paths (path i consumes ``RngStream(seed, i)``),
     simulated chunk by chunk; each chunk's rows are appended to ``paths_csv``, if given,
-    and then dropped.  ``first_chunk`` is a context around the stepping of the first chunk.
+    and then dropped.  Without ``paths_csv``, no Y over levels is kept.  ``first_chunk``
+    is a context around the stepping of the first chunk.
     """
     spec = field_obj.spec
     times = _time_grid(spec.horizon, dt)
     sums = _ResidualSums(field_obj, times, n_paths)
     for chunk in _path_chunks(n_paths):
-        states, increments, exited, y = arrays = _path_arrays(len(chunk), len(times), spec)
+        arrays = _path_arrays(len(chunk), len(times), spec, keep_y=paths_csv is not None)
+        states, exited, y = arrays
         streams = [RngStream(seed, p) for p in chunk]
         with first_chunk or contextlib.nullcontext():
             events, jumps = _simulate_paths(field_obj, x0, times, streams, arrays, sums.level)
         first_chunk = None
-        sums.close(y[:, 0], states[:, -1], events, jumps, exited, states)
+        sums.close(states[:, -1], events, jumps, exited, states)
         if paths_csv is not None:
             _write_paths_csv(paths_csv, times, states, y, events, chunk.start)
         # the chunk goes before the next one is allocated
-        del states, increments, exited, y, arrays, events, jumps
+        del states, exited, y, arrays, events, jumps
     return sums.report()
 
 

@@ -14,8 +14,12 @@ applies the round's jumps, so each path gets its own arithmetic.
 Every path owns an :class:`RngStream` and consumes it in a fixed order
 (jump count, jump times, atom indices, then one standard normal vector
 per substep), which makes any subset of an ensemble bit-reproducible
-regardless of scheduling or chunking.  An ensemble is one
-:class:`Ensemble` of arrays over the path axis with a flat event table.
+regardless of scheduling or chunking.  The round-0 normals are drawn up
+front into the state rows after the first level, and each is read out
+before its level's states replace it; a level's Brownian increment is
+summed in one (P, n) array, so no increment over levels is held unless
+the caller stores it.  An ensemble is one :class:`Ensemble` of arrays
+over the path axis with a flat event table.
 
 The backward triple is read off the field while simulating: round 0 of
 interval j queries ``SolutionField.backward_rows`` at (t_j, X_j) for
@@ -258,7 +262,8 @@ def _draw_streams(
 
     A path's substeps are, in draw order, round 0 of each interval and then
     one after each of its jumps in that interval.  The round-0 normals are
-    written into ``round0_normals`` (P, N, n); the rest are returned, one
+    written into ``round0_normals`` (P, N, n), whose rows of one path must
+    be contiguous, such as ``states[:, 1:]``; the rest are returned, one
     per jump.  Returns counts, then the jump times, atoms and after-jump
     normals in (path, time) order.
     """
@@ -299,18 +304,19 @@ def _simulate_paths(
     out: Sequence[np.ndarray],
     visit: Callable,
 ) -> tuple[np.recarray, np.ndarray]:
-    """Step the paths of ``streams``, writing their rows of ``out``, the :func:`_path_arrays`;
-    ``visit(j, X_j, Y_j, Z_j, Ztilde_j, dB_j)`` gets each finished level (dB_L None).
+    """Step the paths of ``streams``, writing their rows of ``out``, the :func:`_path_arrays`
+    (Y None: not kept).  The round-0 normals wait in ``states[:, 1:]``; each finished level
+    goes to ``visit(j, X_j, Y_j, Z_j, Ztilde_j, dB_j)`` (dB_L None), X_j a view of the states.
 
     Returns their event table, paths numbered from 0, and its jump values.
     """
-    states, increments, exited, y = out
+    states, exited, y = out
     spec = field.spec
     n_paths = len(streams)
     n = spec.n
     n_steps = times.shape[0] - 1
-    # the round-0 normals wait in the increments they become
-    counts, taus, atoms, after_jump = _draw_streams(streams, spec.measure, times, increments)
+    # the round-0 normals wait in the state rows that replace them
+    counts, taus, atoms, after_jump = _draw_streams(streams, spec.measure, times, states[:, 1:])
 
     # the event table is complete but for the states around each jump,
     # which are written when the jump happens
@@ -336,9 +342,11 @@ def _simulate_paths(
         rows = np.arange(n_paths)
         t_start = np.full(n_paths, times[j])
         backward = field.backward_rows(t_start, x_cur)
-        y[:, j], level = backward[0], backward[1:3]
-        normals = increments[:, j].copy()
-        increments[:, j] = 0.0
+        y_j, level = backward[0], backward[1:3]
+        if y is not None:
+            y[:, j] = y_j
+        normals = states[:, j + 1].copy()
+        db_j = np.zeros((n_paths, n))
         while True:
             ev = np.where(next_event[rows] < last_event[rows], next_event[rows], -1)
             # the next jump lies in this interval iff it is no later than t_{j+1}
@@ -347,7 +355,7 @@ def _simulate_paths(
             sub = stop - t_start
             db = np.sqrt(sub)[:, None] * normals
             x_cur[rows] = euler_increment(backward, spec, t_start, x_cur[rows], db, sub)
-            increments[rows, j] += db
+            db_j[rows] += db
 
             rows, ev, t_start = rows[jumps], ev[jumps], stop[jumps]
             if not rows.size:
@@ -370,12 +378,14 @@ def _simulate_paths(
 
         states[:, j + 1] = x_cur
         exited |= np.any((x_cur < field.grid.lower) | (x_cur > field.grid.upper), axis=1)
-        visit(j, states[:, j], y[:, j], *level, increments[:, j])
+        visit(j, states[:, j], y_j, *level, db_j)
 
     if not all_finite(states):
         raise ValueError("path states must be finite")
-    y[:, -1], *level = field.backward_rows(np.full(n_paths, times[-1]), x_cur)[:3]
-    visit(n_steps, states[:, -1], y[:, -1], *level, None)
+    y_j, *level = field.backward_rows(np.full(n_paths, times[-1]), x_cur)[:3]
+    if y is not None:
+        y[:, -1] = y_j
+    visit(n_steps, states[:, -1], y_j, *level, None)
     return table, jump_values
 
 
@@ -387,11 +397,10 @@ def _path_chunks(n_paths: int) -> Iterator[range]:
     return (range(lo, min(lo + _CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, _CHUNK_PATHS))
 
 
-def _path_arrays(n_paths: int, n_levels: int, spec: ProblemSpec) -> tuple[np.ndarray, ...]:
-    """Empty states (P, L, n), increments (P, L-1, n), exited (P,) and y (P, L, m)."""
-    n, m = spec.n, spec.m
-    states, increments = np.empty((n_paths, n_levels, n)), np.empty((n_paths, n_levels - 1, n))
-    return states, increments, np.zeros(n_paths, dtype=bool), np.empty((n_paths, n_levels, m))
+def _path_arrays(n_paths: int, n_levels: int, spec: ProblemSpec, keep_y: bool = True) -> tuple:
+    """Empty states (P, L, n), exited (P,) and y (P, L, m), or None for y unless ``keep_y``."""
+    y = np.empty((n_paths, n_levels, spec.m)) if keep_y else None
+    return np.empty((n_paths, n_levels, spec.n)), np.zeros(n_paths, dtype=bool), y
 
 
 def simulate_ensemble(
@@ -421,22 +430,21 @@ def simulate_ensemble(
     x0 = _check_start_point(field.config, x0)
     times = _time_grid(spec.horizon, dt)
     n_levels = times.shape[0]
-    arrays = _path_arrays(n_paths, n_levels, spec) + (  # in _PATH_AXIS_ARRAYS order
-        np.empty((n_paths, n_levels, spec.m, spec.n)),
-        np.empty((n_paths, n_levels, len(spec.measure), spec.m)),
-    )
-    z, ztilde = arrays[4:]
+    states, exited, y = arrays = _path_arrays(n_paths, n_levels, spec)
+    increments = np.empty((n_paths, n_levels - 1, spec.n))
+    z = np.empty((n_paths, n_levels, spec.m, spec.n))
+    ztilde = np.empty((n_paths, n_levels, len(spec.measure), spec.m))
     tables, jump_values = [], []
     for chunk in _path_chunks(n_paths):
         rows = slice(chunk.start, chunk.stop)
 
-        def store(j, x, y, z_j, ztilde_j, db):
+        def store(j, x, y_j, z_j, ztilde_j, db):
             z[rows, j], ztilde[rows, j] = z_j, ztilde_j
+            if db is not None:
+                increments[rows, j] = db
 
         streams = [RngStream(base_seed, p) for p in chunk]
-        table, values = _simulate_paths(
-            field, x0, times, streams, [a[rows] for a in arrays[:4]], store
-        )
+        table, values = _simulate_paths(field, x0, times, streams, [a[rows] for a in arrays], store)
         table.path += chunk.start
         tables.append(table)
         jump_values.append(values)
@@ -445,5 +453,5 @@ def simulate_ensemble(
         events=np.concatenate(tables).view(np.recarray),
         field=field,
         jump_values=np.concatenate(jump_values),
-        **dict(zip(_PATH_AXIS_ARRAYS, arrays)),
+        **dict(zip(_PATH_AXIS_ARRAYS, (states, increments, exited, y, z, ztilde))),
     )

@@ -196,7 +196,7 @@ def estimate_class_s_norm(ensemble: Ensemble, keep=slice(None)) -> float:
 class _ResidualSums:
     """The backward residual's sums, fed one level of a chunk of paths at a time.
 
-    Per path: the generator, Brownian and compensator sums.  Per level: the
+    Per path: Y_0 and the generator, Brownian and compensator sums.  Per level: the
     exact parts (:func:`_pass_sums`) of the class-S squares of all paths so
     far, from which a closing chunk takes its exited paths' squares off
     again, with Z and Ztilde read off the field anew: every result has the
@@ -229,7 +229,7 @@ class _ResidualSums:
     def add_terms(self, j, x, y, z, ztab, db) -> None:
         spec, times = self.field.spec, self.times
         if j == 0:  # a new chunk
-            self.terms = np.zeros((3, x.shape[0], spec.m))
+            self.terms, self.y0 = np.zeros((3, x.shape[0], spec.m)), y
         h = times[j + 1] - times[j]
         gen, brown, comp = self.terms
         gen += spec.g(float(times[j]), x, y, z, ztab) * h
@@ -237,9 +237,9 @@ class _ResidualSums:
         for k, weight in enumerate(spec.measure.weights):
             comp += weight * ztab[:, k] * h
 
-    def close(self, y0, x_last, events, jump_values, exited, states=None) -> None:
+    def close(self, x_last, events, jump_values, exited, states=None) -> None:
         """End a chunk; with its ``states``, its exited paths' squares go off."""
-        spec, keep = self.field.spec, ~exited
+        spec, keep, y0 = self.field.spec, ~exited, self.y0
         gen, brown, comp = self.terms[:, keep]
         jumps = _path_jump_sums(events.path, jump_values, exited.shape[0])[keep]
         res = y0[keep] - (spec.h(x_last[keep]) + gen - brown - (jumps - comp))
@@ -247,11 +247,11 @@ class _ResidualSums:
         self.kept, self.total = self.kept + res.shape[0], self.total + exited.shape[0]
         if states is None or keep.all():
             return
-        gone = states[exited]
+        gone = np.flatnonzero(exited)
         n_gone = gone.shape[0]
         for block in _level_blocks(n_gone, self.times.shape[0]):
             # the rows level by level, as the walk queried them
-            x = gone[:, block].swapaxes(0, 1).reshape(-1, spec.n)
+            x = states[gone, block].swapaxes(0, 1).reshape(-1, spec.n)
             rows = self.field.backward_rows(np.repeat(self.times[block], n_gone), x)[:3]
             for jj, j in enumerate(range(block.start, block.stop)):
                 at = slice(jj * n_gone, (jj + 1) * n_gone)
@@ -305,7 +305,7 @@ def bsde_residual(ensemble: Ensemble, spec: ProblemSpec | None = None) -> Residu
     rows = (states, y, ensemble.z, ensemble.ztilde, ensemble.brownian_increments)
     for j in range(times.shape[0] - 1):
         sums.add_terms(j, *(a[:, j] for a in rows))
-    sums.close(y[:, 0], states[:, -1], ensemble.events, ensemble.jump_values, exited)
+    sums.close(states[:, -1], ensemble.events, ensemble.jump_values, exited)
     if not sums.kept:
         return sums.report()
     keep = np.flatnonzero(~exited) if exited.any() else slice(None)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,21 @@ def fresh_python():
         )
 
     return run
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args)`` is ``fn(*args)`` and the peak bytes allocated
+    above the level at the call, under tracemalloc."""
+
+    def measure(fn, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    return measure

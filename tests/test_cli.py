@@ -5,7 +5,6 @@ import hashlib
 import json
 import os
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -845,9 +844,13 @@ class TestStreamedWalk:
         monkeypatch.setattr(paths, "_CHUNK_PATHS", 2)
         TestWriterProcesses().test_at_most_one_helper_at_a_time(tmp_path, monkeypatch)
 
-    def test_peak_does_not_grow_with_the_chunk_count(self, tmp_path, monkeypatch):
-        # a short horizon keeps the jumps few, whose count per chunk varies
-        chunk_paths, horizon, dt = 1000, 0.1, 0.001
+    # a short horizon keeps the jumps few, whose count per chunk varies
+    CHUNK_PATHS, HORIZON, DT = 1000, 0.1, 0.001
+
+    def walk_peaks(self, monkeypatch, traced_peak, walk):
+        """The peaks of ``walk(n_paths, run)`` over one chunk and over four, in
+        ``CHUNK_PATHS`` chunks, each level's Z and Ztilde checked to be its own."""
+        chunk_paths = self.CHUNK_PATHS
         monkeypatch.setattr(paths, "_CHUNK_PATHS", chunk_paths)
         level = pipeline._ResidualSums.level
 
@@ -858,26 +861,43 @@ class TestStreamedWalk:
             level(self, j, x, y, z, ztab, db)
 
         monkeypatch.setattr(pipeline._ResidualSums, "level", per_level_only)
-        peaks = []
         # the first run, not measured, makes what a run makes once per process
-        for n_paths in (chunk_paths, chunk_paths, 4 * chunk_paths):
-            config = RunConfig(
-                problem="coupled-linear", params={"horizon": horizon},
-                stages=cli._COMMAND_STAGES["verify"], nodes=21, steps=10, paths=n_paths,
-                dt=dt, seed=3, out_dir=tmp_path / str(len(peaks)),
-            )
-            tracemalloc.start()
-            try:
-                assert cli.run(config) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        peaks = peaks[1:]
-        n_levels, m = round(horizon / dt) + 1, 1
+        runs = enumerate((chunk_paths, chunk_paths, 4 * chunk_paths))
+        return [traced_peak(walk, n_paths, run)[1] for run, n_paths in runs][1:]
+
+    def assert_one_chunk_held(self, peaks, held_arrays):
+        """Past one chunk, the peak grows by per-path sums only; at one chunk, it is
+        ``held_arrays`` (P, L) arrays of that chunk and less than one more."""
+        chunk_paths, n_levels, m = self.CHUNK_PATHS, round(self.HORIZON / self.DT) + 1, 1
         # past one chunk, only per-path (P, m) sums grow: the generator,
         # Brownian and compensator sums and the residual (and the class-S
         # parts, a few doubles per level, all made by the end of the first chunk)
         assert peaks[1] - peaks[0] <= 4 * 8 * m * 4 * chunk_paths, peaks
-        # one chunk's states, Y and increments are held, and not its Z
-        held = 8 * chunk_paths * (3 * n_levels - 1)
+        held = 8 * chunk_paths * held_arrays * n_levels
         assert peaks[0] - held < 8 * chunk_paths * n_levels, (peaks, held)
+
+    def test_peak_does_not_grow_with_the_chunk_count(self, tmp_path, monkeypatch, traced_peak):
+        def verify(n_paths, run):
+            config = RunConfig(
+                problem="coupled-linear", params={"horizon": self.HORIZON},
+                stages=cli._COMMAND_STAGES["verify"], nodes=21, steps=10, paths=n_paths,
+                dt=self.DT, seed=3, out_dir=tmp_path / str(run),
+            )
+            assert cli.run(config) == 0
+
+        peaks = self.walk_peaks(monkeypatch, traced_peak, verify)
+        # one chunk's states and Y are held, and not its increments or its Z
+        self.assert_one_chunk_held(peaks, 2)
+
+    def test_sweep_rung_peak_does_not_grow_with_the_chunk_count(self, monkeypatch, traced_peak):
+        built = build_problem("coupled-linear", {"horizon": self.HORIZON, "nodes": 21, "steps": 10})
+        field_obj, _ = solve_final_value(built.spec, built.solver_config, built.constants)
+
+        def rung(n_paths, run):
+            # the walk of one sweep rung, which writes no paths.csv
+            report = cli._walk_paths(field_obj, built.x0, self.DT, n_paths, 3)
+            assert report.total_paths == n_paths and np.isfinite(report.rms)
+
+        peaks = self.walk_peaks(monkeypatch, traced_peak, rung)
+        # one chunk's states are held, and not its Y, its increments or its Z
+        self.assert_one_chunk_held(peaks, 1)

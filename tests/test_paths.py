@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import re
 import sys
@@ -602,9 +603,9 @@ def high_rate_setup():
     return spec, sine_field(spec, -10.0, 10.0, 81)
 
 
-def vector_mark_setup():
+def vector_mark_setup(weights=(1.5, 1.0)):
     """2-D state and 2-D marks on a 2-D sine field, with a mixed diffusion."""
-    measure = LevyMeasure(marks=[[0.3, 0.1], [-0.2, 0.4]], weights=[1.5, 1.0])
+    measure = LevyMeasure(marks=[[0.3, 0.1], [-0.2, 0.4]], weights=list(weights))
     mat = np.array([[0.6, 0.2], [0.0, 0.5]])
 
     def drift(t, x, u, p, w):
@@ -712,6 +713,78 @@ class TestEventSynchronousRounds:
 
 
 VECTOR_MARK_SETUP = vector_mark_setup()
+
+
+def ensemble_digests(ens):
+    """The first 16 hex digits of the sha256 of each array of ``ens`` and of its event table."""
+    arrays = {name: getattr(ens, name) for name in PATH_ARRAYS + BACKWARD_ARRAYS}
+    arrays["events"] = ens.events
+    return {name: hashlib.sha256(a.tobytes()).hexdigest()[:16] for name, a in arrays.items()}
+
+
+# 40 paths of the vector-mark setup at rates 15 and 10, dt 0.05 and seed 3: up to
+# 6 jumps of one path in one interval; pinned while the walk still stepped the
+# Brownian increments and Y in arrays over levels of its own
+HIGH_RATE_2D = ((15.0, 10.0), np.array([0.5, -0.3]), 0.05, 40, 3)
+HIGH_RATE_2D_DIGESTS = {
+    "times": "cbe8d5613464e9f1",
+    "states": "867557482b4f95bb",
+    "brownian_increments": "333fca049e836290",
+    "exited": "129ef2cb61d59752",
+    "y": "853781fbb2dcbf84",
+    "z": "4d23c9145a3029d3",
+    "ztilde": "6b47c001d055d660",
+    "jump_values": "f1a9b6a5d62ee607",
+    "events": "16a4b7c1ee9757c7",
+}
+
+
+class TestLevelVisitor:
+    """Each finished level goes to the visitor with the same bits, whether or not
+    the caller keeps Y and the Brownian increments over levels."""
+
+    def visits(self, keep_y):
+        weights, x0, dt, n_paths, seed = HIGH_RATE_2D
+        spec, field = vector_mark_setup(weights)
+        times = paths._time_grid(spec.horizon, dt)
+        streams = [RngStream(seed, p) for p in range(n_paths)]
+        out = paths._path_arrays(n_paths, len(times), spec, keep_y)
+        levels = []
+
+        def visit(j, *rows):
+            assert j == len(levels)
+            levels.append([None if r is None else r.copy() for r in rows])
+
+        table, jump_values = paths._simulate_paths(field, x0, times, streams, out, visit)
+        return out, levels, table, jump_values
+
+    def test_levels_do_not_depend_on_what_the_caller_keeps(self):
+        weights, x0, dt, n_paths, seed = HIGH_RATE_2D
+        spec, field = vector_mark_setup(weights)
+        ens = simulate_ensemble(field, spec, x0, dt, n_paths, seed)
+        assert ensemble_digests(ens) == HIGH_RATE_2D_DIGESTS
+        per_interval = np.zeros((n_paths, len(ens.times) - 1), dtype=np.int64)
+        np.add.at(per_interval, (ens.events.path, ens.events.interval), 1)
+        assert per_interval.max() >= 3  # levels take several rounds
+
+        (states, exited, y), levels, table, jump_values = self.visits(keep_y=True)
+        (bare_states, _, no_y), bare_levels, bare_table, bare_jump_values = self.visits(False)
+        assert no_y is None and len(levels) == len(bare_levels) == len(ens.times)
+        for j, (rows, bare_rows) in enumerate(zip(levels, bare_levels)):
+            held = [ens.states, ens.y, ens.z, ens.ztilde, ens.brownian_increments]
+            want = [a[:, j] if j < a.shape[1] else None for a in held]
+            for name, got, bare, kept in zip(("X", "Y", "Z", "Zt", "dB"), rows, bare_rows, want):
+                if kept is None:
+                    assert got is None and bare is None and j == len(ens.times) - 1
+                else:
+                    assert same_bytes(got, kept) and same_bytes(bare, kept), (name, j)
+        for got in (states, bare_states):
+            assert same_bytes(got, ens.states)
+        assert same_bytes(y, ens.y) and same_bytes(exited, ens.exited)
+        for got, got_values in ((table, jump_values), (bare_table, bare_jump_values)):
+            assert same_bytes(got_values, ens.jump_values)
+            for name in EVENT_COLUMNS:
+                assert same_bytes(got[name], ens.events[name]), name
 
 
 def test_stepping_with_jumps_does_not_import_numpy_ma(fresh_python):

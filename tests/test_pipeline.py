@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import math
 import random
-import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -661,15 +660,10 @@ class TestFieldTestFunctionOnDemand:
         t = np.linspace(0.0, field.spec.horizon, len(states))
         assert np.array_equal(tf.hess(t, states), reference.hess(t, states))
 
-    def test_holds_no_level_table(self):
+    def test_holds_no_level_table(self, traced_peak):
         field = coupled_2d_linked().field
         points = np.random.default_rng(1).uniform(-5.0, 5.0, (50, 2))
-        tracemalloc.start()
-        try:
-            field_test_function(field).hess(0.37, points)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: field_test_function(field).hess(0.37, points))
         assert peak < field.values.nbytes
 
 
@@ -841,20 +835,8 @@ def mc_2d_problem(steps=100):
     return field, spec
 
 
-def traced_peak(fn, *args):
-    """(result, peak bytes allocated above the level at the call) under tracemalloc."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 class TestLevelBlockMemory:
-    def test_block_temporaries_do_not_grow_with_the_level_count(self):
+    def test_block_temporaries_do_not_grow_with_the_level_count(self, traced_peak):
         field, spec = mc_2d_problem()
         ito_peak = []
         for path_steps in (100, 400):
@@ -869,7 +851,7 @@ class TestLevelBlockMemory:
             ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / 400, n_paths, 7)
             assert traced_peak(ito_residuals, ens)[1] <= ito_peak[1], n_paths
 
-    def test_no_gradient_table_follows_the_field_levels(self):
+    def test_no_gradient_table_follows_the_field_levels(self, traced_peak):
         peaks = {}
         for steps in (50, 400):
             field, spec = mc_2d_problem(steps)
@@ -888,7 +870,7 @@ class TestLevelBlockMemory:
         table_growth = (401 - 51) * grid.n_nodes * spec.m * grid.ndim * 8
         assert peaks[401] - peaks[51] < 0.05 * table_growth, peaks
 
-    def test_ito_check_peak_is_one_level_block(self):
+    def test_ito_check_peak_is_one_level_block(self, traced_peak):
         # one 400-path level is one block of the corner pass, with no Hessian
         # table; 2000-row blocks with per-query tables peaked at 3.0 MB
         field, spec = mc_2d_problem()
@@ -899,7 +881,7 @@ class TestLevelBlockMemory:
         assert max(peaks) < 1_000_000, peaks
         assert peaks[1] - peaks[0] < 0.1 * peaks[0], peaks
 
-    def test_excluded_paths_are_not_copied(self):
+    def test_excluded_paths_are_not_copied(self, traced_peak):
         # 4000 paths x 100 levels, 1177 of them exited: a copy of the kept
         # paths' arrays took 11.4 MB of a 14.4 MB peak
         spec, field = exiting_setup()
@@ -909,7 +891,7 @@ class TestLevelBlockMemory:
         assert peak <= 3.5e6, peak
         assert_report_equals_kept_paths(report, ens)
 
-    def test_residual_temporaries_do_not_grow_with_the_level_count(self):
+    def test_residual_temporaries_do_not_grow_with_the_level_count(self, traced_peak):
         # the residual's sums go level by level and its class-S norm level
         # block by level block, so its peak above the held ensemble is one
         # level's rows; the generator values over all levels, (P, L - 1, m),
@@ -1126,7 +1108,7 @@ class TestRowsReadOffWhileSimulating:
         assert len(ens.events) > 0
         assert_rows_equal_per_level_link(ens)
 
-    def test_chunk_join_holds_no_second_copy(self):
+    def test_chunk_join_holds_no_second_copy(self, traced_peak):
         built = build_problem("coupled-linear", {"nodes": 41, "steps": 40})
         field, _ = solve_final_value(built.spec, built.solver_config, built.constants)
         args = (field, built.spec, built.x0, built.spec.horizon / 200, 800, 7)
