@@ -39,7 +39,6 @@ _MODULE_OF = {
     "JumpPath": "paths",
     "RngStream": "paths",
     "euler_increment": "paths",
-    "sample_poisson_measure": "paths",
     "simulate_ensemble": "paths",
     "ResidualReport": "pipeline",
     "TestFunction": "pipeline",

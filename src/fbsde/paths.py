@@ -33,7 +33,8 @@ residual sums, so no Z or Ztilde over levels is held.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -47,7 +48,6 @@ __all__ = [
     "RngStream",
     "Ensemble",
     "JumpPath",
-    "sample_poisson_measure",
     "euler_increment",
     "simulate_ensemble",
 ]
@@ -99,7 +99,8 @@ class Ensemble:
     it).  ``y``, ``z`` and ``ztilde`` hold ``field``'s (Y, Z, Ztilde) at
     (t_j, X^p_j), Ztilde being the per-atom table; ``jump_values[e]`` is
     the jump u(t, x_after) - u(t, x_before) of Y at event row e.  All
-    arrays are read-only; ``ens[i]`` is a view of path i.
+    arrays are read-only; ``ens[i]`` (and iteration) is a view of path i,
+    and ``event_offsets`` gives each path's event rows.
     """
 
     times: np.ndarray  # (L,)
@@ -142,24 +143,6 @@ class Ensemble:
         """Path p owns the event rows ``event_offsets[p]:event_offsets[p + 1]``."""
         return np.searchsorted(self.events.path, np.arange(len(self) + 1))
 
-    def event_rows(self, index: np.ndarray) -> np.ndarray:
-        """Event-table rows of the paths ``index``, path by path."""
-        off = self.event_offsets
-        counts = off[index + 1] - off[index]
-        first = np.cumsum(counts) - counts
-        return np.repeat(off[index] - first, counts) + np.arange(counts.sum())
-
-    def take(self, index) -> Ensemble:
-        """The paths ``index``, in that order, as a new ensemble."""
-        index = np.asarray(index, dtype=np.int64)
-        rows = self.event_rows(index)
-        events = self.events[rows]
-        events["path"] = np.repeat(
-            np.arange(len(index)), np.diff(self.event_offsets)[index]
-        )
-        per_path = {name: getattr(self, name)[index] for name in _PATH_AXIS_ARRAYS}
-        return replace(self, events=events, jump_values=self.jump_values[rows], **per_path)
-
 
 def _atom_cdf(measure: LevyMeasure) -> np.ndarray:
     """Cumulative atom probabilities, the table :func:`_draw_jump_schedule` searches."""
@@ -169,29 +152,19 @@ def _atom_cdf(measure: LevyMeasure) -> np.ndarray:
 def _draw_jump_schedule(
     measure: LevyMeasure, cdf: np.ndarray, horizon: float, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jump times and atom indices over [0, horizon], in draw order;
-    ``cdf`` is :func:`_atom_cdf` of ``measure``."""
+    """Draw the atomic Poisson random measure on [0, horizon]: jump times
+    and atom indices, in draw order.
+
+    The jump count is Poisson(nu(Z) * horizon), the times are uniform and
+    sorted, and the atoms are drawn with probabilities proportional to the
+    weights; ``cdf`` is :func:`_atom_cdf` of ``measure``.
+    """
     count = int(gen.poisson(measure.total_mass * horizon))
     taus = np.sort(gen.random(count) * horizon)
     atoms = np.minimum(
         np.searchsorted(cdf, gen.random(count), side="right"), len(measure) - 1
     )
     return taus, atoms.astype(np.int64)
-
-
-def sample_poisson_measure(
-    measure: LevyMeasure, horizon: float, rng: RngStream
-) -> list[tuple[float, int]]:
-    """Draw the atomic Poisson random measure on [0, horizon].
-
-    The jump count is Poisson(nu(Z) * horizon), times are uniform and
-    sorted, and atoms are drawn with probabilities proportional to the
-    weights.
-    """
-    if not (np.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    taus, atoms = _draw_jump_schedule(measure, _atom_cdf(measure), horizon, rng.generator())
-    return [(float(t), int(k)) for t, k in zip(taus, atoms)]
 
 
 def euler_increment(
@@ -423,8 +396,10 @@ def simulate_ensemble(
     """
     if field.spec is not spec:
         raise ValueError("field and spec must share the same ProblemSpec")
-    if not isinstance(base_seed, (int, np.integer)) or base_seed < 0:
+    if isinstance(base_seed, bool) or not isinstance(base_seed, numbers.Integral) or base_seed < 0:
         raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
+    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x0 = _check_start_point(field.config, x0)

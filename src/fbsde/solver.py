@@ -838,9 +838,9 @@ def solve_final_value(
 
     field_obj = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
     sup_u = field_obj.sup_norms()
-    # every level's face rows hold the face data exactly: the prescribed
-    # values, or zeros under the cutoff construction
-    boundary_sup = float(np.sqrt(np.sum(values[:, mask] ** 2, axis=-1)).max())
+    # every level's face rows hold the face data exactly: the prescribed values,
+    # or zeros under the cutoff; level by level, as a whole-array square copies them all
+    boundary_sup = float(max(np.sqrt(np.sum(v[mask] ** 2, axis=-1)).max() for v in values))
 
     diag = Diagnostics(
         sup_u=sup_u,

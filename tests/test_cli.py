@@ -41,6 +41,7 @@ from fbsde.cli import (
     parse_config_file,
 )
 from fbsde.errors import BlowUpError, ConfigError, FbsdeError
+from test_paths import take
 
 
 def read_csv_rows(path: Path):
@@ -567,7 +568,7 @@ class TestBlockWriters:
         assert sum(jumps) == len(ens.events) and max(jumps) >= 2
         # paths.csv is written in two halves: an empty first half, equal halves, odd halves
         for k in (1, 2, 5):
-            part = ens.take(range(k))
+            part = take(ens, range(k))
             _write_paths_csv(tmp_path / "paths.csv", part.times, part.states, part.y, part.events)
             reference_paths_csv(tmp_path / "paths_ref.csv", part)
             assert (tmp_path / "paths.csv").read_bytes() == (

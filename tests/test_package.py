@@ -29,7 +29,6 @@ EXPORTS = [
     "paths.JumpPath",
     "paths.RngStream",
     "paths.euler_increment",
-    "paths.sample_poisson_measure",
     "paths.simulate_ensemble",
     "pipeline.ResidualReport",
     "pipeline.TestFunction",
@@ -61,7 +60,7 @@ NAMES = [entry.split(".")[1] for entry in EXPORTS]
 
 class TestNamespace:
     def test_all_is_the_pinned_list(self):
-        assert len(NAMES) == 46
+        assert len(NAMES) == 45
         assert fbsde.__all__ == NAMES
 
     @pytest.mark.parametrize("entry", EXPORTS)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -22,7 +23,6 @@ from fbsde import (
     build_problem,
     catalog_names,
     euler_increment,
-    sample_poisson_measure,
     simulate_ensemble,
     solve_final_value,
 )
@@ -76,39 +76,35 @@ def zero_field(spec, lo=-12.0, hi=12.0, nodes=33, levels=5):
     )
 
 
+def jump_schedule(measure, horizon, seed, stream_id):
+    """The jump times and atoms that the walk draws first from ``RngStream(seed, stream_id)``."""
+    gen = RngStream(seed, stream_id).generator()
+    return paths._draw_jump_schedule(measure, paths._atom_cdf(measure), horizon, gen)
+
+
 class TestPoissonSampling:
     def test_mean_count_matches_rate(self):
         measure = LevyMeasure(marks=[[1.0]], weights=[2.0])
-        counts = [
-            len(sample_poisson_measure(measure, 1.0, RngStream(2024, i)))
-            for i in range(10_000)
-        ]
+        counts = [len(jump_schedule(measure, 1.0, 2024, i)[0]) for i in range(10_000)]
         mean = np.mean(counts)
         assert abs(mean - 2.0) <= 3.0 * math.sqrt(2.0 / 10_000)
 
     def test_single_atom_all_indices_zero(self):
         measure = LevyMeasure(marks=[[1.0]], weights=[3.0])
-        jumps = sample_poisson_measure(measure, 2.0, RngStream(7, 0))
-        assert jumps and all(k == 0 for _, k in jumps)
+        _, atoms = jump_schedule(measure, 2.0, 7, 0)
+        assert atoms.size and np.all(atoms == 0)
 
     def test_times_sorted_within_horizon(self):
         measure = LevyMeasure(marks=[[1.0]], weights=[5.0])
-        jumps = sample_poisson_measure(measure, 3.0, RngStream(11, 4))
-        times = [t for t, _ in jumps]
+        times = jump_schedule(measure, 3.0, 11, 4)[0].tolist()
         assert times == sorted(times)
         assert all(0.0 <= t <= 3.0 for t in times)
-
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
-    def test_horizon_must_be_finite_and_positive(self, horizon):
-        measure = LevyMeasure(marks=[[1.0]], weights=[1.0])
-        with pytest.raises(ValueError, match="horizon must be finite and positive"):
-            sample_poisson_measure(measure, horizon, RngStream(0, 0))
 
     def test_atom_frequencies_follow_weights(self):
         measure = LevyMeasure(marks=[[1.0], [2.0]], weights=[0.5, 1.5])
         marks = []
         for i in range(400):
-            marks += [k for _, k in sample_poisson_measure(measure, 5.0, RngStream(3, i))]
+            marks += jump_schedule(measure, 5.0, 3, i)[1].tolist()
         freq = np.mean([k == 1 for k in marks])
         n = len(marks)
         assert abs(freq - 0.75) <= 3.0 * math.sqrt(0.75 * 0.25 / n)
@@ -228,12 +224,25 @@ class TestSimulateForward:
         with pytest.raises(ValueError, match="dt must be positive"):
             simulate_ensemble(field, spec, np.array([0.0]), dt, 1, base_seed=0)
 
-    @pytest.mark.parametrize("base_seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("base_seed", [-1, 1.5, "7", True])
     def test_base_seed_must_be_a_non_negative_integer(self, base_seed):
         spec = make_spec()
         field = zero_field(spec)
         with pytest.raises(ValueError, match="base_seed"):
             simulate_ensemble(field, spec, np.array([0.0]), 0.25, 1, base_seed=base_seed)
+
+    @pytest.mark.parametrize("n_paths", [2.5, True, "3"])
+    def test_path_count_must_be_an_integer(self, n_paths):
+        spec = make_spec()
+        field = zero_field(spec)
+        with pytest.raises(ValueError, match="n_paths must be an integer"):
+            simulate_ensemble(field, spec, np.array([0.0]), 0.25, n_paths, base_seed=0)
+
+    def test_numpy_integer_counts_pass(self):
+        spec = make_spec()
+        field = zero_field(spec)
+        ens = simulate_ensemble(field, spec, np.array([0.0]), 0.25, np.int64(2), np.uint32(5))
+        assert_same_ensemble(ens, simulate_ensemble(field, spec, np.array([0.0]), 0.25, 2, 5))
 
     def test_x0_outside_box_rejected(self):
         spec = make_spec()
@@ -362,8 +371,8 @@ class TestVectorMarks:
             measure=measure,
         )
         field = zero_field(spec, lo=-30.0, hi=30.0)
-        jumps = sample_poisson_measure(measure, 1.0, RngStream(12, 0))
-        assert all(k in (0, 1) for _, k in jumps)
+        _, atoms = jump_schedule(measure, 1.0, 12, 0)
+        assert all(k in (0, 1) for k in atoms.tolist())
         path = stream_path(field, spec, np.array([0.0]), 0.1, 12, 0)
         # replay the jump sizes from the logged atoms
         shift = {0: 1.5, 1: -0.25}
@@ -393,6 +402,19 @@ BACKWARD_ARRAYS = ("y", "z", "ztilde", "jump_values")
 
 def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def take(ens, index):
+    """The paths ``index`` of ``ens``, in that order, with all their rows, as a new ensemble."""
+    index = np.asarray(index, dtype=np.int64)
+    off = ens.event_offsets
+    counts = off[index + 1] - off[index]
+    first = np.cumsum(counts) - counts
+    rows = np.repeat(off[index] - first, counts) + np.arange(counts.sum())
+    events = ens.events[rows]
+    events["path"] = np.repeat(np.arange(len(index)), counts)
+    per_path = {name: getattr(ens, name)[index] for name in paths._PATH_AXIS_ARRAYS}
+    return dataclasses.replace(ens, events=events, jump_values=ens.jump_values[rows], **per_path)
 
 
 def assert_same_ensemble(a, b, arrays=PATH_ARRAYS + BACKWARD_ARRAYS):
@@ -430,23 +452,12 @@ class TestEnsembleArrays:
         with pytest.raises(IndexError):
             ens[6]
 
-    def test_take_selects_paths_and_their_rows(self):
+    def test_first_paths_are_those_of_an_ensemble_simulated_alone(self):
         ens = simulate_ensemble(JUMPY_FIELD, JUMPY_SPEC, np.array([0.0]), 0.125, 7, base_seed=5)
-        perm = np.array([4, 0, 6, 2, 1, 5, 3])
-        shuffled = ens.take(perm)
-        for q, p in enumerate(perm):
-            assert np.array_equal(shuffled[q].states, ens[p].states)
-            assert np.array_equal(shuffled.y[q], ens.y[p])
-            for name in ("time", "atom", "x_after"):
-                assert np.array_equal(shuffled[q].events[name], ens[p].events[name])
-            rows = slice(shuffled.event_offsets[q], shuffled.event_offsets[q + 1])
-            own = ens.event_rows(np.array([p]))
-            assert np.array_equal(shuffled.jump_values[rows], ens.jump_values[own])
-        assert_same_ensemble(shuffled.take(np.argsort(perm)), ens)
-        # the first paths are those of an ensemble simulated alone
         front = simulate_ensemble(JUMPY_FIELD, JUMPY_SPEC, np.array([0.0]), 0.125, 3, base_seed=5)
-        assert_same_ensemble(ens.take(range(3)), front)
-        assert shuffled.field is ens.field
+        assert_same_ensemble(take(ens, range(3)), front)
+        perm = np.array([4, 0, 6, 2, 1, 5, 3])
+        assert_same_ensemble(take(take(ens, perm), np.argsort(perm)), ens)
 
     @given(
         st.integers(min_value=1, max_value=7),

@@ -32,7 +32,7 @@ from fbsde import (
 )
 from fbsde import paths, pipeline, solver
 from fbsde.solver import second_difference
-from test_paths import DT, SETUPS, exiting_setup
+from test_paths import DT, SETUPS, exiting_setup, take
 
 
 def _zeros(m):
@@ -84,7 +84,7 @@ def linear_field(spec, **kw):
 def stream_path(field, spec, x0, dt, seed, stream_id):
     """Ensemble of the one path driven by ``RngStream(seed, stream_id)``."""
     ens = simulate_ensemble(field, spec, x0, dt, stream_id + 1, base_seed=seed)
-    return ens.take([stream_id])
+    return take(ens, [stream_id])
 
 
 class TestLinkProcesses:
@@ -138,7 +138,7 @@ class TestLinkProcesses:
         field = linear_field(spec)
         ens = simulate_ensemble(field, spec, np.array([0.0]), 0.1, 4, base_seed=10)
         both = link_ensemble(ens, field, spec)
-        single = link_ensemble(ens.take([2]), field, spec)
+        single = link_ensemble(take(ens, [2]), field, spec)
         assert np.array_equal(both.y[2], single.y[0])
         assert np.array_equal(both.z[2], single.z[0])
 
@@ -252,7 +252,7 @@ class TestClassSNorm:
         base = estimate_class_s_norm(linked)
         order = list(range(30))
         random.Random(4).shuffle(order)
-        assert estimate_class_s_norm(linked.take(order)) == base
+        assert estimate_class_s_norm(take(linked, order)) == base
         # splitting across separately simulated chunks changes nothing
         with mock.patch.object(paths, "_CHUNK_PATHS", 15):
             joined = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 30, base_seed=12)
@@ -291,7 +291,7 @@ class TestPathOrder:
     @given(st.permutations(range(12)))
     @settings(max_examples=25, deadline=None)
     def test_reductions_do_not_depend_on_path_order(self, order):
-        shuffled = ORDER_LINKED.take(order)
+        shuffled = take(ORDER_LINKED, order)
         base = bsde_residual(ORDER_LINKED)
         rep = bsde_residual(shuffled)
         assert rep.rms == base.rms
@@ -312,7 +312,7 @@ def one_kept_linked():
     spec, field = exiting_setup()
     ens = simulate_ensemble(field, spec, np.array([0.0]), 0.05, 60, 3)
     kept, exited = np.flatnonzero(~ens.exited), np.flatnonzero(ens.exited)
-    return ens.take(np.sort(np.concatenate([kept[:1], exited])))
+    return take(ens, np.sort(np.concatenate([kept[:1], exited])))
 
 
 LINEAR_FN = TestFunction(
@@ -716,7 +716,7 @@ def assert_blocks_equal_per_level_loops(linked, reference_ito):
 
 
 def empty_linked():
-    return ORDER_LINKED.take([])
+    return take(ORDER_LINKED, [])
 
 
 def block_rows_cases(n_paths, n_levels):
@@ -940,7 +940,7 @@ def whole_array_class_s_norm(linked):
 def assert_report_equals_kept_paths(report, ens):
     """``report`` is ``bsde_residual`` of the paths of ``ens`` that stayed in
     the box, copied out with ``take``, bit for bit."""
-    want = bsde_residual(ens.take(np.flatnonzero(~ens.exited)))
+    want = bsde_residual(take(ens, np.flatnonzero(~ens.exited)))
     for name in ("residuals", "rms", "mean", "stderr", "class_s_norm"):
         assert same_bits(getattr(report, name), getattr(want, name)), name
     assert (report.excluded_paths, report.total_paths) == (int(ens.exited.sum()), len(ens))
@@ -948,7 +948,7 @@ def assert_report_equals_kept_paths(report, ens):
 
 def whole_array_class_s_norm_of(linked, keep=slice(None)):
     """``whole_array_class_s_norm`` of the paths ``keep``, copied out with ``take``."""
-    return whole_array_class_s_norm(linked.take(np.arange(len(linked))[keep]))
+    return whole_array_class_s_norm(take(linked, np.arange(len(linked))[keep]))
 
 
 def same_bits(a, b):
@@ -1209,13 +1209,13 @@ class TestResidualLevelByLevel:
         # the residuals of paths taken in chunks are the whole ensemble's rows
         kept = np.flatnonzero(~ens.exited)
         chunks = [kept[lo : lo + 7] for lo in range(0, len(kept), 7)]
-        parts = [bsde_residual(ens.take(chunk)).residuals for chunk in chunks]
+        parts = [bsde_residual(take(ens, chunk)).residuals for chunk in chunks]
         assert same_bits(np.concatenate(parts), whole.residuals)
 
     def test_reversed_paths_keep_the_reductions(self):
         ens = coupled_linear_ensemble(500)
         base = bsde_residual(ens)
-        rev = bsde_residual(ens.take(np.arange(len(ens))[::-1]))
+        rev = bsde_residual(take(ens, np.arange(len(ens))[::-1]))
         for field in REPORT_FIELDS[1:]:
             assert same_bits(getattr(rev, field), getattr(base, field)), field
         assert same_bits(rev.residuals, base.residuals[::-1])

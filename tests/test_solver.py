@@ -1227,8 +1227,11 @@ class TestOneGradientPerLevel:
             (Grid((0.0,), (3.0,), (201,)), 200),
             (Grid((0.0,) * 2, (3.0,) * 2, (33, 33)), 200),
             (Grid((0.0,) * 3, (3.0,) * 3, (13,) * 3), 100),
+            # long marches: temporaries over every level's faces would pass 24 levels
+            (Grid((0.0,) * 3, (3.0,) * 3, (13,) * 3), 400),
+            (Grid((0.0,) * 2, (3.0,) * 2, (33, 33)), 800),
         ],
-        ids=["1d", "2d", "3d"],
+        ids=["1d", "2d", "3d", "3d-long", "2d-long"],
     )
     def test_peak_is_the_field_plus_a_few_levels(self, grid, steps):
         spec = _heat_spec(grid.ndim)
