@@ -158,6 +158,11 @@ def assemble_coefficients(
     the generator and the nu-integral of the nonlocal table.  The
     composite gradient argument p * sigma is formed here; ``p`` is
     always the raw spatial gradient of the field.
+
+    Each full-grid array is dropped after its last read: sigma once
+    ``a2`` and p * sigma are formed, and the nu-integral of phi is taken
+    before the drift, so the drift is never alive next to sigma or next
+    to that integral's temporaries.
     """
     s = spec.horizon - t
     x = np.asarray(x, dtype=float)
@@ -168,10 +173,10 @@ def assemble_coefficients(
     sig = spec.sigma(s, x, u)
     a2 = _half_gram(sig)
     p_sigma = np.einsum("bmi,bij->bmj", p, sig)
+    del sig
 
-    f_val = spec.f(s, x, u, p_sigma, w)
     a1 = spec.phi_integral(s, x, u)
-    a1 -= f_val
+    a1 -= spec.f(s, x, u, p_sigma, w)
     a0 = -spec.g(s, x, u, p_sigma, w)
     a0 -= integrate_over_nu(w, spec.measure)
     return a2, a1, a0

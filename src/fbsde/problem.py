@@ -72,11 +72,15 @@ class LevyMeasure:
             raise ValueError("marks must be nonzero vectors")
         if not (np.all(np.isfinite(marks)) and np.all(np.isfinite(weights))):
             raise ValueError("marks and weights must be finite")
+        try:
+            total_mass = math.fsum(weights)
+        except OverflowError:
+            raise ValueError("the total mass of the weights must be finite") from None
         marks.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "total_mass", math.fsum(weights))
+        object.__setattr__(self, "total_mass", total_mass)
 
     def __len__(self) -> int:
         return self.marks.shape[0]
@@ -212,7 +216,8 @@ def check_ellipticity(
     Each sample is a (t, x, u) triple.  The margin at a sample is the
     worse of ``ellipticity_lower - lambda_min`` and
     ``lambda_max - ellipticity_upper``; the check passes when no sample
-    violates either bound.  Raises :class:`DegenerateDiffusionError` if
+    violates either bound.  A sample whose sigma sigma^T is not finite has
+    an infinite margin.  Raises :class:`DegenerateDiffusionError` if
     sigma sigma^T is singular or indefinite anywhere in the sample.
     """
     if not sample_points:
@@ -222,7 +227,12 @@ def check_ellipticity(
         xb = np.asarray(x, dtype=float).reshape(1, spec.n)
         ub = np.asarray(u, dtype=float).reshape(1, spec.m)
         sig = spec.sigma(t, xb, ub)[0]
-        gram = sig @ sig.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = sig @ sig.T
+        if not np.all(np.isfinite(gram)):
+            # no eigenvalue of it is bounded: B1 fails by value, as B5 does
+            worst = math.inf
+            continue
         eigs = np.linalg.eigvalsh(gram)
         lo, hi = float(eigs[0]), float(eigs[-1])
         if lo <= 0.0:

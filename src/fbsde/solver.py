@@ -318,12 +318,20 @@ def _thomas(
 def _face_values(
     config: SolverConfig, grid: Grid, t_next: float, horizon: float, m: int
 ) -> np.ndarray:
-    """Full-grid array holding prescribed values at face nodes (0 elsewhere)."""
+    """Full-grid array holding prescribed values at face nodes (0 elsewhere).
+
+    Data that is not finite raises ``ValueError`` naming its original time.
+    """
     out = np.zeros((grid.n_nodes, m))
     if config.dirichlet_data is not None:
         mask, pts = grid_faces(grid)
-        vals = config.dirichlet_data(horizon - t_next, pts)
-        out[mask] = _shaped("dirichlet_data", vals, (pts.shape[0], m))
+        t = horizon - t_next
+        vals = _shaped("dirichlet_data", config.dirichlet_data(t, pts), (pts.shape[0], m))
+        if not all_finite(vals):
+            raise ValueError(
+                f"Dirichlet data must be finite at every face node; it is not at t={t}"
+            )
+        out[mask] = vals
     return out
 
 
@@ -388,6 +396,7 @@ def step_imex(
         p = spatial_gradient(grid, u_now)
     w = eval_nonlocal(grid, u_now, spec, t)
     a2, a1, a0 = assemble_coefficients(spec, t, grid_nodes(grid), u_now, p, w)
+    del w
 
     if not all_finite(a2):
         raise DegenerateDiffusionError(
@@ -398,28 +407,31 @@ def step_imex(
             "non-positive diffusion pivot a_ii; ellipticity fails on the grid"
         )
 
-    # terms that overflow are caught by the finiteness check below
+    max_transport = float(max(a1.max(), -a1.min()))
+
+    # terms that overflow are caught by the finiteness check below; a1 and
+    # a0 go after their last read, so of the coefficients the sweeps hold a2
     with np.errstate(over="ignore", invalid="ignore"):
-        expl = -np.einsum("bi,bmi->bm", a1, p)
-        expl -= a0
+        u_next = -np.einsum("bi,bmi->bm", a1, p)
+        u_next -= a0
+        del a1, a0, p
         if ndim > 1:
-            expl += _mixed_second_sum(u_now, a2, grid)
-        expl *= dt
-        rhs = u_now + expl
+            u_next += _mixed_second_sum(u_now, a2, grid)
+        u_next *= dt
+        u_next += u_now  # the right-hand side u_now + dt * (explicit terms)
 
     bfull = _face_values(config, grid, t + dt, spec.horizon, u_now.shape[1])
 
-    if not all_finite(rhs):
+    if not all_finite(u_next):
         raise BlowUpError("explicit terms produced non-finite values", level=-1)
 
-    u_next = rhs
     for ax in range(ndim):
         u_next = _solve_axis_sweep(grid, u_next, ax, a2[:, ax, ax], dt, bfull)
     np.copyto(u_next, bfull, where=grid.boundary_mask()[:, None])
 
     if not all_finite(u_next):
         raise BlowUpError("implicit solve produced non-finite values", level=-1)
-    return u_next, float(max(a1.max(), -a1.min()))
+    return u_next, max_transport
 
 
 _OVERFLOW = "gradients must be finite; the differences of values overflow"
@@ -803,19 +815,23 @@ def solve_final_value(
     h_vals = spec.h(grid_nodes(grid))
     if not all_finite(h_vals):
         raise ValueError("terminal data h must be finite at every grid node")
-    if config.dirichlet_data is None:
-        u0 = h_vals * cutoff_values(grid, config.cutoff_width)[:, None]
-    else:
-        faces = _face_values(config, grid, 0.0, T, spec.m)
-        if not all_finite(faces):
-            raise ValueError("Dirichlet data must be finite at every face node")
-        u0 = np.where(mask[:, None], faces, h_vals)
 
     # march level j is stored at original-time level n_steps - j; its
-    # gradient serves its step and its sup, and is then dropped
+    # gradient serves its step and its sup, and is then dropped.  Each
+    # level, the first included, is written into the field and read back
+    # from it, so the march holds no full-grid array of its own
     values = np.empty((n_steps + 1, grid.n_nodes, spec.m))
     sup_grad = np.empty(n_steps + 1)
-    values[-1] = u = u0
+    if config.dirichlet_data is None:
+        np.multiply(
+            h_vals, cutoff_values(grid, config.cutoff_width)[:, None], out=values[-1]
+        )
+    else:
+        faces = _face_values(config, grid, 0.0, T, spec.m)
+        values[-1] = np.where(mask[:, None], faces, h_vals)
+        del faces
+    del h_vals
+    u = values[-1]
     coarse = False
     for j in range(n_steps + 1):
         p = spatial_gradient(grid, u)
@@ -834,6 +850,7 @@ def solve_final_value(
             # transport-resolution heuristic: coarse N_t is allowed, only flagged
             coarse = dt * max_transport > min(grid.spacings)
         values[-2 - j] = u
+        u = values[-2 - j]
     times = np.linspace(0.0, T, n_steps + 1)
 
     field_obj = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)

@@ -147,3 +147,18 @@ class TestWhatAnImportLoads:
             """
         )
         assert done.stdout.strip() == "False", done.stdout + done.stderr
+
+    def test_solve_and_check_assumptions_load_no_numpy_random(self, fresh_python, tmp_path):
+        # neither command draws a random number, and numpy.random alone
+        # costs about 1.8 MB resident
+        done = fresh_python(
+            f"""
+            import sys
+            from fbsde.cli import main
+            flags = ["--problem", "heat", "--nodes", "21", "--steps", "10"]
+            flags += ["--out", {str(tmp_path)!r}]
+            for command in ("solve", "check-assumptions"):
+                print(main([command] + flags), "numpy.random" in sys.modules)
+            """
+        )
+        assert done.stdout.splitlines()[-2:] == ["0 False", "0 False"], done.stdout + done.stderr

@@ -63,6 +63,10 @@ class TestLevyMeasure:
         with pytest.raises(ValueError):
             LevyMeasure(marks=np.zeros((0, 1)), weights=np.zeros(0))
 
+    def test_total_mass_past_the_float_range_named(self):
+        with pytest.raises(ValueError, match="total mass of the weights"):
+            LevyMeasure(marks=[[1.0], [1.0]], weights=[1e308, 1e308])
+
     def test_rejects_zero_mark(self):
         with pytest.raises(ValueError, match="nonzero"):
             LevyMeasure(marks=[[0.0]], weights=[1.0])
@@ -163,6 +167,20 @@ class TestEllipticity:
             a = check_ellipticity(spec2(from_matrix(base)), samples)
             b = check_ellipticity(spec2(from_matrix(base @ q)), samples)
             assert a.worst_margin == pytest.approx(b.worst_margin, abs=1e-10)
+
+    def test_nan_sigma_fails_with_an_infinite_margin(self):
+        spec = make_spec(lambda t, x, u: np.full((x.shape[0], 1, 1), np.nan))
+        entry = check_ellipticity(spec, [(0.0, np.zeros(1), np.zeros(1))])
+        assert entry.worst_margin == np.inf and not entry.passed
+
+    def test_nan_sample_among_finite_ones_fails(self):
+        def sigma(t, x, u):
+            return np.full((x.shape[0], 1, 1), np.nan if t == 0.5 else 1.0)
+
+        samples = [(t, np.zeros(1), np.zeros(1)) for t in (0.0, 0.5, 1.0)]
+        entry = check_ellipticity(make_spec(sigma), samples)
+        assert entry.samples == 3
+        assert entry.worst_margin == np.inf and not entry.passed
 
 
 UNIT_ENVELOPES = GrowthEnvelopes(

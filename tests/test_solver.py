@@ -432,13 +432,16 @@ class TestSolveFinalValue:
             solve_final_value(spec, config, MaxPrincipleConstants(0, 0, 0))
 
     def test_non_finite_dirichlet_data_named(self):
-        config = SolverConfig(
-            grid=Grid((0.0,), (math.pi,), (21,)),
-            n_steps=4,
-            dirichlet_data=lambda t, x: np.full((x.shape[0], 1), np.inf),
-        )
-        with pytest.raises(ValueError, match="Dirichlet data"):
-            solve_final_value(diffusion_spec(), config, MaxPrincipleConstants(0, 0, 0))
+        cases = [
+            (lambda t, x: np.full((x.shape[0], 1), np.inf), 1.0),
+            # finite at the terminal level: caught at the first level that is not
+            (lambda t, x: np.full((x.shape[0], 1), np.nan if t < 0.5 else 0.0), 0.25),
+        ]
+        for data, first_bad in cases:
+            grid = Grid((0.0,), (math.pi,), (21,))
+            config = SolverConfig(grid=grid, n_steps=4, dirichlet_data=data)
+            with pytest.raises(ValueError, match=rf"Dirichlet data .* t={first_bad}$"):
+                solve_final_value(diffusion_spec(), config, MaxPrincipleConstants(0, 0, 0))
 
     def test_dirichlet_data_of_another_size_named(self):
         config = SolverConfig(
@@ -1253,6 +1256,27 @@ class TestOneGradientPerLevel:
         level = stored // len(field.times) * (1 + grid.ndim)
         # stored gradients, or levels stacked at the end, would add every level again
         assert peak <= stored + 24 * level, (peak - stored) / level
+
+    @pytest.mark.parametrize(
+        "grid, steps",
+        [
+            (Grid((0.0,) * 3, (3.0,) * 3, (13,) * 3), 100),
+            (Grid((0.0,) * 3, (3.0,) * 3, (17,) * 3), 40),
+        ],
+        ids=["13^3x100", "17^3x40"],
+    )
+    def test_3d_step_holds_at_most_30_value_levels(self, grid, steps, traced_peak):
+        # sigma is a fresh (B, 3, 3) array per step, nine value-levels: alive
+        # next to a2, p * sigma, the drift and the nu-integral, it puts the
+        # step near 40
+        spec = _heat_spec(3)
+        config = SolverConfig(grid=grid, n_steps=steps, cutoff_width=0.5)
+        constants = MaxPrincipleConstants(0.0, 1.0, 1.0)
+        solve_final_value(spec, config, constants)  # fills the per-grid caches
+        (field, _), peak = traced_peak(solve_final_value, spec, config, constants)
+        stored = field.values.nbytes
+        value_level = stored // len(field.times)
+        assert peak <= stored + 30 * value_level, (peak - stored) / value_level
 
 
 class TestIntegerCounts:
