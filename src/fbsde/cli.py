@@ -34,7 +34,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -42,9 +42,6 @@ import numpy as np
 
 from .catalog import BuiltProblem, build_problem
 from .errors import ConfigError, FbsdeError
-from .pipeline import ResidualReport, _ResidualSums
-from .paths import RngStream, _check_start_point, _path_arrays, _path_chunks, _simulate_paths
-from .paths import _time_grid
 from .problem import AssumptionCheck, AssumptionReport, _shaped, check_ellipticity, check_growth
 from .solver import (
     Diagnostics,
@@ -183,6 +180,10 @@ def _build(config: RunConfig) -> BuiltProblem:
         if config.cutoff_width is not None:
             cfg = replace(cfg, cutoff_width=float(config.cutoff_width))
         if "simulate" in config.stages or config.rungs:
+            # the layers that simulate load only here, before the solve
+            from . import pipeline  # noqa: F401
+            from .paths import _check_start_point, _time_grid
+
             x0 = built.x0 if config.x0 is None else config.x0
             _check_start_point(cfg, x0)
             _time_grid(built.spec.horizon, _path_dt(config, built))
@@ -379,6 +380,9 @@ def _walk_paths(field_obj, x0, dt, n_paths, seed, paths_csv=None, first_chunk=No
     and then dropped.  Without ``paths_csv``, no Y over levels is kept.  ``first_chunk``
     is a context around the stepping of the first chunk.
     """
+    from .paths import RngStream, _path_arrays, _path_chunks, _simulate_paths, _time_grid
+    from .pipeline import _ResidualSums
+
     spec = field_obj.spec
     times = _time_grid(spec.horizon, dt)
     sums = _ResidualSums(field_obj, times, n_paths)
@@ -403,9 +407,10 @@ def _report_dict(
     assumptions: Optional[AssumptionReport],
     diag: Optional[Diagnostics],
     max_principle: Optional[MaxPrincipleResult],
-    residuals: Optional[ResidualReport],
+    residuals,
     checks: dict,
 ) -> dict:
+    """The report with the stage results themselves in it; :func:`_plain` makes it JSON data."""
     report: dict = {
         "config": {
             "problem": config.problem,
@@ -423,40 +428,31 @@ def _report_dict(
         "checks": checks,
     }
     if assumptions is not None:
-        report["assumptions"] = {
-            "passed": assumptions.passed,
-            "entries": [asdict(e) for e in assumptions.entries],
-        }
+        report["assumptions"] = {"passed": assumptions.passed, "entries": assumptions.entries}
     if diag is not None:
-        report["diagnostics"] = {
-            "sup_u": [float(v) for v in diag.sup_u],
-            "sup_gradient": [float(v) for v in diag.sup_gradient],
-            "initial_data_sup": diag.initial_data_sup,
-            "boundary_data_sup": diag.boundary_data_sup,
-            "lambda_rate": max_principle.lambda_rate,
-            "coarse_time_grid": diag.coarse_time_grid,
-            "constants": asdict(diag.constants),
-        }
+        report["diagnostics"] = {**_fields(diag), "lambda_rate": max_principle.lambda_rate}
     if max_principle is not None:
-        report["max_principle"] = asdict(max_principle)
+        report["max_principle"] = max_principle
     if residuals is not None:
-        report["residuals"] = {
-            "rms": residuals.rms,
-            "mean": [float(v) for v in residuals.mean],
-            "stderr": [float(v) for v in residuals.stderr],
-            "class_s_norm": residuals.class_s_norm,
-            "excluded_paths": residuals.excluded_paths,
-            "total_paths": residuals.total_paths,
-        }
+        report["residuals"] = {k: v for k, v in _fields(residuals).items() if k != "residuals"}
     return report
 
 
-def _finite_or_null(obj):
-    """``obj`` with every non-finite float, at any depth, replaced by None."""
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _plain(obj):
+    """``obj`` as JSON data, at any depth: a dataclass as the dict of its fields,
+    an array or a tuple as a list, and a non-finite float as None."""
+    if is_dataclass(obj):
+        obj = _fields(obj)
     if isinstance(obj, dict):
-        return {key: _finite_or_null(value) for key, value in obj.items()}
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(value) for value in obj]
+        return [_plain(value) for value in obj]
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
@@ -505,7 +501,7 @@ def run(config: RunConfig) -> int:
     report_path = out_dir / "report.json"
     with _writing(report_path), open(report_path, "w", encoding="utf-8") as fh:
         # strict JSON: a non-finite value that reaches the dump raises
-        json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(_plain(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     return 0 if all(checks.values()) else 1
@@ -607,7 +603,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--nodes", type=int, dest="nodes")
     common.add_argument("--steps", type=int)
     common.add_argument("--cutoff-width", type=float, dest="cutoff_width")
-    common.add_argument("--out", dest="out_dir", help="output directory")
+    common.add_argument("--out", type=Path, dest="out_dir", help="output directory")
 
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--paths", type=int, default=None)
@@ -641,39 +637,23 @@ _COMMAND_STAGES = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    settings: dict = {"params": {}}
+    """Settings from the default output directory, then the config file, then the flags
+    given, each overriding the one before."""
+    settings: dict = {"out_dir": Path(os.environ.get(_ENV_OUT_DIR, "fbsde-out")), "params": {}}
     if args.config:
         settings = _apply_config_file(args.config, settings)
     settings["params"].update(_parse_params(args.param))
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return settings.get(key, default)
-
-    problem = args.problem or settings.get("problem")
-    if not problem:
+    # an empty --problem leaves the file's problem in place
+    for name, _ in _FILE_KEYS.values():
+        if getattr(args, name, None) not in (None, ""):
+            settings[name] = getattr(args, name)
+    if not settings.get("problem"):
         raise ConfigError("a problem name is required (--problem or config file)")
-    out_default = os.environ.get(_ENV_OUT_DIR, "fbsde-out")
     try:
         x0 = tuple(float(v) for v in args.x0.split(",")) if getattr(args, "x0", None) else None
     except ValueError:
         raise ConfigError(f"--x0 needs comma-separated numbers, got {args.x0!r}") from None
-    config = RunConfig(
-        problem=problem,
-        params=settings["params"],
-        stages=_COMMAND_STAGES.get(args.command, ()),
-        nodes=pick(args.nodes, "nodes", None),
-        steps=pick(args.steps, "steps", None),
-        cutoff_width=pick(args.cutoff_width, "cutoff_width", None),
-        paths=int(pick(getattr(args, "paths", None), "paths", 256)),
-        dt=pick(getattr(args, "dt", None), "dt", None),
-        seed=int(pick(getattr(args, "seed", None), "seed", 0)),
-        x0=x0,
-        out_dir=Path(pick(args.out_dir, "out_dir", out_default)),
-        rungs=int(pick(getattr(args, "rungs", None), "rungs", 0)),
-    )
-    return config
+    return RunConfig(**settings, stages=_COMMAND_STAGES.get(args.command, ()), x0=x0)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

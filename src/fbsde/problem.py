@@ -26,6 +26,7 @@ nu-integral is the weighted sum over atoms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -113,6 +114,12 @@ class ProblemSpec:
     ellipticity_upper: float = float("inf")
 
     def __post_init__(self):
+        for name in ("n", "m", "l"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"dimension {name} must be an integer, got {value!r}")
+        if isinstance(self.horizon, bool):
+            raise ValueError(f"horizon must be a number, not a bool, got {self.horizon!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if min(self.n, self.m, self.l) < 1:

@@ -346,6 +346,20 @@ FILE_KEY_FLAGS = {
 }
 
 
+# a flag value for each file key, other than the one in FILE_KEY_FLAGS
+OTHER_FLAGS = {
+    "problem": ["--problem", "heat"],
+    "solver.nodes": ["--nodes", "21"],
+    "solver.steps": ["--steps", "7"],
+    "solver.cutoff_width": ["--cutoff-width", "0.25"],
+    "sim.paths": ["--paths", "3"],
+    "sim.dt": ["--dt", "0.01"],
+    "sim.seed": ["--seed", "4"],
+    "out.dir": ["--out", "runs/b"],
+    "sweep.rungs": ["--rungs", "5"],
+}
+
+
 class TestConfigErrorIsValueError:
     def test_library_callers_catching_value_error_keep_working(self):
         assert issubclass(ConfigError, FbsdeError) and issubclass(ConfigError, ValueError)
@@ -397,6 +411,20 @@ class TestConfigFileKeys:
             from_file = resolve(base + ["--config", str(cfg)])
             assert from_file == resolve(base + flags), key
             assert from_file != default, key
+
+    @pytest.mark.parametrize("key", list(_FILE_KEYS))
+    def test_a_flag_beats_the_file_for_every_key(self, tmp_path, key):
+        parser = _make_parser()
+
+        def resolve(argv):
+            return _config_from_args(parser.parse_args(["sweep", *argv]))
+
+        base = [] if key == "problem" else ["--problem", "heat"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {FILE_KEY_FLAGS[key][0]}\n")
+        from_both = resolve(base + ["--config", str(cfg)] + OTHER_FLAGS[key])
+        assert from_both == resolve(base + OTHER_FLAGS[key])
+        assert from_both != resolve(base + ["--config", str(cfg)])
 
 
 class TestSweepCommand:
@@ -719,7 +747,7 @@ class TestWriterProcesses:
         def blow_up(*args, **kwargs):
             raise BlowUpError("solution blew up at time level 3: test", level=3)
 
-        monkeypatch.setattr(cli, "_simulate_paths", blow_up)
+        monkeypatch.setattr(paths, "_simulate_paths", blow_up)
         assert main(verify_small(tmp_path)) == 1
         assert capsys.readouterr().err == "error: solution blew up at time level 3: test\n"
         assert_no_leftovers(tmp_path)
@@ -799,7 +827,46 @@ def library_residuals(name: str, n_paths: int, dt: float, seed: int) -> dict:
     block = cli._report_dict(
         RunConfig(problem=name), build_problem(name), None, None, None, report, {}
     )["residuals"]
-    return cli._finite_or_null(block)
+    return cli._plain(block)
+
+
+class TestReportCarriesEveryResultField:
+    """A field added to a stage result reaches ``report.json`` with its value."""
+
+    def test_every_field_of_each_result_with_its_value(self, tmp_path, monkeypatch):
+        results = {}
+        report_dict = cli._report_dict
+
+        def capture(config, built, assumptions, diag, max_principle, residuals, checks):
+            results.update(assumptions=assumptions, diag=diag, mp=max_principle, res=residuals)
+            return report_dict(config, built, assumptions, diag, max_principle, residuals, checks)
+
+        monkeypatch.setattr(cli, "_report_dict", capture)
+        argv = ["verify", "--problem", "coupled-linear", "--nodes", "21", "--steps", "10"]
+        argv += ["--paths", "20", "--dt", "0.05", "--seed", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = strict_report(tmp_path / "report.json")
+
+        def assert_fields(section, result, left_out=()):
+            names = [f.name for f in dataclasses.fields(result) if f.name not in left_out]
+            assert names and set(names) <= set(section)
+            for name in names:
+                value = getattr(result, name)
+                if dataclasses.is_dataclass(value):
+                    value = dataclasses.asdict(value)
+                elif isinstance(value, np.ndarray):
+                    value = value.tolist()
+                assert section[name] == value, name
+
+        assert_fields(report["residuals"], results["res"], left_out=("residuals",))
+        assert "residuals" not in report["residuals"]
+        assert_fields(report["diagnostics"], results["diag"])
+        assert report["diagnostics"]["lambda_rate"] == results["mp"].lambda_rate
+        assert_fields(report["max_principle"], results["mp"])
+        entries = results["assumptions"].entries
+        assert len(report["assumptions"]["entries"]) == len(entries) == 3
+        for section, entry in zip(report["assumptions"]["entries"], entries):
+            assert_fields(section, entry)
 
 
 class TestStreamedWalk:

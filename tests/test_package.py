@@ -138,15 +138,31 @@ class TestWhatAnImportLoads:
         assert not loaded & {"fbsde.catalog", "fbsde.cli"}
 
     def test_no_layer_imports_scipy(self, fresh_python):
-        # the command-line front end imports every layer
+        # the command-line front end and the layers that simulate: every layer
         done = fresh_python(
             """
             import sys
             import fbsde.cli
+            import fbsde.pipeline
             print("scipy" in sys.modules)
             """
         )
         assert done.stdout.strip() == "False", done.stdout + done.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "check-assumptions"])
+    def test_commands_that_do_not_simulate_load_neither_paths_nor_pipeline(
+        self, fresh_python, tmp_path, command
+    ):
+        done = fresh_python(
+            f"""
+            import sys
+            from fbsde.cli import main
+            flags = ["--problem", "heat", "--nodes", "21", "--steps", "10"]
+            print(main([{command!r}, *flags, "--out", {str(tmp_path)!r}]))
+            print(*sorted({{"fbsde.paths", "fbsde.pipeline"}} & set(sys.modules)))
+            """
+        )
+        assert done.stdout.splitlines()[-2:] == ["0", ""], done.stdout + done.stderr
 
     def test_solve_and_check_assumptions_load_no_numpy_random(self, fresh_python, tmp_path):
         # neither command draws a random number, and numpy.random alone

@@ -12,6 +12,7 @@ from fbsde import (
     GrowthEnvelopes,
     LevyMeasure,
     ProblemSpec,
+    build_problem,
     check_ellipticity,
     check_growth,
 )
@@ -269,6 +270,22 @@ class TestProblemSpec:
                 terminal=lambda x: np.asarray(x, dtype=float).copy(),
                 measure=LevyMeasure(marks=[[1.0]], weights=[1.0]),
             )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n", 1.5), ("n", True), ("n", np.float64(1.0)), ("m", 2.0), ("l", True)]
+        + [("horizon", True)],
+    )
+    def test_non_integer_or_bool_dimension_and_bool_horizon_named(self, name, value):
+        spec = build_problem("heat", {"nodes": 11, "steps": 4}).spec
+        message = rf"^(dimension )?{name} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(spec, **{name: value})
+
+    def test_numpy_integer_dimensions_and_float_horizon_accepted(self):
+        spec = build_problem("heat", {"nodes": 11, "steps": 4}).spec
+        spec = dataclasses.replace(spec, n=np.int64(1), m=np.int32(1), horizon=np.float64(0.5))
+        assert (spec.n, spec.m, spec.horizon) == (1, 1, 0.5)
 
 
 # each ProblemSpec method: (user field it calls, the call on a spec, result shape)
