@@ -1,11 +1,11 @@
 """Command-line front end: solve, simulate, verify, sweep, check-assumptions.
 
 Configuration comes from an optional flat key-value file (``key = value``
-lines, dotted section names) overridden by command-line flags.  Every
-run writes ``report.json`` with the resolved configuration and seeds;
-``solve`` adds ``field.csv``, ``simulate``/``verify`` add ``paths.csv``
-and ``sweep`` writes ``sweep.csv``.  Floating-point CSV output uses 17
-significant digits so values round-trip losslessly.
+lines, dotted section names) overridden by command-line flags.  ``sweep``
+writes ``sweep.csv`` only; every other command writes ``report.json``
+with the resolved configuration and seeds, ``solve`` adds ``field.csv``
+and ``simulate``/``verify`` add ``paths.csv``.  Floating-point CSV output
+uses 17 significant digits so values round-trip losslessly.
 
 The paths are walked in chunks (``paths._CHUNK_PATHS``): each finished
 level of a chunk goes into the residual sums, then its rows of
@@ -31,6 +31,7 @@ import argparse
 import contextlib
 import json
 import math
+import numbers
 import os
 import shutil
 import sys
@@ -83,11 +84,20 @@ class RunConfig:
         for stage in self.stages:
             if stage not in _STAGES:
                 raise ConfigError(f"unknown stage {stage!r}")
-        if "simulate" in self.stages or self.rungs:
+        for name in ("paths", "seed", "rungs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if _simulates(self):
             if self.paths < 1:
                 raise ConfigError("paths must be >= 1")
             if self.seed < 0:
                 raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+def _simulates(config: RunConfig) -> bool:
+    """Whether the run walks paths; :func:`sweep` runs its rungs with the simulate stage."""
+    return "simulate" in config.stages or "verify" in config.stages
 
 
 def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
@@ -179,7 +189,7 @@ def _build(config: RunConfig) -> BuiltProblem:
         cfg = built.solver_config
         if config.cutoff_width is not None:
             cfg = replace(cfg, cutoff_width=float(config.cutoff_width))
-        if "simulate" in config.stages or config.rungs:
+        if _simulates(config):
             # the layers that simulate load only here, before the solve
             from . import pipeline  # noqa: F401
             from .paths import _check_start_point, _time_grid
@@ -483,7 +493,7 @@ def run(config: RunConfig) -> int:
         field_writer = contextlib.nullcontext()
         if "solve" in config.stages:
             field_writer = _in_child(_write_field_csv, out_dir / "field.csv", field_obj)
-        if "simulate" in config.stages or "verify" in config.stages:
+        if _simulates(config):
             # field.csv is written while the first chunk of paths is simulated
             residuals = _walk_paths(
                 field_obj, built.x0, _path_dt(config, built), config.paths, config.seed,
@@ -509,6 +519,7 @@ def run(config: RunConfig) -> int:
 
 def sweep(config: RunConfig) -> int:
     """Refinement ladder (h, dt) -> (h/2, dt/4); one CSV row per rung."""
+    config = replace(config, stages=("simulate",))
     config.validate()
     if config.rungs < 2:
         raise ConfigError("sweep needs at least 2 rungs")
@@ -562,20 +573,15 @@ def sweep(config: RunConfig) -> int:
         prev_err = err
         prev_rms = rms
 
-    # a row's keys, in insertion order, are the CSV columns
+    def cell(v) -> str:
+        return "" if v is None else str(v) if isinstance(v, int) else _FLOAT % v
+
+    # a row's keys, in insertion order, are the CSV columns, each of ready text
+    columns = [(name, "%s") for name in rows[0]]
+    block = [np.array([cell(row[name]) for row in rows], dtype=object) for name in rows[0]]
     sweep_path = out_dir / "sweep.csv"
-    with _writing(sweep_path), open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            cells = []
-            for v in row.values():
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, int):
-                    cells.append(str(v))
-                else:
-                    cells.append(_FLOAT % v)
-            fh.write(",".join(cells) + "\n")
+    with _writing(sweep_path):
+        _write_csv(sweep_path, columns, [block])
     return 0
 
 

@@ -488,47 +488,45 @@ def _check_component(component, m: int) -> int:
 class SolutionField:
     """Decoupling field snapshots on the grid, indexed by original time.
 
-    ``values[i]`` approximates the field at times[i], and only the values
-    are stored: a gradient query forms the node gradients of the cell
+    The field is its ``values``, (L, n_nodes, m) with L = config.n_steps + 1,
+    on the nodes of ``config.grid`` (:attr:`grid`); ``values[i]``
+    approximates the field at ``times[i]``, the read-only
+    ``np.linspace(0.0, spec.horizon, L)`` formed at construction.  Only the
+    values are stored: a gradient query forms the node gradients of the cell
     corners it reads from their stencil neighbours, so no stage holds a
     gradient table.  The snapshot at the final time reproduces the
     boundary-prepared terminal data exactly.  Evaluation between snapshots
     is linear in time and multilinear in space, with queries clamped to the
     box.  :meth:`value` and :meth:`gradient` take ``t`` as a scalar or one
-    time per point; ``gradient(t, x, with_value=True)`` gives both on the
-    same rows and locates the rows once, as :meth:`derivatives` does for one
+    time per point; :meth:`derivatives` locates the rows once for one
     component's gradient, Hessian and time difference; :meth:`backward_rows`
     reads (Y, Z, Ztilde) off the field.  A fresh array given to the field is
     taken over and made read-only; views and read-only arrays are copied.
     """
 
-    grid: Grid
-    times: np.ndarray  # (L,)
     values: np.ndarray  # (L, n_nodes, m)
     spec: ProblemSpec
     config: SolverConfig
 
     def __post_init__(self):
-        for name in ("times", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not all_finite(arr):
-                raise ValueError(f"{name} must be finite")
-            if arr.base is not None or not arr.flags.writeable:
-                arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        # time_bracket assumes uniform levels from 0
-        t = self.times
-        if t.ndim != 1 or t.shape[0] < 2:
-            raise ValueError(f"times must be 1-D with at least 2 levels, got shape {t.shape}")
-        if t[0] != 0.0:
-            raise ValueError(f"times must start at 0, got {t[0]}")
-        step = t[-1] / (t.shape[0] - 1)
-        if not (step > 0.0 and np.all(np.abs(np.diff(t) - step) <= 1e-9 * step)):
-            raise ValueError("times must be uniform and increasing")
-        expected = (t.shape[0], self.grid.n_nodes, self.spec.m)
-        if self.values.shape != expected:
-            raise ValueError(f"values must have shape {expected}, got {self.values.shape}")
+        values = np.asarray(self.values, dtype=float)
+        if not all_finite(values):
+            raise ValueError("values must be finite")
+        if values.base is not None or not values.flags.writeable:
+            values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        expected = (self.config.n_steps + 1, self.grid.n_nodes, self.spec.m)
+        if values.shape != expected:
+            raise ValueError(f"values must have shape {expected}, got {values.shape}")
+        # uniform levels from 0, as time_bracket assumes
+        times = np.linspace(0.0, self.spec.horizon, values.shape[0])
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
+
+    @property
+    def grid(self) -> Grid:
+        return self.config.grid
 
     @property
     def gradients(self) -> np.ndarray:
@@ -580,23 +578,16 @@ class SolutionField:
     def value(self, t, points: np.ndarray) -> np.ndarray:
         return self.interpolate(t, points, self.values)
 
-    def gradient(self, t, points: np.ndarray, with_value: bool = False):
-        """Spatial gradient at the rows (``t``, ``points``).
+    def gradient(self, t, points: np.ndarray) -> np.ndarray:
+        """Spatial gradient (B, m, n) at the rows (``t``, ``points``).
 
         The :func:`spatial_gradient` of each cell corner at both bracketing
         levels is formed from the corner's stencil neighbours and blended
-        like the values, so the result has the bits of interpolating
-        :attr:`gradients`.  With ``with_value``, returns (value, gradient)
-        from the same gathered corners; each is the array of its own query,
-        bit for bit.  A corner gradient that overflows raises ``ValueError``.
+        like the values, to the bits of interpolating :attr:`gradients`; a
+        corner gradient that overflows raises ``ValueError``.
         """
-        return self._gradient(self.time_bracket(t), points, with_value)
-
-    def _gradient(self, bracket, points: np.ndarray, with_value: bool):
-        """:meth:`gradient` at the rows of a :meth:`time_bracket` already taken."""
-        blended = self._blended_jets(bracket, points)[0]
-        gradient = blended[1:].transpose(1, 2, 0)  # (B, m, n)
-        return (blended[0], gradient) if with_value else gradient
+        blended = self._blended_jets(self.time_bracket(t), points)[0]
+        return blended[1:].transpose(1, 2, 0)
 
     def _blended_jets(self, bracket, points: np.ndarray, second: bool = False):
         """The rows' :meth:`_corner_jets`, blended, (J, B, m); and with
@@ -725,9 +716,11 @@ class SolutionField:
 
         Y = u, Z = grad u sigma(t, x, Y) and Ztilde = u(t, x + phi) - u(t, x)
         per atom, shapes (B, m), (B, m, n) and (B, K, m); sigma is (B, n, n).
+        Y and grad u come from the same gathered cell corners.
         """
         bracket = self.time_bracket(t)
-        y, grad = self._gradient(bracket, x, with_value=True)
+        blended = self._blended_jets(bracket, x)[0]
+        y, grad = blended[0], blended[1:].transpose(1, 2, 0)
         sig = self.spec.sigma(t, x, y)
         z = np.einsum("bmi,bij->bmj", grad, sig)
         return y, z, self._nonlocal_table(bracket, t, x, y), sig
@@ -851,9 +844,8 @@ def solve_final_value(
             coarse = dt * max_transport > min(grid.spacings)
         values[-2 - j] = u
         u = values[-2 - j]
-    times = np.linspace(0.0, T, n_steps + 1)
 
-    field_obj = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
+    field_obj = SolutionField(values=values, spec=spec, config=config)
     sup_u = field_obj.sup_norms()
     # every level's face rows hold the face data exactly: the prescribed values,
     # or zeros under the cutoff; level by level, as a whole-array square copies them all

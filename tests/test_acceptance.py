@@ -74,10 +74,9 @@ def _linear_setup():
         n_steps=16,
         dirichlet_data=lambda t, x: np.asarray(x, dtype=float).copy(),
     )
-    times = np.linspace(0.0, 1.0, 17)
     nodes = grid.nodes()
     values = np.broadcast_to(nodes[None], (17, grid.n_nodes, 1)).copy()
-    field = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
+    field = SolutionField(values=values, spec=spec, config=config)
     return spec, field
 
 
@@ -106,13 +105,7 @@ def test_criterion_2_max_principle_bound_all_catalog_problems():
         if name == "heat":
             heat_run = (field, diag)
     field, diag = heat_run
-    scaled = SolutionField(
-        grid=field.grid,
-        times=field.times,
-        values=10.0 * field.values,
-        spec=field.spec,
-        config=field.config,
-    )
+    scaled = SolutionField(values=10.0 * field.values, spec=field.spec, config=field.config)
     flagged = not check_max_principle(scaled, diag, tol=1e-10).passed
     ok = ok and flagged
     _line(2, ok, "; ".join(details) + f"; 10x-scaled field flagged: {flagged}")
@@ -311,14 +304,7 @@ def test_criterion_8_ito_identity():
     config = SolverConfig(
         grid=grid, n_steps=8, dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1))
     )
-    times = np.linspace(0.0, 1.0, 9)
-    field_j = SolutionField(
-        grid=grid,
-        times=times,
-        values=np.zeros((9, grid.n_nodes, 1)),
-        spec=spec_j,
-        config=config,
-    )
+    field_j = SolutionField(values=np.zeros((9, grid.n_nodes, 1)), spec=spec_j, config=config)
     ens = simulate_ensemble(field_j, spec_j, np.array([0.0]), 1e-3, 1000, base_seed=21)
     res_linear = ito_residuals(link_ensemble(ens, field_j, spec_j), test_fn=linear_fn)
     linear_ok = float(np.abs(res_linear).max()) <= 1e-12

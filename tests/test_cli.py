@@ -395,6 +395,36 @@ class TestConfigErrorIsValueError:
         assert capsys.readouterr().err == "error: bad setting\n"
 
 
+class TestRunConfigChecks:
+    @staticmethod
+    def _config(tmp_path, **settings):
+        base = dict(problem="coupled-linear", nodes=41, steps=40, paths=20, dt=0.05)
+        return RunConfig(**{**base, **settings}, out_dir=tmp_path / "out")
+
+    # validate, _build and run ask one question: does this run simulate?
+    @pytest.mark.parametrize("stages", [("simulate",), ("verify",)])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"x0": (5.9,)}, r"^x0 must lie in the inner \(cutoff = 1\) region$"),
+            ({"dt": 0.3}, r"^dt 0\.3 must divide the horizon 1\.0$"),
+        ],
+        ids=["x0-in-cutoff-band", "dt-not-dividing"],
+    )
+    def test_every_simulating_stage_checks_the_walk(self, tmp_path, stages, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            cli.run(self._config(tmp_path, stages=stages, **setting))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["paths", "seed", "rungs"])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    def test_bool_or_non_integer_count_named(self, tmp_path, name, value):
+        config = self._config(tmp_path, stages=("solve", "simulate"), **{name: value})
+        with pytest.raises(ConfigError, match=rf"^{name} must be an integer, got {value!r}$"):
+            cli.run(config)
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFileKeys:
     def test_every_file_key_resolves_like_its_flag(self, tmp_path):
         assert set(FILE_KEY_FLAGS) == set(_FILE_KEYS)
@@ -564,11 +594,7 @@ def jumpy_2d_setup():
     )
     gen = np.random.default_rng(3)
     field_obj = SolutionField(
-        grid=grid,
-        times=np.linspace(0.0, 1.0, 5),
-        values=gen.standard_normal((5, grid.n_nodes, 2)),
-        spec=spec,
-        config=config,
+        values=gen.standard_normal((5, grid.n_nodes, 2)), spec=spec, config=config
     )
     return field_obj, simulate_ensemble(field_obj, spec, np.zeros(2), 0.125, 6, base_seed=5)
 

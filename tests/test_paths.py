@@ -66,14 +66,7 @@ def zero_field(spec, lo=-12.0, hi=12.0, nodes=33, levels=5):
         n_steps=levels - 1,
         dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1)),
     )
-    times = np.linspace(0.0, spec.horizon, levels)
-    return SolutionField(
-        grid=grid,
-        times=times,
-        values=np.zeros((levels, grid.n_nodes, 1)),
-        spec=spec,
-        config=config,
-    )
+    return SolutionField(values=np.zeros((levels, grid.n_nodes, 1)), spec=spec, config=config)
 
 
 def jump_schedule(measure, horizon, seed, stream_id):
@@ -261,14 +254,7 @@ class TestSimulateForward:
         spec = make_spec()
         grid = Grid((-2.0,), (2.0,), (17,))
         config = SolverConfig(grid=grid, n_steps=4, cutoff_width=1.5)
-        times = np.linspace(0.0, 1.0, 5)
-        field = SolutionField(
-            grid=grid,
-            times=times,
-            values=np.zeros((5, grid.n_nodes, 1)),
-            spec=spec,
-            config=config,
-        )
+        field = SolutionField(values=np.zeros((5, grid.n_nodes, 1)), spec=spec, config=config)
         with pytest.raises(ValueError, match="inner"):
             simulate_ensemble(field, spec, np.array([1.0]), 0.25, 1, base_seed=0)
 
@@ -334,14 +320,7 @@ class TestTwoDimensionalSimulation:
         config = SolverConfig(
             grid=grid, n_steps=4, dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1))
         )
-        times = np.linspace(0.0, 1.0, 5)
-        field = SolutionField(
-            grid=grid,
-            times=times,
-            values=np.zeros((5, grid.n_nodes, 1)),
-            spec=spec,
-            config=config,
-        )
+        field = SolutionField(values=np.zeros((5, grid.n_nodes, 1)), spec=spec, config=config)
         ens = simulate_ensemble(field, spec, np.zeros(2), 1.0 / 32.0, 3000, base_seed=17)
         x_T = ens.states[:, -1]
         cov_expect = mat @ mat.T  # covariance of X_T is Gram(sigma) * T with T = 1
@@ -586,7 +565,7 @@ def sine_field(spec, lo, hi, nodes, levels=9):
     pts = grid.nodes()
     shape = np.sin(pts[:, 0]) * np.prod(np.cos(pts[:, 1:]), axis=1)
     values = np.exp(-times)[:, None, None] * shape[None, :, None]
-    return SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
+    return SolutionField(values=values, spec=spec, config=config)
 
 
 def high_rate_setup():

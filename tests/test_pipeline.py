@@ -70,7 +70,7 @@ def make_field(spec, values_fn, lo=-12.0, hi=12.0, nodes=97, levels=9):
     times = np.linspace(0.0, spec.horizon, levels)
     pts = grid.nodes()
     values = np.stack([values_fn(float(t), pts) for t in times])
-    return SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
+    return SolutionField(values=values, spec=spec, config=config)
 
 
 def zero_field(spec, **kw):
@@ -408,8 +408,6 @@ class TestItoResidual:
         pts = grid.nodes()
         quad = 0.5 * np.einsum("bi,ij,bj->b", pts, q, pts) + pts @ b
         field = SolutionField(
-            grid=grid,
-            times=np.linspace(0.0, 1.0, 3),
             values=np.broadcast_to(quad[None, :, None], (3, grid.n_nodes, 1)),
             spec=spec,
             config=SolverConfig(grid=grid, n_steps=2, cutoff_width=0.4),
@@ -443,12 +441,11 @@ class TestVectorBackwardComponent:
             n_steps=8,
             dirichlet_data=lambda t, x: np.concatenate([x, 2.0 * x], axis=1),
         )
-        times = np.linspace(0.0, 1.0, 9)
         pts = grid.nodes()
         values = np.broadcast_to(
             np.concatenate([pts, 2.0 * pts], axis=1)[None], (9, grid.n_nodes, 2)
         ).copy()
-        field = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
+        field = SolutionField(values=values, spec=spec, config=config)
         ens = simulate_ensemble(field, spec, np.array([0.0]), 1e-3, 100, base_seed=33)
         linked = link_ensemble(ens, field, spec)
         assert linked.z.shape == (100, 1001, 2, 1)

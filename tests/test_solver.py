@@ -466,46 +466,35 @@ class TestSolveFinalValue:
 
 class TestSolutionFieldTimes:
     @staticmethod
-    def _field(times):
-        times = np.asarray(times, dtype=float)
+    def _field(levels, horizon=1.0):
         grid = Grid((0.0,), (4.0,), (5,))
         config = SolverConfig(
             grid=grid,
-            n_steps=max(times.shape[0] - 1, 1),
+            n_steps=max(levels - 1, 1),
             dirichlet_data=lambda t, x: np.zeros((x.shape[0], 1)),
         )
         return SolutionField(
-            grid=grid,
-            times=times,
-            values=np.zeros((times.shape[0], grid.n_nodes, 1)),
-            spec=diffusion_spec(),
+            values=np.zeros((levels, grid.n_nodes, 1)),
+            spec=diffusion_spec(horizon=horizon),
             config=config,
         )
 
     @pytest.mark.parametrize("levels, horizon", [(2, 1.0), (1001, 0.3), (4097, 7.1)])
     def test_linspace_accepted(self, levels, horizon):
-        field = self._field(np.linspace(0.0, horizon, levels))
+        field = self._field(levels, horizon)
+        assert field.times.tobytes() == np.linspace(0.0, horizon, levels).tobytes()
+        assert not field.times.flags.writeable
+        assert field.grid is field.config.grid
         assert field.time_bracket(horizon) == (levels - 2, 1.0)
 
-    @pytest.mark.parametrize(
-        "times", [[0.1, 0.6, 1.1], [1e-12, 0.5, 1.0]], ids=["shifted", "nearly-zero"]
-    )
-    def test_must_start_at_zero(self, times):
-        with pytest.raises(ValueError, match="times must start at 0"):
-            self._field(times)
-
-    @pytest.mark.parametrize(
-        "times",
-        [[0.0, 0.4, 1.0], [0.0, 0.5, 1.0 + 1e-6], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]],
-        ids=["uneven", "last-step-long", "not-increasing", "constant"],
-    )
-    def test_must_be_uniform(self, times):
-        with pytest.raises(ValueError, match="times must be uniform"):
-            self._field(times)
-
     def test_must_have_two_levels(self):
-        with pytest.raises(ValueError, match="at least 2 levels"):
-            self._field([0.0])
+        message = r"values must have shape \(2, 5, 1\), got \(1, 5, 1\)"
+        with pytest.raises(ValueError, match=message):
+            self._field(1)
+
+    def test_inputs_are_values_spec_and_config(self):
+        names = [f.name for f in dataclasses.fields(SolutionField) if f.init]
+        assert names == ["values", "spec", "config"]
 
 
 class TestNonlocalTable:
@@ -515,8 +504,6 @@ class TestNonlocalTable:
             diffusion_spec(), jump_coeff=lambda t, x, u, y: np.full((x.shape[0], 1), np.nan)
         )
         field = SolutionField(
-            grid=grid,
-            times=np.linspace(0.0, 1.0, 3),
             values=np.ones((3, grid.n_nodes, 1)),
             spec=spec,
             config=SolverConfig(grid=grid, n_steps=2),
@@ -553,24 +540,14 @@ class TestMaxPrinciple:
     def test_zero_field_passes(self):
         field, diag = self._heat_run()
         zero = SolutionField(
-            grid=field.grid,
-            times=field.times,
-            values=np.zeros_like(field.values),
-            spec=field.spec,
-            config=field.config,
+            values=np.zeros_like(field.values), spec=field.spec, config=field.config
         )
         result = check_max_principle(zero, diag)
         assert result.passed and result.margin == pytest.approx(result.bound)
 
     def test_scaled_field_is_flagged(self):
         field, diag = self._heat_run()
-        scaled = SolutionField(
-            grid=field.grid,
-            times=field.times,
-            values=10.0 * field.values,
-            spec=field.spec,
-            config=field.config,
-        )
+        scaled = SolutionField(values=10.0 * field.values, spec=field.spec, config=field.config)
         result = check_max_principle(scaled, diag)
         assert not result.passed
         assert result.first_violation_level is not None
@@ -598,13 +575,7 @@ class TestMaxPrinciple:
 
     def test_rescaled_field_cannot_pass_through_nan(self):
         field, diag = self._heat_run()
-        scaled = SolutionField(
-            grid=field.grid,
-            times=field.times,
-            values=1e6 * field.values,
-            spec=field.spec,
-            config=field.config,
-        )
+        scaled = SolutionField(values=1e6 * field.values, spec=field.spec, config=field.config)
         assert not check_max_principle(scaled, diag).passed
         for constants in [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)]:
             with pytest.raises(ValueError):
@@ -643,8 +614,6 @@ def _random_field_2d(levels=7, horizon=0.75, seed=11):
     rng = np.random.default_rng(seed)
     spec = dataclasses.replace(_spec_2d(horizon=horizon), m=2, generator=_zeros(2))
     return SolutionField(
-        grid=grid,
-        times=np.linspace(0.0, horizon, levels),
         values=rng.standard_normal((levels, grid.n_nodes, 2)),
         spec=spec,
         config=SolverConfig(grid=grid, n_steps=levels - 1, cutoff_width=0.5),
@@ -715,8 +684,6 @@ def _random_field(lower, upper, shape, m, levels=6, horizon=0.75, seed=3):
         measure=DUMMY_MEASURE,
     )
     return SolutionField(
-        grid=grid,
-        times=np.linspace(0.0, horizon, levels),
         values=values,
         spec=spec,
         config=SolverConfig(grid=grid, n_steps=levels - 1, cutoff_width=0.2),
@@ -762,11 +729,11 @@ class TestCornerGradients:
         field, t, x = query
         levels = np.stack([spatial_gradient(field.grid, v) for v in field.values])
         want = field.interpolate(t, x, levels)
-        assert field.gradient(t, x).tobytes() == want.tobytes()
-        value, gradient = field.gradient(t, x, with_value=True)
+        gradient = field.gradient(t, x)
         assert gradient.tobytes() == want.tobytes()
-        assert value.tobytes() == field.value(t, x).tobytes()
         assert gradient.shape == (x.shape[0], field.m, field.grid.ndim)
+        # backward_rows' Y comes from the same gathered corners as its gradient
+        assert field.backward_rows(t, x)[0].tobytes() == field.value(t, x).tobytes()
 
 
 def old_field_test_function(field: SolutionField, component: int = 0) -> TestFunction:
@@ -857,14 +824,13 @@ class TestFieldOwnership:
 
         levels, grid = 21, Grid((0.0, 0.0), (1.0, 1.0), (41, 41))
         values = np.ones((levels, grid.n_nodes, 2))
-        times = np.linspace(0.0, 1.0, levels)
         spec = dataclasses.replace(_spec_2d(horizon=1.0), m=2, generator=_zeros(2))
         config = SolverConfig(grid=grid, n_steps=levels - 1, cutoff_width=0.25)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            field = SolutionField(grid=grid, times=times, values=values, spec=spec, config=config)
+            field = SolutionField(values=values, spec=spec, config=config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -899,9 +865,10 @@ class TestFieldOwnership:
         node = huge.grid.nodes()[4:5]
         # the rows whose cell corners reach the node at level 3 or 4 raise, with no warning
         for t in (huge.times[3], 0.5 * (huge.times[2] + huge.times[3])):
-            for with_value in (False, True):
+            rows = (np.array([0.1, t]), np.vstack([[1.9, 0.6], node]))
+            for query in (huge.gradient, huge.backward_rows):
                 with pytest.raises(ValueError, match="gradients must be finite"):
-                    huge.gradient(np.array([0.1, t]), np.vstack([[1.9, 0.6], node]), with_value)
+                    query(*rows)
         # a query that does not reach it is finite
         assert np.isfinite(huge.gradient(huge.times[3], np.array([[1.9, 0.6]]))).all()
 
@@ -911,13 +878,7 @@ class TestFieldOwnership:
     def test_values_of_another_shape_named(self, shape):
         built = build_problem("heat", {"nodes": 11, "steps": 4})
         with pytest.raises(ValueError, match=r"values must have shape \(5, 11, 1\), got "):
-            SolutionField(
-                grid=built.solver_config.grid,
-                times=np.linspace(0.0, built.spec.horizon, 5),
-                values=np.zeros(shape),
-                spec=built.spec,
-                config=built.solver_config,
-            )
+            SolutionField(values=np.zeros(shape), spec=built.spec, config=built.solver_config)
 
     def test_gradients_are_derived_on_each_access(self):
         field = _random_field_2d()
@@ -1087,8 +1048,6 @@ def _jump_field_2d(nodes):
     pts = grid.nodes()
     values = np.stack([_oracle_2d(t, pts, 1.0) for t in np.linspace(0.0, 1.0, levels)])
     return SolutionField(
-        grid=grid,
-        times=np.linspace(0.0, 1.0, levels),
         values=values,
         spec=spec,
         config=SolverConfig(grid=grid, n_steps=levels - 1),
@@ -1359,9 +1318,10 @@ class TestSharedLocation:
         field = FIELD_2D
         t = np.array([r[0] for r in rows])
         x = np.array([r[1] for r in rows])
-        y, grad = field.gradient(t, x, with_value=True)
+        y = field.backward_rows(t, x)[0]
         assert y.tobytes() == field.value(t, x).tobytes()
-        assert grad.tobytes() == field.gradient(t, x).tobytes()
+        levels = np.stack([spatial_gradient(field.grid, v) for v in field.values])
+        assert field.gradient(t, x).tobytes() == field.interpolate(t, x, levels).tobytes()
 
     def test_euler_increment_locates_its_rows_once(self):
         from fbsde import paths
@@ -1497,8 +1457,6 @@ def _signed_zero_field_3d():
     values[rng.random(values.shape) < 0.3] = -0.0
     values[rng.random(values.shape) < 0.1] = 0.0
     return SolutionField(
-        grid=grid,
-        times=np.linspace(0.0, 0.5, 4),
         values=values,
         spec=_heat_spec(3),
         config=SolverConfig(grid=grid, n_steps=3, cutoff_width=0.4),
@@ -1538,15 +1496,16 @@ class TestClampingKeepsTheBits:
         queries = {
             "value": lambda: field.value(times, coords),
             "value-at-0": lambda: field.value(-0.0, coords),
-            "gradient": lambda: field.gradient(times, coords, with_value=True),
+            "gradient": lambda: field.gradient(times, coords),
             "table": lambda: field.nonlocal_table(times, coords),
+            "rows": lambda: field.backward_rows(times, coords),
         }
         got = {name: query() for name, query in queries.items()}
         with mock.patch.object(SolutionField, "time_bracket", clip_time_bracket):
             want = {name: query() for name, query in queries.items()}
         for name in queries:
-            # gradient(..., with_value=True) gives (value, gradient)
-            pairs = zip(got[name], want[name]) if name == "gradient" else [(got[name], want[name])]
+            # backward_rows gives (Y, Z, Ztilde, sigma)
+            pairs = zip(got[name], want[name]) if name == "rows" else [(got[name], want[name])]
             for a, b in pairs:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         # the inputs reach the zeros whose sign differs
