@@ -10,9 +10,9 @@ The backward-in-time decoupling field is computed by marching its
 time reversal u(t, x) = field(T - t, x) forward from t = 0.
 :func:`eval_nonlocal` and :func:`assemble_coefficients` are stated for
 the reversed (Cauchy) time t, which means every underlying problem
-coefficient is evaluated at T - t.  The reflection lives in those two
-functions only: the solver passes Cauchy time and never reflects
-itself.
+coefficient is evaluated at T - t.  Of the problem's coefficients only
+those two functions reflect: the solver passes them Cauchy time.  The
+solver reflects its face data alone, calling ``dirichlet_data`` at T - t.
 """
 
 from __future__ import annotations

@@ -181,9 +181,11 @@ def estimate_class_s_norm(ensemble: Ensemble, keep=slice(None)) -> float:
     reordering and ensemble splitting.  The squares are formed one
     level at a time, so no (P, L) array of them is ever held.
     """
+    if not len(ensemble):
+        raise ValueError("ensemble must be non-empty")
     n_paths = np.arange(len(ensemble))[keep].shape[0]
     if not n_paths:
-        raise ValueError("ensemble must be non-empty")
+        raise ValueError(f"keep selects none of the ensemble's {len(ensemble)} paths")
     rows = (ensemble.states, ensemble.y, ensemble.z, ensemble.ztilde)
     weights = ensemble.field.spec.measure.weights
     level_sums = (

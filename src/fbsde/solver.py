@@ -249,14 +249,15 @@ def _mixed_second_sum(values: np.ndarray, a2: np.ndarray, grid: Grid) -> np.ndar
 def solve_tridiagonal(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Batched Thomas solve of independent tridiagonal systems.
+    """Batched Thomas solve of independent tridiagonal systems, line axis first.
 
-    ``lower``, ``diag`` and ``upper`` have shape (..., N), one system per
-    leading index; ``lower[..., 0]`` and ``upper[..., -1]`` are ignored.
-    ``rhs`` has shape (..., N) or (..., N, k) with the same leading
-    shape, and the solution has the shape of ``rhs``.  The loop runs
-    along the line only; each of its steps is vectorized across every
-    system and right-hand-side column.
+    ``lower``, ``diag`` and ``upper`` share one shape (N, ...) with N >= 1:
+    row i of every system is ``a[i]``, and ``lower[0]`` and ``upper[-1]``
+    are ignored.  ``rhs`` has shape (N, ...) or (N, ..., k), and the
+    solution has its shape.  Any other shapes raise ``ValueError`` naming
+    them.  The loop runs along the line only; each of its steps is
+    vectorized across every system and right-hand-side column, and is
+    fastest when each row ``a[i]`` is one contiguous block.
 
     There is no pivoting, so every row must be strictly diagonally
     dominant, ``|diag| > |lower| + |upper|``.  ``step_imex`` guarantees
@@ -268,20 +269,19 @@ def solve_tridiagonal(
     ``gtsv`` may fuse its multiply-adds, so the two agree to rounding
     error, not bit for bit.
     """
-    line = diag.ndim - 1
-    bands = (np.moveaxis(a, line, 0) for a in (lower, diag, upper))
-    return np.moveaxis(_thomas(*bands, np.moveaxis(rhs, line, 0)), 0, line)
-
-
-def _thomas(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """The Thomas loop of :func:`solve_tridiagonal` on line-first arrays.
-
-    The bands have shape (N, ...) and ``rhs`` (N, ...) or (N, ..., k);
-    the solution has the shape of ``rhs``.  The loop is fastest when each
-    row ``a[i]`` is one contiguous block.
-    """
+    shape = diag.shape
+    if not (
+        lower.shape == shape == upper.shape
+        and diag.ndim >= 1
+        and shape[0] >= 1
+        and rhs.shape[: diag.ndim] == shape
+        and rhs.ndim <= diag.ndim + 1
+    ):
+        raise ValueError(
+            "solve_tridiagonal needs bands of one shape (N, ...) with N >= 1 and an rhs of"
+            f" that shape, or with one more axis; got bands {lower.shape}, {shape} and"
+            f" {upper.shape}, and rhs {rhs.shape}"
+        )
     arrays = [lower, diag, upper, rhs]
     if rhs.ndim > diag.ndim:
         if rhs.shape[-1] == 1:
@@ -318,38 +318,33 @@ def _thomas(
 def _face_values(
     config: SolverConfig, grid: Grid, t_next: float, horizon: float, m: int
 ) -> np.ndarray:
-    """Full-grid array holding prescribed values at face nodes (0 elsewhere).
+    """The (n_faces, m) values of the face nodes, in the order of ``grid_faces``:
+    zeros under the cutoff, else ``dirichlet_data`` at original time
+    ``horizon - t_next`` (``t_next`` is Cauchy time, like the step's).
 
     Data that is not finite raises ``ValueError`` naming its original time.
     """
-    out = np.zeros((grid.n_nodes, m))
-    if config.dirichlet_data is not None:
-        mask, pts = grid_faces(grid)
-        t = horizon - t_next
-        vals = _shaped("dirichlet_data", config.dirichlet_data(t, pts), (pts.shape[0], m))
-        if not all_finite(vals):
-            raise ValueError(
-                f"Dirichlet data must be finite at every face node; it is not at t={t}"
-            )
-        out[mask] = vals
-    return out
+    pts = grid_faces(grid)[1]
+    if config.dirichlet_data is None:
+        return np.zeros((pts.shape[0], m))
+    t = horizon - t_next
+    vals = _shaped("dirichlet_data", config.dirichlet_data(t, pts), (pts.shape[0], m))
+    if not all_finite(vals):
+        raise ValueError(f"Dirichlet data must be finite at every face node; it is not at t={t}")
+    return vals
 
 
 def _solve_axis_sweep(
-    grid: Grid,
-    work: np.ndarray,
-    axis: int,
-    coeff: np.ndarray,
-    dt: float,
-    bfull: np.ndarray,
+    grid: Grid, work: np.ndarray, axis: int, coeff: np.ndarray, dt: float
 ) -> np.ndarray:
     """One implicit sweep (I - dt * a_axax d2/dx_ax^2) along a single axis.
 
     Every grid line along ``axis`` is an independent tridiagonal system
-    whose two face rows are identity rows carrying the values of
-    ``bfull``.  All lines and all m field components go to one batched
-    Thomas loop, on copies laid out line axis first so that each row of
-    the loop is one contiguous block.  Returns a new (n_nodes, m) array.
+    whose two face rows are identity rows, so they keep the values that
+    ``work`` holds there.  All lines and all m field components go to one
+    :func:`solve_tridiagonal`, on copies laid out line axis first so that
+    each row of the loop is one contiguous block.  Returns a new
+    (n_nodes, m) array.
     """
     shape = grid.shape
     m = work.shape[1]
@@ -361,13 +356,11 @@ def _solve_axis_sweep(
     off = -r * cf  # the operator is symmetric: lower and upper bands agree
     diag = 1.0 + 2.0 * r * cf
     rhs = work.reshape(*shape, m).swapaxes(0, axis).copy()
-    faces = bfull.reshape(*shape, m).swapaxes(0, axis)
     for face in (0, -1):
         off[face] = 0.0
         diag[face] = 1.0
-        rhs[face] = faces[face]
 
-    sol = _thomas(off, diag, off, rhs)
+    sol = solve_tridiagonal(off, diag, off, rhs)
     return sol.swapaxes(0, axis).reshape(grid.n_nodes, m)
 
 
@@ -376,24 +369,24 @@ def step_imex(
     t: float,
     spec: ProblemSpec,
     config: SolverConfig,
-    p: np.ndarray | None = None,
+    p: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Advance the reversed equation one time step from Cauchy time ``t``.
 
     ``u_now`` holds the (n_nodes, m) node values on ``config.grid`` and
-    ``p`` their :func:`spatial_gradient`, computed here if not given.
-    Diffusion (coefficients frozen at ``u_now``) is implicit, one
-    tridiagonal sweep per axis; transport, reaction, the nonlocal table
-    and, on 2-D and 3-D grids, the mixed derivatives are explicit.  Face
-    rows carry the configured boundary values.  Returns the next level
-    and max |a1|, the largest transport speed of this step.
+    ``p`` their :func:`spatial_gradient`.  Diffusion (coefficients frozen
+    at ``u_now``) is implicit, one tridiagonal sweep per axis; transport,
+    reaction, the nonlocal table and, on 2-D and 3-D grids, the mixed
+    derivatives are explicit.  The configured face values are written into
+    the step's own array before each sweep, whose identity face rows keep
+    them, and again after the last sweep, which restores the face rows the
+    later sweeps solved as interior rows of their lines.  Returns the next
+    level and max |a1|, the largest transport speed of this step.
     """
     grid = config.grid
     ndim = grid.ndim
     dt = spec.horizon / config.n_steps
 
-    if p is None:
-        p = spatial_gradient(grid, u_now)
     w = eval_nonlocal(grid, u_now, spec, t)
     a2, a1, a0 = assemble_coefficients(spec, t, grid_nodes(grid), u_now, p, w)
     del w
@@ -420,14 +413,18 @@ def step_imex(
         u_next *= dt
         u_next += u_now  # the right-hand side u_now + dt * (explicit terms)
 
-    bfull = _face_values(config, grid, t + dt, spec.horizon, u_now.shape[1])
+    faces = _face_values(config, grid, t + dt, spec.horizon, u_now.shape[1])
 
     if not all_finite(u_next):
         raise BlowUpError("explicit terms produced non-finite values", level=-1)
 
+    # a line along one axis that lies in another axis's face plane holds face
+    # nodes only: no interior row reads it, and the last write restores it
+    mask = grid.boundary_mask()
     for ax in range(ndim):
-        u_next = _solve_axis_sweep(grid, u_next, ax, a2[:, ax, ax], dt, bfull)
-    np.copyto(u_next, bfull, where=grid.boundary_mask()[:, None])
+        u_next[mask] = faces
+        u_next = _solve_axis_sweep(grid, u_next, ax, a2[:, ax, ax], dt)
+    u_next[mask] = faces
 
     if not all_finite(u_next):
         raise BlowUpError("implicit solve produced non-finite values", level=-1)
@@ -820,9 +817,8 @@ def solve_final_value(
             h_vals, cutoff_values(grid, config.cutoff_width)[:, None], out=values[-1]
         )
     else:
-        faces = _face_values(config, grid, 0.0, T, spec.m)
-        values[-1] = np.where(mask[:, None], faces, h_vals)
-        del faces
+        values[-1] = h_vals
+        values[-1][mask] = _face_values(config, grid, 0.0, T, spec.m)
     del h_vals
     u = values[-1]
     coarse = False

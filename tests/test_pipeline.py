@@ -230,6 +230,13 @@ class TestClassSNorm:
         norm = estimate_class_s_norm(link_ensemble(ens, field, spec))
         assert norm == pytest.approx(1.0, abs=1e-12)  # sup of |X_t|^2 = T^2 at t = T
 
+    def test_keep_selecting_no_path_is_named(self):
+        spec = make_spec(sigma_val=1.0)
+        field = zero_field(spec)
+        ens = simulate_ensemble(field, spec, np.array([0.0]), 0.25, 5, base_seed=0)
+        with pytest.raises(ValueError, match="keep selects none of the ensemble's 5 paths"):
+            estimate_class_s_norm(link_ensemble(ens, field, spec), np.array([], int))
+
     def test_brownian_second_moment(self):
         spec = make_spec(sigma_val=1.0)
         field = zero_field(spec)

@@ -33,10 +33,10 @@ from fbsde import solver as solver_module
 from fbsde.catalog import build_problem
 from fbsde.grid import grid_faces, multilinear_interpolate
 from fbsde.pipeline import TestFunction
+from fbsde.operators import assemble_coefficients, eval_nonlocal
 from fbsde.solver import (
     _mixed_second_sum,
     _solve_axis_sweep,
-    _thomas,
     second_difference,
     solve_tridiagonal,
 )
@@ -86,6 +86,7 @@ class TestTridiagonal:
     def test_batch_matches_dense_solve(self, k):
         rng = np.random.default_rng(1)
         lower, diag, upper, rhs = _dominant_systems(rng, (4, 3), 9, k)
+        assert diag.shape == (9, 4, 3)
         got = solve_tridiagonal(lower, diag, upper, rhs)
         assert got.shape == rhs.shape
         np.testing.assert_allclose(got, _dense_solve(lower, diag, upper, rhs), rtol=0, atol=1e-12)
@@ -114,7 +115,7 @@ class TestTridiagonal:
     @pytest.mark.parametrize("batch, k", [((), None), ((), 1), ((2,), 3)])
     def test_zero_pivot_raises(self, batch, k):
         lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(4), batch, 4, k)
-        singular = (-1,) if batch else ()  # with a batch, only the last system
+        singular = (slice(None), -1) if batch else ()  # with a batch, only the last system
         for a in (lower, diag, upper):
             a[singular] = 0.0
         with pytest.raises(LinearSolveError, match="pivot"):
@@ -131,19 +132,39 @@ class TestTridiagonal:
         # a compiled gtsv may fuse multiply-adds: equal to rounding, not to the bit
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "bands, rhs",
+        [
+            ([(3,), (3,), (3,)], (4,)),  # a longer rhs would leave its last rows unsolved
+            ([(4,), (4,), (5,)], (4,)),
+            ([(4, 2), (4, 2), (4, 2)], (4, 3)),
+            ([(4, 2), (4, 2), (4, 2)], (2, 4)),  # the line axis last
+            ([(4,), (4,), (4,)], (4, 2, 2)),
+            ([(0,), (0,), (0,)], (0,)),
+            ([(0, 3), (0, 3), (0, 3)], (0, 3, 1)),
+        ],
+    )
+    def test_shapes_that_do_not_fit_are_named(self, bands, rhs):
+        with pytest.raises(ValueError, match="solve_tridiagonal") as raised:
+            solve_tridiagonal(*(np.ones(b) for b in bands), np.ones(rhs))
+        assert str(bands[-1]) in str(raised.value) and str(rhs) in str(raised.value)
+
 
 def _dominant_systems(rng, batch, n, k):
-    """Random strictly diagonally dominant systems of shape batch + (n,)."""
-    lower = rng.normal(size=batch + (n,))
-    upper = rng.normal(size=batch + (n,))
-    diag = (np.abs(lower) + np.abs(upper) + 0.5 + rng.random(batch + (n,))) * rng.choice(
-        [-1.0, 1.0], size=batch + (n,)
+    """Random strictly diagonally dominant systems, line first: bands of shape
+    (n,) + batch, and an rhs of that shape, with k columns after it if k is set."""
+    lower = rng.normal(size=(n,) + batch)
+    upper = rng.normal(size=(n,) + batch)
+    diag = (np.abs(lower) + np.abs(upper) + 0.5 + rng.random((n,) + batch)) * rng.choice(
+        [-1.0, 1.0], size=(n,) + batch
     )
-    rhs = rng.normal(size=batch + (n,) + (() if k is None else (k,)))
+    rhs = rng.normal(size=(n,) + batch + (() if k is None else (k,)))
     return lower, diag, upper, rhs
 
 
 def _dense_solve(lower, diag, upper, rhs):
+    """``np.linalg.solve`` of the line-first systems, in the layout of ``rhs``."""
+    lower, diag, upper = (np.moveaxis(a, 0, -1) for a in (lower, diag, upper))
     n = diag.shape[-1]
     mat = np.zeros(diag.shape + (n,))
     idx = np.arange(n)
@@ -151,30 +172,34 @@ def _dense_solve(lower, diag, upper, rhs):
     mat[..., idx[1:], idx[:-1]] = lower[..., 1:]
     mat[..., idx[:-1], idx[1:]] = upper[..., :-1]
     if rhs.ndim == diag.ndim:
-        return np.linalg.solve(mat, rhs[..., None])[..., 0]
-    return np.linalg.solve(mat, rhs)
+        return np.moveaxis(np.linalg.solve(mat, np.moveaxis(rhs, 0, -1)[..., None])[..., 0], -1, 0)
+    return np.moveaxis(np.linalg.solve(mat, np.moveaxis(rhs, 0, -2)), -2, 0)
 
 
 class TestAxisSweep:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_matches_dense_operator(self, axis):
-        # one sweep solves (I - dt a D2_axis) u = work with identity face rows
+        # one sweep solves (I - dt a D2_axis) u = work with identity face rows,
+        # which carry the face data the step wrote into work
         rng = np.random.default_rng(3 + axis)
         grid = Grid((0.0, -1.0, 0.5), (1.0, 2.0, 1.5), (5, 6, 7))
         m, dt = 2, 0.01
         coeff = 0.2 + rng.random(grid.n_nodes)
         work = rng.normal(size=(grid.n_nodes, m))
-        bfull = rng.normal(size=(grid.n_nodes, m))
-        got = _solve_axis_sweep(grid, work, axis, coeff, dt, bfull)
+        pos = np.unravel_index(np.arange(grid.n_nodes), grid.shape)[axis]
+        on_face = np.isin(pos, (0, grid.shape[axis] - 1))
+        work[on_face] = rng.normal(size=(on_face.sum(), m))
+        before = work.copy()
+        got = _solve_axis_sweep(grid, work, axis, coeff, dt)
+        assert np.array_equal(work, before)
+        assert got[on_face].tobytes() == work[on_face].tobytes()
 
         r = dt / grid.spacings[axis] ** 2
         stride = grid.strides[axis]
-        pos = np.unravel_index(np.arange(grid.n_nodes), grid.shape)[axis]
         mat = np.eye(grid.n_nodes)
         rhs = work.copy()
         for node in range(grid.n_nodes):
-            if pos[node] in (0, grid.shape[axis] - 1):
-                rhs[node] = bfull[node]
+            if on_face[node]:
                 continue
             mat[node, node] += 2.0 * r * coeff[node]
             mat[node, node - stride] = -r * coeff[node]
@@ -307,7 +332,7 @@ class TestStepImex:
         spec = diffusion_spec(sigma_val=1.0, horizon=1.0)
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.4)
         u = np.array([[0.0], [1.0], [0.0]])
-        out, _ = step_imex(u, 0.0, spec, config)
+        out, _ = step_imex(u, 0.0, spec, config, spatial_gradient(config.grid, u))
         assert out[1, 0] == pytest.approx(1.0 / 1.1, abs=1e-14)
         assert out[0, 0] == 0.0 and out[2, 0] == 0.0
 
@@ -315,7 +340,8 @@ class TestStepImex:
         grid = Grid((0.0,), (2.0,), (21,))
         spec = diffusion_spec()
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.4)
-        out, _ = step_imex(np.zeros((21, 1)), 0.0, spec, config)
+        u = np.zeros((21, 1))
+        out, _ = step_imex(u, 0.0, spec, config, spatial_gradient(config.grid, u))
         assert np.all(out == 0.0)
 
     def test_monotone_range_containment(self):
@@ -329,7 +355,7 @@ class TestStepImex:
         vals[0] = vals[-1] = 0.0
         u = vals
         for step in range(5):
-            out, _ = step_imex(u, step * 0.05, spec, config)
+            out, _ = step_imex(u, step * 0.05, spec, config, spatial_gradient(config.grid, u))
             assert out.min() >= u.min() - 1e-12
             assert out.max() <= u.max() + 1e-12
             u = out
@@ -342,23 +368,26 @@ class TestStepImex:
             diffusion_spec(), diffusion=lambda t, x, u: np.where(x[:, :, None] > 0.5, bad, 1.0)
         )
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.2)
+        u = np.ones((11, 1))
         with pytest.raises(DegenerateDiffusionError, match="non-finite"):
-            step_imex(np.ones((11, 1)), 0.0, spec, config)
+            step_imex(u, 0.0, spec, config, spatial_gradient(config.grid, u))
 
     def test_returns_largest_transport_speed(self):
         # a zero shift leaves a1 = -f, so max |a1| is the drift's size
         grid = Grid((0.0,), (2.0,), (21,))
         spec = diffusion_spec(drift=lambda t, x, u, p, w: np.full((x.shape[0], 1), -1.75))
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.4)
-        _, speed = step_imex(np.zeros((21, 1)), 0.0, spec, config)
+        u = np.zeros((21, 1))
+        _, speed = step_imex(u, 0.0, spec, config, spatial_gradient(config.grid, u))
         assert speed == 1.75
 
     def test_degenerate_diffusion_rejected(self):
         grid = Grid((0.0,), (1.0,), (11,))
         spec = diffusion_spec(sigma_val=0.0)
         config = SolverConfig(grid=grid, n_steps=10, cutoff_width=0.2)
+        u = np.ones((11, 1))
         with pytest.raises(DegenerateDiffusionError):
-            step_imex(np.ones((11, 1)), 0.0, spec, config)
+            step_imex(u, 0.0, spec, config, spatial_gradient(config.grid, u))
 
 
 class TestSolveFinalValue:
@@ -1160,15 +1189,6 @@ class TestOneGradientPerLevel:
         sups = [np.sqrt(np.sum(g**2, axis=(-1, -2))).max() for g in field.gradients]
         assert diag.sup_gradient.tobytes() == np.array(sups).tobytes()
 
-    @pytest.mark.parametrize("name", MARCH_CASES)
-    def test_given_gradient_equals_the_default(self, name):
-        spec, config = _march_case(name)
-        field, _ = solve_final_value(spec, config, MaxPrincipleConstants(0.0, 1.0, 1.0))
-        u = np.array(field.values[-3])
-        default = step_imex(u, 0.1, spec, config)
-        given_p = step_imex(u, 0.1, spec, config, spatial_gradient(config.grid, u))
-        assert default[0].tobytes() == given_p[0].tobytes() and default[1] == given_p[1]
-
     @pytest.mark.parametrize(
         "grid, steps",
         [(Grid((0.0,) * 3, (math.pi,) * 3, (17,) * 3), 40), (Grid((-6.0,), (6.0,), (201,)), 400)],
@@ -1238,6 +1258,86 @@ class TestOneGradientPerLevel:
         assert peak <= stored + 30 * value_level, (peak - stored) / value_level
 
 
+def _full_grid_face_step(u_now, t, spec, config, p):
+    """Reference ``step_imex`` with the face handling of a full-grid face array:
+    each sweep copies the rows of its own axis's faces out of that array, and a
+    masked copy restores every face after the last sweep.  The other arithmetic
+    is the step's."""
+    grid = config.grid
+    dt = spec.horizon / config.n_steps
+    w = eval_nonlocal(grid, u_now, spec, t)
+    a2, a1, a0 = assemble_coefficients(spec, t, grid.nodes(), u_now, p, w)
+    u_next = -np.einsum("bi,bmi->bm", a1, p)
+    u_next -= a0
+    if grid.ndim > 1:
+        u_next += _mixed_second_sum(u_now, a2, grid)
+    u_next *= dt
+    u_next += u_now
+    mask, pts = grid_faces(grid)
+    bfull = np.zeros(u_now.shape)
+    if config.dirichlet_data is not None:
+        bfull[mask] = config.dirichlet_data(spec.horizon - (t + dt), pts)
+    for ax in range(grid.ndim):
+        r = dt / grid.spacings[ax] ** 2
+        cf = np.ascontiguousarray(a2[:, ax, ax].reshape(grid.shape).swapaxes(0, ax))
+        off, diag = -r * cf, 1.0 + 2.0 * r * cf
+        rhs = u_next.reshape(*grid.shape, -1).swapaxes(0, ax).copy()
+        faces = bfull.reshape(*grid.shape, -1).swapaxes(0, ax)
+        for face in (0, -1):
+            off[face], diag[face], rhs[face] = 0.0, 1.0, faces[face]
+        u_next = solve_tridiagonal(off, diag, off, rhs).swapaxes(0, ax).reshape(u_now.shape)
+    np.copyto(u_next, bfull, where=mask[:, None])
+    return u_next, float(max(a1.max(), -a1.min()))
+
+
+def _face_case(n, nodes, m, faces):
+    """A march with a u-dependent sigma that has an off-diagonal entry, under the
+    cutoff or under time-dependent face data."""
+    shear = np.eye(n)
+    shear[0, 1] = 0.3
+
+    def sigma(t, x, u):
+        return shear * (1.0 + 0.2 * np.tanh(u[:, :1]))[:, :, None]
+
+    spec = dataclasses.replace(_heat_spec(n, m), diffusion=sigma)
+    data = None
+    if faces == "dirichlet":
+
+        def data(t, x):
+            return np.repeat(np.cos(t) * (x[:, :1] - x[:, 1:2]), m, axis=1) + 0.1 * t
+
+    grid = Grid((0.0,) * n, (3.0,) * n, (nodes,) * n)
+    return spec, SolverConfig(grid=grid, n_steps=15, cutoff_width=0.5, dirichlet_data=data)
+
+
+class TestFaceRows:
+    """The face rows are written into the step's own array, around one
+    ``solve_tridiagonal`` call per axis and step."""
+
+    @pytest.mark.parametrize("name", MARCH_CASES)
+    def test_one_solve_tridiagonal_call_per_axis_and_step(self, name):
+        spec, config = _march_case(name)
+        with mock.patch.object(
+            solver_module, "solve_tridiagonal", wraps=solver_module.solve_tridiagonal
+        ) as spy:
+            solve_final_value(spec, config, MaxPrincipleConstants(0.0, 1.0, 1.0))
+        assert spy.call_count == config.grid.ndim * config.n_steps
+
+    @pytest.mark.parametrize("faces", ["cutoff", "dirichlet"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n, nodes", [(2, 9), (2, 11), (3, 7), (3, 9)])
+    def test_field_bytes_equal_a_full_grid_face_array(self, n, nodes, m, faces):
+        # a line in another axis's face plane holds face nodes only, so what the
+        # sweeps find there never reaches an interior row
+        spec, config = _face_case(n, nodes, m, faces)
+        constants = MaxPrincipleConstants(0.0, 1.0, 1.0)
+        field, diag = solve_final_value(spec, config, constants)
+        with mock.patch.object(solver_module, "step_imex", _full_grid_face_step):
+            want, want_diag = solve_final_value(spec, config, constants)
+        assert field.values.tobytes() == want.values.tobytes()
+        assert diag.sup_gradient.tobytes() == want_diag.sup_gradient.tobytes()
+
+
 class TestIntegerCounts:
     GRID = Grid((0.0,), (1.0,), (11,))
 
@@ -1277,8 +1377,8 @@ class TestScalarThomas:
         if column:
             rhs = rhs[:, None]
         got = solve_tridiagonal(lower, diag, upper, rhs)
-        batch = solve_tridiagonal(lower[None], diag[None], upper[None], rhs[None])
-        assert got.shape == rhs.shape and got.tobytes() == batch[0].tobytes()
+        batch = solve_tridiagonal(*(a[:, None] for a in (lower, diag, upper, rhs)))
+        assert got.shape == rhs.shape and got.tobytes() == batch[:, 0].tobytes()
 
     @pytest.mark.parametrize("row", [0, 2, 5])
     def test_zero_pivot_in_a_float_division_raises(self, row):
@@ -1295,18 +1395,6 @@ class TestScalarThomas:
         diag[3] = bad
         with pytest.raises(LinearSolveError, match="pivot"):
             solve_tridiagonal(lower, diag, upper, rhs)
-
-    @pytest.mark.parametrize("k", [None, 1, 3])
-    def test_line_first_loop_equals_solve_tridiagonal(self, k):
-        # the implicit sweeps run the loop on contiguous line-first copies
-        lower, diag, upper, rhs = _dominant_systems(np.random.default_rng(9), (4, 3), 8, k)
-        last = solve_tridiagonal(lower, diag, upper, rhs)
-        to_front = (2, 0, 1) + ((3,) if k is not None else ())
-        first = _thomas(
-            *(np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (lower, diag, upper)),
-            np.ascontiguousarray(rhs.transpose(to_front)),
-        )
-        assert first.transpose(np.argsort(to_front)).tobytes() == last.tobytes()
 
 
 class TestSharedLocation:
